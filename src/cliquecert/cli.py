@@ -94,6 +94,26 @@ def _load_boxes(path: str):
     return fam, _canonical_digest(box_family_to_dict(fam))
 
 
+def _load_nerve_family(path: str):
+    """A box family with enough boxes for its nerve (more than d+1)."""
+    fam, digest = _load_boxes(path)
+    if len(fam) <= fam.d + 1:
+        raise InputFormatError(
+            f"nerve needs more than d+1 = {fam.d + 1} boxes, got {len(fam)}"
+        )
+    return fam, digest
+
+
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"budget must be an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {value}")
+    return value
+
+
 def _emit(report: dict) -> None:
     print(json.dumps(report, sort_keys=True, separators=(", ", ": ")))
 
@@ -238,7 +258,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_nerve(args) -> int:
     t0 = time.perf_counter()
-    fam, digest = _load_boxes(args.input)
+    fam, digest = _load_nerve_family(args.input)
     nerve = build_nerve(fam)
     outcome = {
         "hypergraph": hypergraph_to_dict(nerve.base),
@@ -251,7 +271,7 @@ def _cmd_nerve(args) -> int:
 
 def _cmd_helly(args) -> int:
     t0 = time.perf_counter()
-    fam, digest = _load_boxes(args.input)
+    fam, digest = _load_nerve_family(args.input)
     check = colorful_check(fam, args.budget)
     if check.verdict is Verdict.EXHAUSTED:
         print("colorful check exhausted its budget; result inconclusive", file=sys.stderr)
@@ -376,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forbidden", help="search for a complete m-tuple of missing edges")
     p.add_argument("--input", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_forbidden)
 
     p = sub.add_parser("extract", help="clique-or-certificate extraction with trace")
@@ -398,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("helly", help="fractional-Helly pipeline on a box family")
     p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_helly)
 
     p = sub.add_parser("search", help="extremal-instance search for upper bounds")
@@ -410,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("gen-boxes", help="deterministic random box family")

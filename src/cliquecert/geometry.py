@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
 
@@ -71,6 +72,21 @@ class BoxFamily:
     def __len__(self) -> int:
         return len(self.boxes)
 
+    @cached_property
+    def nerve_hypergraph(self) -> KUniformHypergraph:
+        """The (d+1)-uniform intersection hypergraph, built once per family.
+
+        Shared by ``build_nerve`` and ``colorful_check``, so a Helly run
+        tests each (d+1)-subfamily for a common point only once.
+        """
+        k = self.d + 1
+        edges = frozenset(
+            idx
+            for idx in combinations(range(len(self.boxes)), k)
+            if boxes_intersect([self.boxes[i] for i in idx]) is not None
+        )
+        return KUniformHypergraph(n=len(self.boxes), k=k, edges=edges)
+
 
 @dataclass(frozen=True)
 class NerveHypergraph:
@@ -104,23 +120,13 @@ def boxes_intersect(boxes: Sequence[Box]) -> Optional[Point]:
     return None
 
 
-def _nerve_edges(family: BoxFamily) -> frozenset[tuple[int, ...]]:
-    k = family.d + 1
-    return frozenset(
-        idx
-        for idx in combinations(range(len(family.boxes)), k)
-        if boxes_intersect([family.boxes[i] for i in idx]) is not None
-    )
-
-
 def build_nerve(family: BoxFamily) -> NerveHypergraph:
     """Exact (d+1)-uniform intersection nerve; needs more than d+1 boxes."""
     if len(family.boxes) <= family.d + 1:
         raise ValueError(
             f"nerve needs more than d+1 = {family.d + 1} boxes, got {len(family.boxes)}"
         )
-    base = KUniformHypergraph(n=len(family.boxes), k=family.d + 1, edges=_nerve_edges(family))
-    return NerveHypergraph(base=base, family=family)
+    return NerveHypergraph(base=family.nerve_hypergraph, family=family)
 
 
 def colorful_check(family: BoxFamily, budget: int = DEFAULT_BUDGET) -> TupleSearchResult:
@@ -131,9 +137,7 @@ def colorful_check(family: BoxFamily, budget: int = DEFAULT_BUDGET) -> TupleSear
     InternalConsistencyError carrying the certificate.  EXHAUSTED is
     returned as-is: it is inconclusive, not absence.
     """
-    k = family.d + 1
-    base = KUniformHypergraph(n=len(family.boxes), k=k, edges=_nerve_edges(family))
-    result = find_complete_tuple(base, k, budget)
+    result = find_complete_tuple(family.nerve_hypergraph, family.d + 1, budget)
     if result.verdict is Verdict.FOUND:
         raise InternalConsistencyError(
             "box-family nerve contains a complete tuple of missing edges",

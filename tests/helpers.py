@@ -4,18 +4,26 @@ The oracles deliberately avoid the library's algorithms: cliques are
 checked by full subset enumeration, tuple existence by enumerating every
 m-subset of missing edges through the exhaustive verifier.  Expected
 values frozen in the test modules were computed with these.
+``reference_find_complete_tuple`` is the one-candidate-at-a-time
+backtracking that the bitset ``find_complete_tuple`` replaced, kept
+unchanged so that verdicts, certificates and node counts can be compared.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 from cliquecert import (
     CompleteTupleCertificate,
+    InternalConsistencyError,
     KUniformHypergraph,
+    TupleSearchResult,
+    Verdict,
     verify_complete_tuple,
 )
+from cliquecert.core import Edge
+from cliquecert.forbidden import DEFAULT_BUDGET
 
 
 def graph(n: int, edges) -> KUniformHypergraph:
@@ -80,3 +88,75 @@ def brute_force_has_complete_tuple(H: KUniformHypergraph, m: int) -> bool:
 def missing_inside(H: KUniformHypergraph, S) -> int:
     verts = sorted(S)
     return sum(1 for t in combinations(verts, H.k) if t not in H.edges)
+
+
+def reference_find_complete_tuple(
+    H: KUniformHypergraph, m: int, budget: int = DEFAULT_BUDGET
+) -> TupleSearchResult:
+    """Backtracking search for a complete m-tuple of missing edges.
+
+    Missing edges are tried in lexicographic order and extended one at a
+    time; candidates intersecting a chosen tuple are filtered eagerly, and
+    each new tuple is admitted only if the transversal constraints it
+    completes (k-subsets drawing k-1 earlier tuples plus the new one) are
+    all edges.  The first certificate in this order is the canonical one.
+
+    Every candidate considered costs one node against ``budget``.
+    """
+    if m < H.k:
+        raise ValueError(f"m must be >= k = {H.k}, got {m}")
+    k = H.k
+    edges = H.edges
+    chosen: list[Edge] = []
+    nodes = 0
+    out_of_budget = False
+
+    def admissible(new: Edge) -> bool:
+        # New constraints are exactly the k-subsets of a transversal that
+        # include a vertex of `new`: pick k-1 of the chosen tuples, one
+        # vertex from each, plus one vertex of `new`.
+        if len(chosen) < k - 1:
+            return True
+        for idxs in combinations(range(len(chosen)), k - 1):
+            for pick in product(*(chosen[i] for i in idxs)):
+                for t in new:
+                    if tuple(sorted(pick + (t,))) not in edges:
+                        return False
+        return True
+
+    found: list[CompleteTupleCertificate] = []
+
+    def backtrack(cands: list[Edge]) -> bool:
+        nonlocal nodes, out_of_budget
+        if len(chosen) == m:
+            found.append(CompleteTupleCertificate(tuple(chosen)))
+            return True
+        if len(cands) < m - len(chosen):
+            return False
+        for idx, tau in enumerate(cands):
+            nodes += 1
+            if nodes > budget:
+                out_of_budget = True
+                return False
+            if not admissible(tau):
+                continue
+            chosen.append(tau)
+            tset = set(tau)
+            rest = [c for c in cands[idx + 1 :] if tset.isdisjoint(c)]
+            if backtrack(rest):
+                return True
+            chosen.pop()
+            if out_of_budget:
+                return False
+        return False
+
+    hit = backtrack(list(H.missing))
+    if hit:
+        cert = found[0]
+        ok, reason = verify_complete_tuple(H, cert)
+        if not ok:
+            raise InternalConsistencyError(f"search produced an invalid certificate: {reason}", cert)
+        return TupleSearchResult(Verdict.FOUND, cert, nodes)
+    if out_of_budget:
+        return TupleSearchResult(Verdict.EXHAUSTED, None, nodes)
+    return TupleSearchResult(Verdict.ABSENT, None, nodes)

@@ -77,6 +77,36 @@ class TestForbidden:
         assert last_json(out)["outcome"]["verdict"] == "exhausted"
 
 
+    def test_zero_budget_is_legal(self, capsys, c4_file):
+        code, out, _ = run(capsys, "forbidden", "--input", c4_file, "--m", "2", "--budget", "0")
+        assert code == 4
+        assert last_json(out)["outcome"]["nodes"] == 1
+
+
+class TestNegativeBudget:
+    def test_forbidden(self, capsys, c4_file):
+        code, out, err = run(capsys, "forbidden", "--input", c4_file, "--m", "2", "--budget", "-1")
+        assert code == 2
+        assert out == ""
+        assert "budget must be >= 0" in err
+
+    def test_helly(self, capsys, boxes_file):
+        code, out, err = run(capsys, "helly", "--input", boxes_file, "--budget", "-1")
+        assert code == 2
+        assert out == ""
+        assert "budget must be >= 0" in err
+
+    def test_search(self, capsys):
+        code, out, err = run(
+            capsys,
+            "search", "--n", "4", "--k", "2", "--m", "2", "--omega-cap", "2",
+            "--seed", "1", "--budget", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "budget must be >= 0" in err
+
+
 class TestBounds:
     def test_table_values(self, capsys):
         code, out, err = run(
@@ -134,6 +164,18 @@ class TestNerveAndHelly:
         assert outcome["indices"] == [0, 1, 2, 3]
         assert outcome["subfamily_size"] == 4
         assert outcome["colorful_verdict"] == "absent"
+
+
+    @pytest.mark.parametrize("subcommand", ["nerve", "helly"])
+    def test_too_few_boxes_is_input_error(self, capsys, tmp_path, subcommand):
+        doc = {"d": 2, "boxes": [{"lo": [0, 0], "hi": [2, 2]}, {"lo": [1, 1], "hi": [3, 3]}]}
+        path = write_json(tmp_path / "two.json", doc)
+        code, out, err = run(capsys, subcommand, "--input", path)
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "error: nerve needs more than d+1 = 3 boxes, got 2"
+        ]
 
 
 class TestSearch:

@@ -1,13 +1,17 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from cliquecert import (
     CompleteTupleCertificate,
+    InputFormatError,
+    KUniformHypergraph,
     Verdict,
+    all_graphs,
     find_complete_tuple,
     has_induced_biclique,
+    random_box_family,
     verify_complete_tuple,
 )
 from helpers import (
@@ -19,6 +23,7 @@ from helpers import (
     graph,
     nine_vertex_example,
     random_hypergraph,
+    reference_find_complete_tuple,
     relabel,
 )
 
@@ -68,6 +73,14 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_complete_tuple(nine_vertex_example(), CompleteTupleCertificate(((0, 1, 2),) * 2))
 
+    def test_out_of_range_vertex_reported_before_missing_test(self):
+        # (4, 0) is unsorted, so its first and last entries are both in
+        # range; vertex 4 is not, whatever the order.
+        for tuples in (((4, 0), (1, 3)), ((0, 2), (-1, 3))):
+            ok, reason = verify_complete_tuple(cycle_graph(4), CompleteTupleCertificate(tuples))
+            assert not ok
+            assert "outside" in reason
+
 
 class TestFind:
     def test_cycle4_found(self):
@@ -104,6 +117,19 @@ class TestFind:
         with pytest.raises(ValueError):
             find_complete_tuple(nine_vertex_example(), 2)
 
+    def test_rejects_negative_budget(self):
+        with pytest.raises(ValueError):
+            find_complete_tuple(cycle_graph(4), 2, budget=-1)
+
+    def test_zero_budget_is_legal(self):
+        res = find_complete_tuple(cycle_graph(4), 2, budget=0)
+        assert res.verdict is Verdict.EXHAUSTED
+        assert res.nodes == 1
+        # Too few missing edges to try anything: absent without a node.
+        res = find_complete_tuple(complete_graph(4), 2, budget=0)
+        assert res.verdict is Verdict.ABSENT
+        assert res.nodes == 0
+
     def test_found_certificates_verify(self):
         rng = random.Random(23)
         hits = 0
@@ -135,6 +161,60 @@ class TestFind:
             a = find_complete_tuple(H, 2).verdict
             b = find_complete_tuple(relabel(H, perm), 2).verdict
             assert a == b
+
+
+def planted_complete_tuple(rng, n, k, m):
+    """A dense random k-graph with m disjoint missing edges whose
+    transversals are all edges, so that a complete m-tuple exists."""
+    verts = list(range(n))
+    rng.shuffle(verts)
+    planted = [tuple(sorted(verts[i * k : (i + 1) * k])) for i in range(m)]
+    H = random_hypergraph(rng, n, k, 1 - rng.random() ** 2 / 4)
+    edges = set(H.edges) - set(planted)
+    for transversal in product(*planted):
+        edges.update(combinations(sorted(transversal), k))
+    return KUniformHypergraph(n=n, k=k, edges=frozenset(edges))
+
+
+def outcome(res):
+    return res.verdict, res.certificate, res.nodes
+
+
+class TestReferenceOracle:
+    """The bitset search against the one-candidate-at-a-time backtracking
+    it replaced: same verdict, certificate and node count at every budget."""
+
+    @pytest.mark.parametrize("budget", [10_000_000, 7])
+    def test_all_graphs_up_to_six_vertices(self, budget):
+        for n in range(2, 7):
+            for H in all_graphs(n):
+                for m in (2, 3):
+                    assert outcome(find_complete_tuple(H, m, budget)) == outcome(
+                        reference_find_complete_tuple(H, m, budget)
+                    ), (sorted(H.edges), m)
+
+    def test_random_hypergraphs_with_small_budgets(self):
+        rng = random.Random(1903)
+        for _ in range(1000):
+            k = rng.choice([2, 3, 4])
+            m = rng.choice([k, k + 1])
+            if rng.random() < 0.3 and k * m <= 16:
+                H = planted_complete_tuple(rng, rng.randint(k * m, k * m + 1), k, m)
+            else:
+                H = random_hypergraph(rng, rng.randint(k, 9), k, rng.random())
+            for budget in (rng.randint(1, 200), 10_000_000):
+                assert outcome(find_complete_tuple(H, m, budget)) == outcome(
+                    reference_find_complete_tuple(H, m, budget)
+                ), (H.n, k, sorted(H.edges), m, budget)
+
+    def test_box_nerves(self):
+        # Deep absence proofs, the shape colorful_check runs on.
+        for n, d, seed in ((30, 1, 1), (11, 2, 2), (12, 2, 3), (10, 3, 4)):
+            H = random_box_family(n, d, seed, spread=40, max_side=30).nerve_hypergraph
+            for budget in (10_000_000, 5_000):
+                assert outcome(find_complete_tuple(H, d + 1, budget)) == outcome(
+                    reference_find_complete_tuple(H, d + 1, budget)
+                ), (n, d, seed, budget)
 
 
 class TestInducedBiclique:
@@ -184,7 +264,19 @@ class TestCertificateSerialization:
         assert CompleteTupleCertificate.from_dict(cert.to_dict()) == cert
 
     def test_rejects_inconsistent_m(self):
-        from cliquecert import InputFormatError
-
         with pytest.raises(InputFormatError):
             CompleteTupleCertificate.from_dict({"m": 3, "tuples": [[0, 1]]})
+
+    @pytest.mark.parametrize(
+        "tuples",
+        [
+            [[0.0, 2.0], [1.0, 3.0]],
+            [["0", "2"], ["1", "3"]],
+            [[True, 2], [False, 3]],
+            [[0, 2], 13],
+            "0213",
+        ],
+    )
+    def test_rejects_non_integer_vertices(self, tuples):
+        with pytest.raises(InputFormatError):
+            CompleteTupleCertificate.from_dict({"tuples": tuples})

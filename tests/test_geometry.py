@@ -99,6 +99,25 @@ class TestBuildNerve:
                     assert present == meets
 
 
+    def test_nerve_built_once_per_family(self, monkeypatch):
+        import cliquecert.geometry as geo
+
+        calls = []
+        real = geo.boxes_intersect
+
+        def counting(boxes):
+            calls.append(len(boxes))
+            return real(boxes)
+
+        monkeypatch.setattr(geo, "boxes_intersect", counting)
+        fam = random_box_family(9, 2, 7, spread=20, max_side=10)
+        colorful_check(fam)
+        assert calls == [3] * len(list(combinations(range(9), 3)))
+        del calls[:]
+        assert build_nerve(fam).base is fam.nerve_hypergraph
+        assert calls == []
+
+
 class TestColorfulCheck:
     def test_disjoint_intervals_absent(self):
         fam = intervals((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11))
