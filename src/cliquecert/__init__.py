@@ -40,7 +40,6 @@ from .core import (
     m_clique_family,
     max_clique,
     maximal_missing_matching,
-    missing_edges,
     neighborhood_of_tuple,
 )
 from .extractor import (

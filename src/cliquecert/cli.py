@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -114,8 +115,14 @@ def _budget(text: str) -> int:
     return value
 
 
+def _dumps(doc: dict) -> str:
+    # No space after item commas: edge lists and score tables are most of a
+    # report, and this makes it about a fifth smaller.
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "))
+
+
 def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, separators=(", ", ": ")))
+    print(_dumps(report))
 
 
 def _report(subcommand: str, digest, parameters: dict, outcome, started: float) -> dict:
@@ -145,7 +152,8 @@ def _graph_outcome_dict(out: GraphExtractionOutcome) -> dict:
         "trace": {
             "mu_by_vertex": list(t.mu_by_vertex),
             "missing_in_neighborhood": list(t.missing_in_neighborhood),
-            "tau_scores": [[list(tau), s] for tau, s in t.tau_scores],
+            # json writes the (tau, score) tuples as arrays; no list copy.
+            "tau_scores": t.tau_scores,
             "chosen_tau": list(t.chosen_tau) if t.chosen_tau else None,
         },
     }
@@ -168,9 +176,8 @@ def _hypergraph_outcome_dict(out: HypergraphExtractionOutcome) -> dict:
         "trace": {
             "chosen_taus": _edge_list(t.chosen_taus),
             "family_sizes": list(t.family_sizes),
-            "round_scores": [
-                [[list(tau), s] for tau, s in table] for table in t.round_scores
-            ],
+            # json writes the (tau, score) tuples as arrays; no list copy.
+            "round_scores": t.round_scores,
             "expected_bound": t.expected_bound,
         },
     }
@@ -195,7 +202,7 @@ def _cmd_analyze(args) -> int:
         "n": H.n,
         "k": H.k,
         "edge_count": len(H.edges),
-        "missing_count": len(H.missing),
+        "missing_count": math.comb(H.n, H.k) - len(H.edges),
         "alpha": _frac(alpha),
         "alpha_float": float(alpha),
         "omega": len(omega.vertices),
@@ -323,7 +330,7 @@ def _cmd_search(args) -> int:
         )
         records.append(hill_climb(config))
     for rec in records:
-        print(json.dumps(rec.to_dict(), sort_keys=True, separators=(", ", ": ")))
+        print(_dumps(rec.to_dict()))
     rows = report_beta_upper(records)
     print(format_beta_table(rows), file=sys.stderr)
     outcome = {
@@ -453,7 +460,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except InputFormatError as exc:
+    except ValueError as exc:
+        # InputFormatError for a bad file; a plain ValueError from a library
+        # entry point rejecting a parameter (m < k, n = 0, restarts = 0, ...).
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeRefusalError as exc:
@@ -466,7 +475,7 @@ def main(argv=None) -> int:
             "detail": str(exc),
             "certificate": cert.to_dict() if cert is not None else None,
         }
-        print(json.dumps(doc, sort_keys=True, separators=(", ", ": ")))
+        print(_dumps(doc))
         print(f"internal-consistency failure: {exc}", file=sys.stderr)
         return 5
 

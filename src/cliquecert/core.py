@@ -1,10 +1,12 @@
 """Exact k-uniform hypergraph substrate.
 
-Vertices are dense integers 0..n-1.  Edges are sorted k-tuples, stored both
-as a lexicographically sorted tuple (for deterministic iteration) and as a
-frozenset (for O(1) membership in the scoring loops).  All counting is
-exact; densities are ``fractions.Fraction`` values, so threshold
-comparisons reduce to integer cross-multiplication and never touch floats.
+Vertices are dense integers 0..n-1.  Edges are sorted k-tuples, stored as
+a frozenset (for O(1) membership), as a lexicographically sorted tuple (for
+deterministic iteration) and in the link index, which maps each (k-1)-set
+to the vertices completing it to an edge, both as vertex bitmasks.  The
+clique kernels run on that index.  All counting is exact; densities are
+``fractions.Fraction`` values, so threshold comparisons reduce to integer
+cross-multiplication and never touch floats.
 """
 
 from __future__ import annotations
@@ -96,15 +98,23 @@ class KUniformHypergraph:
         return tuple(e for e in combinations(range(self.n), self.k) if e not in self.edges)
 
     @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        """Per-vertex neighborhoods; defined for k = 2 only."""
-        if self.k != 2:
-            raise ValueError("neighbor sets require k = 2")
-        nbr: list[set[int]] = [set() for _ in range(self.n)]
-        for a, b in self.edges:
-            nbr[a].add(b)
-            nbr[b].add(a)
-        return tuple(frozenset(s) for s in nbr)
+    def links(self) -> dict[int, int]:
+        """The link index: (k-1)-set s -> vertices x with s + {x} an edge.
+
+        Both sides are vertex bitmasks (bit v stands for vertex v).  Only
+        (k-1)-sets with a nonempty link are keys; look up with
+        ``links.get(s, 0)``.  For k = 2 the key 1 << v maps to the
+        neighbourhood of v.
+        """
+        links: dict[int, int] = {}
+        for e in self.edges:
+            em = 0
+            for v in e:
+                em |= 1 << v
+            for v in e:
+                s = em ^ 1 << v
+                links[s] = links.get(s, 0) | 1 << v
+        return links
 
     def has_edge(self, vertices: Iterable[int]) -> bool:
         return tuple(sorted(vertices)) in self.edges
@@ -158,82 +168,122 @@ def ext_binom(x: float, k: int) -> float:
 
 def count_m_cliques(H: KUniformHypergraph, m: int) -> int:
     """Exact number of m-vertex cliques; equals |E| when m = k."""
-    if m < H.k:
-        raise ValueError(f"m must be >= k = {H.k}, got {m}")
-    if m > H.n:
-        return 0
-    edges = H.edges
-    k = H.k
-    count = 0
-    for S in combinations(range(H.n), m):
-        if all(t in edges for t in combinations(S, k)):
-            count += 1
-    return count
+    return len(m_clique_family(H, m))
+
+
+def mask_vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _narrow(links: dict[int, int], bits: list[int], low: int, cands: int, k: int) -> int:
+    """The candidates that stay linked when vertex bit ``low`` joins the
+    clique ``bits``: AND of the links of T + {low} over the (k-2)-subsets T."""
+    for t in combinations(bits, k - 2):
+        cands &= links.get(sum(t) | low, 0)
+    return cands
 
 
 def m_clique_family(H: KUniformHypergraph, m: int) -> tuple[Edge, ...]:
-    """All m-subsets forming cliques, in lexicographic order."""
-    if m < H.k:
-        raise ValueError(f"m must be >= k = {H.k}, got {m}")
-    edges = H.edges
+    """All m-subsets forming cliques, in lexicographic order.
+
+    Depth-first in ascending vertex order.  The candidate mask holds the
+    vertices above the partial clique C that complete every (k-1)-subset
+    of C to an edge; adding v narrows it by the links of the new
+    (k-1)-subsets, T + {v} for each (k-2)-subset T of C.
+    """
     k = H.k
-    return tuple(
-        S for S in combinations(range(H.n), m) if all(t in edges for t in combinations(S, k))
-    )
+    if m < k:
+        raise ValueError(f"m must be >= k = {k}, got {m}")
+    family: list[Edge] = []
+    if m <= H.n:
+        _grow_cliques(H.links, k, m, [], [], (1 << H.n) - 1, family)
+    return tuple(family)
+
+
+def _grow_cliques(
+    links: dict[int, int], k: int, m: int, clique: list[int], bits: list[int], cands: int,
+    family: list[Edge],
+) -> None:
+    # Appends every m-clique made of `clique` and vertices of `cands`.
+    if len(clique) == m - 1:
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            family.append((*clique, low.bit_length() - 1))
+        return
+    need = m - len(clique)
+    while cands.bit_count() >= need:
+        low = cands & -cands
+        cands ^= low
+        nxt = _narrow(links, bits, low, cands, k)
+        if nxt.bit_count() >= need - 1:
+            clique.append(low.bit_length() - 1)
+            bits.append(low)
+            _grow_cliques(links, k, m, clique, bits, nxt, family)
+            clique.pop()
+            bits.pop()
 
 
 def max_clique(H: KUniformHypergraph) -> CliqueWitness:
     """Exact maximum clique by branch and bound.
 
-    Vertices are tried in ascending order; a vertex v may join the current
-    clique C only if every k-subset of C + {v} containing v is an edge.
-    Since any set of fewer than k-1 vertices is a clique vacuously, the
-    floor is min(n, k-1) even for an edgeless instance.
+    Vertices are tried in ascending order, so the witness is the
+    lexicographically first maximum clique; a vertex v may join the
+    current clique C only if every k-subset of C + {v} containing v is an
+    edge.  Candidates are a vertex bitmask narrowed by link ANDs.  Since
+    any set of fewer than k-1 vertices is a clique vacuously, the floor is
+    min(n, k-1) even for an edgeless instance.
     """
-    n, k = H.n, H.k
-    edges = H.edges
-    best = list(range(min(n, k - 1)))
-
-    def search(clique: list[int], cands: list[int]) -> None:
-        nonlocal best
-        if len(clique) > len(best):
-            best = clique.copy()
-        for idx, v in enumerate(cands):
-            if len(clique) + len(cands) - idx <= len(best):
-                break
-            # Candidates were already consistent with `clique`; only the
-            # k-subsets pairing u with the new vertex v need checking.
-            # clique < v < u keeps assembled tuples sorted without re-sorting.
-            nxt = [
-                u
-                for u in cands[idx + 1 :]
-                if all(s + (v, u) in edges for s in combinations(clique, k - 2))
-            ]
-            clique.append(v)
-            search(clique, nxt)
-            clique.pop()
-
-    search([], list(range(n)))
+    best = list(range(min(H.n, H.k - 1)))
+    _branch(H.links, H.k, [], [], (1 << H.n) - 1, best)
     return CliqueWitness(tuple(best))
+
+
+def _branch(
+    links: dict[int, int], k: int, clique: list[int], bits: list[int], cands: int,
+    best: list[int],
+) -> None:
+    # Replaces the contents of `best` by any larger clique made of `clique`
+    # and vertices of `cands`.
+    if len(clique) > len(best):
+        best[:] = clique
+    while cands:
+        if len(clique) + cands.bit_count() <= len(best):
+            break
+        low = cands & -cands
+        cands ^= low
+        # Candidates were already consistent with `clique`; only the
+        # k-subsets pairing a later u with the new vertex need checking.
+        nxt = _narrow(links, bits, low, cands, k)
+        clique.append(low.bit_length() - 1)
+        bits.append(low)
+        _branch(links, k, clique, bits, nxt, best)
+        clique.pop()
+        bits.pop()
 
 
 def greedy_extend_clique(H: KUniformHypergraph, base: Iterable[int] = ()) -> tuple[int, ...]:
     """Extend a clique to a maximal one, trying vertices in ascending order."""
+    k, links = H.k, H.links
     clique = sorted(set(base))
-    cset = set(clique)
-    for v in range(H.n):
-        if v in cset:
-            continue
-        if all(tuple(sorted(s + (v,))) in H.edges for s in combinations(clique, H.k - 1)):
-            clique.append(v)
-            clique.sort()
-            cset.add(v)
-    return tuple(clique)
-
-
-def missing_edges(H: KUniformHypergraph) -> list[Edge]:
-    """The complement of the edge set, lexicographically sorted."""
-    return list(H.missing)
+    bits = [1 << v for v in clique]
+    # allowed: the vertices outside the clique whose addition keeps every
+    # (k-1)-subset of the clique linked to them.
+    allowed = ((1 << H.n) - 1) & ~sum(bits)
+    for s in combinations(bits, k - 1):
+        allowed &= links.get(sum(s), 0)
+    while allowed:
+        low = allowed & -allowed
+        allowed = _narrow(links, bits, low, allowed ^ low, k)
+        clique.append(low.bit_length() - 1)
+        bits.append(low)
+    return tuple(sorted(clique))
 
 
 def maximal_missing_matching(H: KUniformHypergraph, S: Iterable[int]) -> list[Edge]:

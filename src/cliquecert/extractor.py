@@ -23,6 +23,7 @@ contains a missing edge (completing a certificate) or is itself a clique.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -37,6 +38,8 @@ from .core import (
     KUniformHypergraph,
     SizeRefusalError,
     greedy_extend_clique,
+    m_clique_family,
+    mask_vertices,
 )
 from .forbidden import CompleteTupleCertificate, verify_complete_tuple
 
@@ -116,15 +119,15 @@ class ShrinkResult:
     scores: dict[Edge, int]
 
 
-def score_tau(H: KUniformHypergraph, family: Iterable[Edge]) -> dict[Edge, int]:
-    """Score each missing edge tau by |{sigma : tau inside N_sigma}|.
+def _tuple_neighbourhoods(H: KUniformHypergraph, family: Iterable[Edge]) -> dict[int, int]:
+    """N_sigma for every sigma with a nonempty one, as vertex bitmasks.
 
-    sigma ranges over all (i-1)-subsets of the vertex set, where i is the
-    family's arity, and N_sigma = {x : sigma + {x} in family}.  Only missing
-    edges with positive score appear in the map; the score total equals the
-    number of (sigma, tau) incidences.
+    Keys are the (i-1)-subsets sigma of the family's members, values the
+    vertices x with sigma + {x} in the family: each member S gives bit x to
+    N[S - x] for each x in S.  Members are vertex sets of one arity i >= 2
+    inside [0, n).
     """
-    fam = family if isinstance(family, (set, frozenset)) else set(map(tuple, family))
+    fam = family if isinstance(family, (set, frozenset, tuple, list)) else list(family)
     if not fam:
         return {}
     arities = {len(t) for t in fam}
@@ -133,20 +136,57 @@ def score_tau(H: KUniformHypergraph, family: Iterable[Edge]) -> dict[Edge, int]:
     i = arities.pop()
     if i < 2:
         raise ValueError(f"family arity must be >= 2, got {i}")
-    edges = H.edges
-    k = H.k
-    scores: dict[Edge, int] = {}
-    for sigma in combinations(range(H.n), i - 1):
-        sigset = set(sigma)
-        nb = [
-            x
-            for x in range(H.n)
-            if x not in sigset and tuple(sorted(sigma + (x,))) in fam
-        ]
-        for tau in combinations(nb, k):
-            if tau not in edges:
-                scores[tau] = scores.get(tau, 0) + 1
-    return scores
+    limit = 1 << H.n
+    nbhd: dict[int, int] = {}
+    for S in fam:
+        sm = 0
+        for x in S:
+            sm |= 1 << x
+        if sm >= limit or sm.bit_count() != i:
+            raise ValueError(f"family member {S} is not a set of {i} vertices in [0, {H.n})")
+        for x in S:
+            b = 1 << x
+            nbhd[sm ^ b] = nbhd.get(sm ^ b, 0) | b
+    return nbhd
+
+
+def score_tau(H: KUniformHypergraph, family: Iterable[Edge]) -> dict[Edge, int]:
+    """Score each missing edge tau by |{sigma : tau inside N_sigma}|.
+
+    sigma ranges over all (i-1)-subsets of the vertex set, where i is the
+    family's arity, and N_sigma = {x : sigma + {x} in family}.  Only missing
+    edges with positive score appear in the map; the score total equals the
+    number of (sigma, tau) incidences.  The missing edges inside N_sigma
+    are listed by (k-1)-subsets s of N_sigma, each completed by the
+    vertices of N_sigma above s and outside its link.
+    """
+    k, links = H.k, H.links
+    counts: Counter[int] = Counter()
+    for nb in _tuple_neighbourhoods(H, family).values():
+        if nb.bit_count() >= k:
+            found: list[int] = []
+            _missing_inside(links, 0, nb, k - 1, found)
+            counts.update(found)
+    return {mask_vertices(tau): c for tau, c in counts.items()}
+
+
+def _missing_inside(
+    links: dict[int, int], s: int, rest: int, depth: int, found: list[int]
+) -> None:
+    # Appends the missing k-sets made of the vertex mask s and depth + 1
+    # vertices of rest above it, each as a vertex mask.
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        t = s | low
+        if depth == 1:
+            miss = rest & ~links.get(t, 0)
+            while miss:
+                last = miss & -miss
+                miss ^= last
+                found.append(t | last)
+        elif rest.bit_count() >= depth:
+            _missing_inside(links, t, rest, depth - 1, found)
 
 
 def shrink_step(
@@ -156,15 +196,15 @@ def shrink_step(
 
     Picks the top-scoring missing edge tau (ties broken lexicographically)
     and restricts to the family of (i-1)-subsets sigma with tau inside
-    N_sigma; every surviving sigma then satisfies sigma + {t} in family for
-    all t in tau.  The chosen tau is necessarily disjoint from all
-    previously chosen ones; a violation means the family invariant was
-    broken upstream and raises.
+    N_sigma, in lexicographic order; every surviving sigma then satisfies
+    sigma + {t} in family for all t in tau.  The chosen tau is necessarily
+    disjoint from all previously chosen ones; a violation means the family
+    invariant was broken upstream and raises.
 
     Raises NoProgressError when the family is empty or no neighborhood
     contains a missing edge.
     """
-    fam = family if isinstance(family, (set, frozenset)) else set(map(tuple, family))
+    fam = family if isinstance(family, (set, frozenset, tuple, list)) else list(family)
     if not fam:
         raise NoProgressError("family is empty")
     scores = score_tau(H, fam)
@@ -177,17 +217,30 @@ def shrink_step(
             raise InternalConsistencyError(
                 f"chosen missing edge {tau} intersects previously chosen {prev}"
             )
-    i = len(next(iter(fam)))
-    shrunk = tuple(
-        sigma
-        for sigma in combinations(range(H.n), i - 1)
-        if all(tuple(sorted(sigma + (t,))) in fam for t in tau)
+    tmask = sum(1 << t for t in tau)
+    shrunk = sorted(
+        mask_vertices(sigma)
+        for sigma, nb in _tuple_neighbourhoods(H, fam).items()
+        if nb & tmask == tmask
     )
-    return ShrinkResult(tau=tau, family=shrunk, scores=scores)
+    return ShrinkResult(tau=tau, family=tuple(shrunk), scores=scores)
 
 
 def _ordered_scores(scores: dict[Edge, int]) -> ScoreTable:
     return tuple(sorted(scores.items()))
+
+
+def _first_missing_pair(adj: list[int], within: int) -> Optional[Edge]:
+    """The lexicographically first missing edge inside a vertex mask."""
+    rest = within
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = low.bit_length() - 1
+        non = rest & ~adj[a]
+        if non:
+            return (a, (non & -non).bit_length() - 1)
+    return None
 
 
 def extract_graph(G: KUniformHypergraph) -> GraphExtractionOutcome:
@@ -220,34 +273,36 @@ def extract_graph(G: KUniformHypergraph) -> GraphExtractionOutcome:
         )
         return GraphExtractionOutcome("clique", witness, None, trace)
 
-    nbr = G.neighbor_sets
+    adj = [G.links.get(1 << v, 0) for v in range(n)]
     mu: list[int] = []
     m_counts: list[int] = []
     candidates: list[tuple[int, ...]] = []
     for v in range(n):
-        nv = nbr[v]
-        inside = [e for e in miss if e[0] in nv and e[1] in nv]
-        used: set[int] = set()
+        # Missing edges inside N_v in lexicographic order, by first vertex a:
+        # a greedy matching takes (a, b) for the least free b, if a is free.
+        used = 0
         matched = 0
-        for e in inside:
-            if used.isdisjoint(e):
-                used.update(e)
+        inside = 0
+        rest = adj[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            non = rest & ~adj[low.bit_length() - 1]
+            inside += non.bit_count()
+            free = non & ~used
+            if free and not used & low:
+                used |= low | (free & -free)
                 matched += 1
-        uncovered = sorted(nv - used)
         mu.append(matched)
-        m_counts.append(len(inside))
-        candidates.append(tuple(sorted(uncovered + [v])))
+        m_counts.append(inside)
+        candidates.append(mask_vertices(adj[v] & ~used | 1 << v))
 
-    common: dict[Edge, frozenset[int]] = {}
-    for tau in miss:
-        a, b = tau
-        common[tau] = nbr[a] & nbr[b]
-    top = max(len(s) for s in common.values())
-    tau_star = next(t for t in miss if len(common[t]) == top)
-    scores = _ordered_scores({t: len(s) for t, s in common.items()})
+    common = {tau: adj[tau[0]] & adj[tau[1]] for tau in miss}
+    top = max(s.bit_count() for s in common.values())
+    tau_star = next(t for t in miss if common[t].bit_count() == top)
+    scores = _ordered_scores({t: s.bit_count() for t, s in common.items()})
 
-    s_star = sorted(common[tau_star])
-    ebar = next((e for e in combinations(s_star, 2) if e not in G.edges), None)
+    ebar = _first_missing_pair(adj, common[tau_star])
     if ebar is not None:
         cert = CompleteTupleCertificate((tau_star, ebar))
         ok, reason = verify_complete_tuple(G, cert)
@@ -264,10 +319,9 @@ def extract_graph(G: KUniformHypergraph) -> GraphExtractionOutcome:
         )
         return GraphExtractionOutcome("certificate", None, cert, trace)
 
-    for tau, s in common.items():
-        sv = sorted(s)
-        if all(e in G.edges for e in combinations(sv, 2)):
-            candidates.append(tuple(sv))
+    for s in common.values():
+        if _first_missing_pair(adj, s) is None:
+            candidates.append(mask_vertices(s))
     best_size = max(len(c) for c in candidates)
     best = min(c for c in candidates if len(c) == best_size)
     witness = CliqueWitness(greedy_extend_clique(G, best))
@@ -306,7 +360,7 @@ def extract_hypergraph(
             f"{max_family_subsets}; raise max_family_subsets to proceed"
         )
 
-    if not H.missing:
+    if len(H.edges) == math.comb(n, k):
         alpha = Fraction(1)
         beta = beta_recursion(1.0, k, m)
         trace = HypergraphTrace(
@@ -321,12 +375,7 @@ def extract_hypergraph(
         )
         return HypergraphExtractionOutcome("clique", CliqueWitness(tuple(range(n))), None, trace)
 
-    edges = H.edges
-    fam: set[Edge] = {
-        S
-        for S in combinations(range(n), m)
-        if all(t in edges for t in combinations(S, k))
-    }
+    fam = m_clique_family(H, m)
     cm = len(fam)
     alpha = Fraction(cm, total) if total else Fraction(0)
     beta = beta_recursion(float(alpha), k, m) if cm > 0 else 0.0
@@ -340,7 +389,7 @@ def extract_hypergraph(
 
     for _ in range(m - 1):
         if fam:
-            cand = greedy_extend_clique(H, min(fam))
+            cand = greedy_extend_clique(H, fam[0])
             if len(cand) > len(best):
                 best = cand
         try:
@@ -351,7 +400,7 @@ def extract_hypergraph(
             fallback = True
             break
         taus.append(step.tau)
-        fam = set(step.family)
+        fam = step.family
         sizes.append(len(fam))
         tables.append(_ordered_scores(step.scores))
 
@@ -372,7 +421,7 @@ def extract_hypergraph(
         return HypergraphExtractionOutcome("clique", witness, None, _trace(len(best) >= expected))
 
     f1 = tuple(sorted(s[0] for s in fam))
-    tau_m = next((t for t in combinations(f1, k) if t not in edges), None)
+    tau_m = next((t for t in combinations(f1, k) if t not in H.edges), None)
     if tau_m is not None:
         cert = CompleteTupleCertificate(tuple(taus) + (tau_m,))
         ok, reason = verify_complete_tuple(H, cert)

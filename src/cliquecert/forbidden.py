@@ -145,18 +145,9 @@ def find_complete_tuple(
     full = (1 << len(missing)) - 1
     # without[v]: the missing edges that avoid vertex v.
     without = [full] * n
-    # unlinked[s]: for a (k-1)-set s as a vertex bitmask, the vertices v
-    # with s + v a missing edge, i.e. those outside s and its link.
-    unlinked: dict[int, int] = {}
     for i, e in enumerate(missing):
-        bit = 1 << i
-        em = 0
         for v in e:
-            without[v] ^= bit
-            em |= 1 << v
-        for v in e:
-            s = em ^ 1 << v
-            unlinked[s] = unlinked.get(s, 0) | 1 << v
+            without[v] ^= 1 << i
     # later[i]: the missing edges after i in the order and disjoint from it.
     later = []
     above = full
@@ -170,11 +161,14 @@ def find_complete_tuple(
     nodes = 0
     out_of_budget = False
 
+    links, vertices = H.links, (1 << n) - 1
+
     def inside_link(s: int) -> int:
         # Missing edges lying wholly inside link(s): drop every edge touching
-        # s or a vertex v with s + v missing.
+        # a vertex outside link(s), that is a vertex of s or a vertex v with
+        # s + v missing.
         mask = full
-        rest = s | unlinked.get(s, 0)
+        rest = vertices & ~links.get(s, 0)
         while rest:
             low = rest & -rest
             rest ^= low
@@ -267,7 +261,11 @@ def find_complete_tuple(
         charge(cands.bit_count())
         return False
 
-    if len(missing) >= m and extend(full, full):
+    hit = len(missing) >= m and extend(full, full)
+    # extend refers to itself through its closure; dropping the name frees
+    # the search state now instead of at the next cyclic collection.
+    del extend
+    if hit:
         cert = CompleteTupleCertificate(tuple(missing[i] for i in chosen))
         ok, reason = verify_complete_tuple(H, cert)
         if not ok:

@@ -12,9 +12,10 @@ what ``colorful_check`` probes, loudly, on every family it is given.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from typing import Mapping, Optional, Sequence
 
 from .bounds import kalai_bound
@@ -23,6 +24,8 @@ from .core import (
     InputFormatError,
     InternalConsistencyError,
     KUniformHypergraph,
+    m_clique_family,
+    mask_vertices,
 )
 from .extractor import HypergraphExtractionOutcome, extract_hypergraph
 from .forbidden import DEFAULT_BUDGET, TupleSearchResult, Verdict, find_complete_tuple
@@ -76,16 +79,49 @@ class BoxFamily:
     def nerve_hypergraph(self) -> KUniformHypergraph:
         """The (d+1)-uniform intersection hypergraph, built once per family.
 
-        Shared by ``build_nerve`` and ``colorful_check``, so a Helly run
-        tests each (d+1)-subfamily for a common point only once.
+        Boxes have Helly number 2: a subfamily shares a point exactly when
+        its boxes meet pairwise, since in each coordinate the largest lo is
+        at most the smallest hi exactly when every lo is at most every hi.
+        So the edges are the (d+1)-cliques of the pairwise-intersection
+        graph.  Shared by ``build_nerve`` and ``colorful_check``.
         """
-        k = self.d + 1
-        edges = frozenset(
-            idx
-            for idx in combinations(range(len(self.boxes)), k)
-            if boxes_intersect([self.boxes[i] for i in idx]) is not None
-        )
-        return KUniformHypergraph(n=len(self.boxes), k=k, edges=edges)
+        n = len(self.boxes)
+        pairs = _pairwise_intersections(self.boxes, self.d)
+        edges = [(i, j) for i in range(n) for j in mask_vertices(pairs[i] >> (i + 1) << (i + 1))]
+        graph = KUniformHypergraph(n=n, k=2, edges=frozenset(edges))
+        cliques = m_clique_family(graph, self.d + 1)
+        return KUniformHypergraph(n=n, k=self.d + 1, edges=frozenset(cliques))
+
+
+def _pairwise_intersections(boxes: Sequence[Box], d: int) -> list[int]:
+    """Pairwise intersection masks: bit j of entry i is set when boxes i and
+    j (i != j) share a point.
+
+    Per coordinate, i meets j when lo[j] <= hi[i] and hi[j] >= lo[i]; the
+    first is a prefix of the boxes sorted by lo, the second a suffix of the
+    boxes sorted by hi, each read off by bisection.
+    """
+    n = len(boxes)
+    meets = [((1 << n) - 1) ^ 1 << i for i in range(n)]
+    for axis in range(d):
+        by_lo = sorted(range(n), key=lambda i: boxes[i].lo[axis])
+        los = [boxes[i].lo[axis] for i in by_lo]
+        by_hi = sorted(range(n), key=lambda i: boxes[i].hi[axis])
+        his = [boxes[i].hi[axis] for i in by_hi]
+        # lo_prefix[t]: the t boxes of least lo; hi_suffix[t]: all boxes of
+        # by_hi from position t on.
+        lo_prefix = [0]
+        for i in by_lo:
+            lo_prefix.append(lo_prefix[-1] | 1 << i)
+        hi_suffix = [0]
+        for i in reversed(by_hi):
+            hi_suffix.append(hi_suffix[-1] | 1 << i)
+        hi_suffix.reverse()
+        for i, box in enumerate(boxes):
+            below = lo_prefix[bisect_right(los, box.hi[axis])]
+            above = hi_suffix[bisect_left(his, box.lo[axis])]
+            meets[i] &= below & above
+    return meets
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,10 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
     fixed config.
     """
     n, k, m = config.n, config.k, config.m
+    if config.restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {config.restarts}")
+    if n < k:
+        raise ValueError(f"n must be >= k = {k} so that a k-subset can be toggled, got n = {n}")
     if config.omega_cap < min(n, k - 1):
         raise ValueError(
             f"omega_cap = {config.omega_cap} is below the vacuous clique floor "
@@ -208,7 +212,6 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
         if restart_best_cm > best_cm:
             best_cm = restart_best_cm
             best = record
-    assert best is not None
     return best
 
 

@@ -107,6 +107,44 @@ class TestNegativeBudget:
         assert "budget must be >= 0" in err
 
 
+class TestArgumentErrors:
+    # Parameters the library rejects exit 2 with a one-line error, never
+    # with a traceback.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["forbidden", "--input", "C4", "--m", "1"], "m must be >= k = 2, got 1"),
+            (["extract", "--input", "C4", "--m", "1"], "m must be >= k = 2, got 1"),
+            (["bounds", "--alpha", "1/2", "--k", "1", "--m", "2", "--d", "1"], "k=1"),
+            (["bounds", "--alpha", "1/2", "--k", "2", "--m", "2", "--d", "0"], "d must be >= 1"),
+            (["gen-boxes", "--n", "0", "--d", "1", "--seed", "1"], "n >= 1"),
+            (
+                ["search", "--n", "4", "--k", "2", "--m", "2", "--omega-cap", "0", "--seed", "1"],
+                "omega_cap = 0",
+            ),
+            (
+                [
+                    "search", "--n", "4", "--k", "2", "--m", "2", "--omega-cap", "2",
+                    "--seed", "1", "--restarts", "0",
+                ],
+                "restarts must be >= 1, got 0",
+            ),
+            (
+                ["search", "--n", "0", "--k", "2", "--m", "2", "--omega-cap", "2", "--seed", "1"],
+                "n must be >= k = 2",
+            ),
+        ],
+    )
+    def test_exit_two_with_one_line_error(self, capsys, c4_file, argv, message):
+        argv = [c4_file if a == "C4" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0]
+
+
 class TestBounds:
     def test_table_values(self, capsys):
         code, out, err = run(

@@ -16,7 +16,6 @@ from cliquecert import (
     hypergraph_to_dict,
     max_clique,
     maximal_missing_matching,
-    missing_edges,
     neighborhood_of_tuple,
 )
 from helpers import (
@@ -129,17 +128,17 @@ class TestMaxClique:
 
 class TestMissingEdges:
     def test_complete_graph_has_none(self):
-        assert missing_edges(complete_graph(5)) == []
+        assert complete_graph(5).missing == ()
 
     def test_cycle4(self):
-        assert missing_edges(cycle_graph(4)) == [(0, 2), (1, 3)]
+        assert cycle_graph(4).missing == ((0, 2), (1, 3))
 
     def test_edgeless(self):
-        assert missing_edges(edgeless(3, 2)) == [(0, 1), (0, 2), (1, 2)]
+        assert edgeless(3, 2).missing == ((0, 1), (0, 2), (1, 2))
 
     @given(hypergraphs())
     def test_partition_identity(self, H):
-        assert len(missing_edges(H)) + len(H.edges) == math.comb(H.n, H.k)
+        assert len(H.missing) + len(H.edges) == math.comb(H.n, H.k)
 
 
 class TestMaximalMissingMatching:

@@ -103,16 +103,16 @@ class TestBuildNerve:
         import cliquecert.geometry as geo
 
         calls = []
-        real = geo.boxes_intersect
+        real = geo._pairwise_intersections
 
-        def counting(boxes):
+        def counting(boxes, d):
             calls.append(len(boxes))
-            return real(boxes)
+            return real(boxes, d)
 
-        monkeypatch.setattr(geo, "boxes_intersect", counting)
+        monkeypatch.setattr(geo, "_pairwise_intersections", counting)
         fam = random_box_family(9, 2, 7, spread=20, max_side=10)
         colorful_check(fam)
-        assert calls == [3] * len(list(combinations(range(9), 3)))
+        assert calls == [9]
         del calls[:]
         assert build_nerve(fam).base is fam.nerve_hypergraph
         assert calls == []
