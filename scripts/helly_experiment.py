@@ -37,7 +37,7 @@ def main() -> int:
             seed = args.seed + i
             fam = random_box_family(args.n, args.d, seed, max_side=side)
             nerve = build_nerve(fam)
-            alpha = nerve.density()
+            alpha = nerve.edge_density()
             target = kalai_bound(float(alpha), args.d) * args.n
             best, _ = max_intersecting_subfamily(fam)
             out = fractional_helly_pipeline(fam)

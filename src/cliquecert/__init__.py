@@ -40,7 +40,7 @@ from .core import (
     m_clique_family,
     max_clique,
     maximal_missing_matching,
-    neighborhood_of_tuple,
+    tuple_neighbourhoods,
 )
 from .extractor import (
     GraphExtractionOutcome,
@@ -64,7 +64,6 @@ from .geometry import (
     Box,
     BoxFamily,
     HellyOutcome,
-    NerveHypergraph,
     box_family_from_dict,
     box_family_to_dict,
     boxes_intersect,

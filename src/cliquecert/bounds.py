@@ -20,6 +20,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
+def _check_km(k: int, m: int) -> None:
+    if k < 2 or m < k:
+        raise ValueError(f"need m >= k >= 2, got k={k}, m={m}")
+
+
 def theorem1_bound(alpha: float) -> float:
     """(1 - sqrt(1 - alpha))^2: guaranteed clique fraction for graphs of
     edge density alpha with no induced K_{2,2}."""
@@ -42,8 +47,7 @@ def beta_recursion(alpha: float, k: int, m: int) -> float:
     beta * n vertices for m-clique density alpha with no complete m-tuple
     of missing edges.
     """
-    if k < 2 or m < k:
-        raise ValueError(f"need m >= k >= 2, got k={k}, m={m}")
+    _check_km(k, m)
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     a = alpha
@@ -112,6 +116,7 @@ class BoundReport:
 def bound_report(alpha: Density, k: int, m: int, d: int) -> BoundReport:
     a = float(alpha)
     _check_alpha(a)
+    _check_km(k, m)
     return BoundReport(
         alpha=Fraction(alpha),
         k=k,

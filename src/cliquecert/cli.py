@@ -25,10 +25,10 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .bounds import bound_report
@@ -93,16 +93,6 @@ def _load_instance(path: str) -> tuple[KUniformHypergraph, str]:
 def _load_boxes(path: str):
     fam = box_family_from_dict(_load_json(path))
     return fam, _canonical_digest(box_family_to_dict(fam))
-
-
-def _load_nerve_family(path: str):
-    """A box family with enough boxes for its nerve (more than d+1)."""
-    fam, digest = _load_boxes(path)
-    if len(fam) <= fam.d + 1:
-        raise InputFormatError(
-            f"nerve needs more than d+1 = {fam.d + 1} boxes, got {len(fam)}"
-        )
-    return fam, digest
 
 
 def _budget(text: str) -> int:
@@ -265,12 +255,13 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_nerve(args) -> int:
     t0 = time.perf_counter()
-    fam, digest = _load_nerve_family(args.input)
+    fam, digest = _load_boxes(args.input)
     nerve = build_nerve(fam)
+    density = nerve.edge_density()
     outcome = {
-        "hypergraph": hypergraph_to_dict(nerve.base),
-        "density": _frac(nerve.density()),
-        "density_float": float(nerve.density()),
+        "hypergraph": hypergraph_to_dict(nerve),
+        "density": _frac(density),
+        "density_float": float(density),
     }
     _emit(_report("nerve", digest, {"input": args.input}, outcome, t0))
     return 0
@@ -278,7 +269,7 @@ def _cmd_nerve(args) -> int:
 
 def _cmd_helly(args) -> int:
     t0 = time.perf_counter()
-    fam, digest = _load_nerve_family(args.input)
+    fam, digest = _load_boxes(args.input)
     check = colorful_check(fam, args.budget)
     if check.verdict is Verdict.EXHAUSTED:
         print("colorful check exhausted its budget; result inconclusive", file=sys.stderr)
@@ -383,16 +374,13 @@ def _cmd_gen_boxes(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every
+    ``main`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="cliquecert",
         description="Exact clique extraction with verifiable certificates.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker parallelism hint; results are deterministic regardless",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

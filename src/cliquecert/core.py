@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Optional
 
 Edge = tuple[int, ...]
 
@@ -115,9 +115,6 @@ class KUniformHypergraph:
                 s = em ^ 1 << v
                 links[s] = links.get(s, 0) | 1 << v
         return links
-
-    def has_edge(self, vertices: Iterable[int]) -> bool:
-        return tuple(sorted(vertices)) in self.edges
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
         """True iff every k-subset of ``vertices`` is an edge.
@@ -286,53 +283,91 @@ def greedy_extend_clique(H: KUniformHypergraph, base: Iterable[int] = ()) -> tup
     return tuple(sorted(clique))
 
 
-def maximal_missing_matching(H: KUniformHypergraph, S: Iterable[int]) -> list[Edge]:
-    """Greedy maximal matching of missing edges inside S, lexicographic order.
+def missing_completions(H: KUniformHypergraph, within: int) -> Iterator[tuple[int, int]]:
+    """The missing k-sets inside the vertex mask ``within``, by prefix.
 
-    The vertices of S not covered by the result form a clique: any missing
-    k-subset among them would have extended the matching.
+    Walks the (k-1)-subsets s of ``within`` in lexicographic order and
+    yields (s, miss) for each s with a nonempty ``miss``: the vertices of
+    ``within`` above s that complete it to a missing k-set.  Both are
+    vertex bitmasks, so s + lowest(miss) of the first pair is the
+    lexicographically first missing k-set inside ``within``.
     """
-    verts = sorted(set(S))
-    if verts and (verts[0] < 0 or verts[-1] >= H.n):
-        raise ValueError(f"S contains a vertex outside [0, {H.n})")
-    chosen: list[Edge] = []
-    used: set[int] = set()
-    for e in combinations(verts, H.k):
-        if e in H.edges:
-            continue
-        if used.isdisjoint(e):
+    return _walk_missing(H.links, 0, within, H.k - 1)
+
+
+def _walk_missing(
+    links: dict[int, int], s: int, rest: int, depth: int
+) -> Iterator[tuple[int, int]]:
+    # Extends the prefix s by depth vertices of rest above it.
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        t = s | low
+        if depth == 1:
+            miss = rest & ~links.get(t, 0)
+            if miss:
+                yield t, miss
+        elif rest.bit_count() >= depth:
+            yield from _walk_missing(links, t, rest, depth - 1)
+
+
+def first_missing_edge(H: KUniformHypergraph, within: int) -> Optional[Edge]:
+    """The lexicographically first missing k-set inside a vertex mask, or None."""
+    for s, miss in missing_completions(H, within):
+        return mask_vertices(s | miss & -miss)
+    return None
+
+
+def maximal_missing_matching(H: KUniformHypergraph, within: int) -> list[int]:
+    """Greedy maximal matching of missing edges inside the vertex mask
+    ``within``, taken in lexicographic order; edges as vertex masks.
+
+    A prefix s not yet covered takes its lowest uncovered completion.  The
+    vertices of ``within`` not covered by the result form a clique: any
+    missing k-subset among them would have extended the matching.
+    """
+    if within >> H.n:
+        raise ValueError(f"the vertex mask has a vertex outside [0, {H.n})")
+    chosen: list[int] = []
+    used = 0
+    for s, miss in missing_completions(H, within):
+        free = miss & ~used
+        if free and not s & used:
+            e = s | free & -free
             chosen.append(e)
-            used.update(e)
+            used |= e
     return chosen
 
 
-def neighborhood_of_tuple(
-    H: KUniformHypergraph, sigma: Iterable[int], family: Iterable[Edge]
-) -> set[int]:
-    """N_sigma = {x : sigma + {x} belongs to the family}.
+def tuple_neighbourhoods(H: KUniformHypergraph, family: Iterable[Edge]) -> dict[int, int]:
+    """N_sigma = {x : sigma + {x} in family} for every sigma with a nonempty
+    one, as vertex bitmasks.
 
-    The family must be uniform of some arity i with |sigma| = i - 1.  The
-    result is automatically disjoint from sigma, since sigma + {x} only has
-    i distinct elements when x lies outside sigma.
+    Keys are the (i-1)-subsets sigma of the family's members: each member S
+    gives bit x to N[S - x] for each x in S.  Members are vertex sets of
+    one arity i >= 2 inside [0, n).
     """
-    fam = family if isinstance(family, (set, frozenset)) else set(map(tuple, family))
+    fam = family if isinstance(family, (set, frozenset, tuple, list)) else list(family)
     if not fam:
-        return set()
+        return {}
     arities = {len(t) for t in fam}
     if len(arities) != 1:
         raise ValueError(f"family is not uniform: arities {sorted(arities)}")
     i = arities.pop()
-    sig = tuple(sorted(sigma))
-    if len(sig) != i - 1:
-        raise ValueError(f"|sigma| = {len(sig)} does not match family arity {i}")
-    sigset = set(sig)
-    out = set()
-    for x in range(H.n):
-        if x in sigset:
-            continue
-        if tuple(sorted(sig + (x,))) in fam:
-            out.add(x)
-    return out
+    if i < 2:
+        raise ValueError(f"family arity must be >= 2, got {i}")
+    limit = 1 << H.n
+    nbhd: dict[int, int] = {}
+    for S in fam:
+        sm = 0
+        for x in S:
+            sm |= 1 << x
+        if sm >= limit or sm.bit_count() != i:
+            raise ValueError(f"family member {S} is not a set of {i} vertices in [0, {H.n})")
+        for x in S:
+            b = 1 << x
+            nbhd[sm ^ b] = nbhd.get(sm ^ b, 0) | b
+    return nbhd
 
 
 # ---------------------------------------------------------------------------

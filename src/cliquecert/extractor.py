@@ -26,7 +26,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Literal, Optional
 
 from .bounds import beta_recursion, meets_theorem1_bound, theorem1_bound
@@ -37,9 +36,13 @@ from .core import (
     InternalConsistencyError,
     KUniformHypergraph,
     SizeRefusalError,
+    first_missing_edge,
     greedy_extend_clique,
     m_clique_family,
     mask_vertices,
+    maximal_missing_matching,
+    missing_completions,
+    tuple_neighbourhoods,
 )
 from .forbidden import CompleteTupleCertificate, verify_complete_tuple
 
@@ -119,74 +122,31 @@ class ShrinkResult:
     scores: dict[Edge, int]
 
 
-def _tuple_neighbourhoods(H: KUniformHypergraph, family: Iterable[Edge]) -> dict[int, int]:
-    """N_sigma for every sigma with a nonempty one, as vertex bitmasks.
-
-    Keys are the (i-1)-subsets sigma of the family's members, values the
-    vertices x with sigma + {x} in the family: each member S gives bit x to
-    N[S - x] for each x in S.  Members are vertex sets of one arity i >= 2
-    inside [0, n).
-    """
-    fam = family if isinstance(family, (set, frozenset, tuple, list)) else list(family)
-    if not fam:
-        return {}
-    arities = {len(t) for t in fam}
-    if len(arities) != 1:
-        raise ValueError(f"family is not uniform: arities {sorted(arities)}")
-    i = arities.pop()
-    if i < 2:
-        raise ValueError(f"family arity must be >= 2, got {i}")
-    limit = 1 << H.n
-    nbhd: dict[int, int] = {}
-    for S in fam:
-        sm = 0
-        for x in S:
-            sm |= 1 << x
-        if sm >= limit or sm.bit_count() != i:
-            raise ValueError(f"family member {S} is not a set of {i} vertices in [0, {H.n})")
-        for x in S:
-            b = 1 << x
-            nbhd[sm ^ b] = nbhd.get(sm ^ b, 0) | b
-    return nbhd
-
-
 def score_tau(H: KUniformHypergraph, family: Iterable[Edge]) -> dict[Edge, int]:
     """Score each missing edge tau by |{sigma : tau inside N_sigma}|.
 
     sigma ranges over all (i-1)-subsets of the vertex set, where i is the
     family's arity, and N_sigma = {x : sigma + {x} in family}.  Only missing
     edges with positive score appear in the map; the score total equals the
-    number of (sigma, tau) incidences.  The missing edges inside N_sigma
-    are listed by (k-1)-subsets s of N_sigma, each completed by the
-    vertices of N_sigma above s and outside its link.
+    number of (sigma, tau) incidences.
     """
-    k, links = H.k, H.links
+    return _scores(H, tuple_neighbourhoods(H, family))
+
+
+def _scores(H: KUniformHypergraph, nbhd: dict[int, int]) -> dict[Edge, int]:
+    # The tau scores from the N_sigma masks, one count per missing k-set
+    # inside each N_sigma.
     counts: Counter[int] = Counter()
-    for nb in _tuple_neighbourhoods(H, family).values():
-        if nb.bit_count() >= k:
+    for nb in nbhd.values():
+        if nb.bit_count() >= H.k:
             found: list[int] = []
-            _missing_inside(links, 0, nb, k - 1, found)
+            for s, miss in missing_completions(H, nb):
+                while miss:
+                    low = miss & -miss
+                    miss ^= low
+                    found.append(s | low)
             counts.update(found)
     return {mask_vertices(tau): c for tau, c in counts.items()}
-
-
-def _missing_inside(
-    links: dict[int, int], s: int, rest: int, depth: int, found: list[int]
-) -> None:
-    # Appends the missing k-sets made of the vertex mask s and depth + 1
-    # vertices of rest above it, each as a vertex mask.
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        t = s | low
-        if depth == 1:
-            miss = rest & ~links.get(t, 0)
-            while miss:
-                last = miss & -miss
-                miss ^= last
-                found.append(t | last)
-        elif rest.bit_count() >= depth:
-            _missing_inside(links, t, rest, depth - 1, found)
 
 
 def shrink_step(
@@ -207,7 +167,8 @@ def shrink_step(
     fam = family if isinstance(family, (set, frozenset, tuple, list)) else list(family)
     if not fam:
         raise NoProgressError("family is empty")
-    scores = score_tau(H, fam)
+    nbhd = tuple_neighbourhoods(H, fam)
+    scores = _scores(H, nbhd)
     if not scores:
         raise NoProgressError("no tuple neighborhood contains a missing edge")
     top = max(scores.values())
@@ -220,7 +181,7 @@ def shrink_step(
     tmask = sum(1 << t for t in tau)
     shrunk = sorted(
         mask_vertices(sigma)
-        for sigma, nb in _tuple_neighbourhoods(H, fam).items()
+        for sigma, nb in nbhd.items()
         if nb & tmask == tmask
     )
     return ShrinkResult(tau=tau, family=tuple(shrunk), scores=scores)
@@ -228,19 +189,6 @@ def shrink_step(
 
 def _ordered_scores(scores: dict[Edge, int]) -> ScoreTable:
     return tuple(sorted(scores.items()))
-
-
-def _first_missing_pair(adj: list[int], within: int) -> Optional[Edge]:
-    """The lexicographically first missing edge inside a vertex mask."""
-    rest = within
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        a = low.bit_length() - 1
-        non = rest & ~adj[a]
-        if non:
-            return (a, (non & -non).bit_length() - 1)
-    return None
 
 
 def extract_graph(G: KUniformHypergraph) -> GraphExtractionOutcome:
@@ -278,31 +226,18 @@ def extract_graph(G: KUniformHypergraph) -> GraphExtractionOutcome:
     m_counts: list[int] = []
     candidates: list[tuple[int, ...]] = []
     for v in range(n):
-        # Missing edges inside N_v in lexicographic order, by first vertex a:
-        # a greedy matching takes (a, b) for the least free b, if a is free.
-        used = 0
-        matched = 0
-        inside = 0
-        rest = adj[v]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            non = rest & ~adj[low.bit_length() - 1]
-            inside += non.bit_count()
-            free = non & ~used
-            if free and not used & low:
-                used |= low | (free & -free)
-                matched += 1
-        mu.append(matched)
-        m_counts.append(inside)
-        candidates.append(mask_vertices(adj[v] & ~used | 1 << v))
+        matching = maximal_missing_matching(G, adj[v])
+        mu.append(len(matching))
+        m_counts.append(sum(miss.bit_count() for _, miss in missing_completions(G, adj[v])))
+        # The matched edges are disjoint, so their sum is their union.
+        candidates.append(mask_vertices(adj[v] & ~sum(matching) | 1 << v))
 
     common = {tau: adj[tau[0]] & adj[tau[1]] for tau in miss}
     top = max(s.bit_count() for s in common.values())
     tau_star = next(t for t in miss if common[t].bit_count() == top)
     scores = _ordered_scores({t: s.bit_count() for t, s in common.items()})
 
-    ebar = _first_missing_pair(adj, common[tau_star])
+    ebar = first_missing_edge(G, common[tau_star])
     if ebar is not None:
         cert = CompleteTupleCertificate((tau_star, ebar))
         ok, reason = verify_complete_tuple(G, cert)
@@ -320,7 +255,7 @@ def extract_graph(G: KUniformHypergraph) -> GraphExtractionOutcome:
         return GraphExtractionOutcome("certificate", None, cert, trace)
 
     for s in common.values():
-        if _first_missing_pair(adj, s) is None:
+        if first_missing_edge(G, s) is None:
             candidates.append(mask_vertices(s))
     best_size = max(len(c) for c in candidates)
     best = min(c for c in candidates if len(c) == best_size)
@@ -421,7 +356,7 @@ def extract_hypergraph(
         return HypergraphExtractionOutcome("clique", witness, None, _trace(len(best) >= expected))
 
     f1 = tuple(sorted(s[0] for s in fam))
-    tau_m = next((t for t in combinations(f1, k) if t not in H.edges), None)
+    tau_m = first_missing_edge(H, sum(1 << v for v in f1))
     if tau_m is not None:
         cert = CompleteTupleCertificate(tuple(taus) + (tau_m,))
         ok, reason = verify_complete_tuple(H, cert)

@@ -83,7 +83,7 @@ class BoxFamily:
         its boxes meet pairwise, since in each coordinate the largest lo is
         at most the smallest hi exactly when every lo is at most every hi.
         So the edges are the (d+1)-cliques of the pairwise-intersection
-        graph.  Shared by ``build_nerve`` and ``colorful_check``.
+        graph.  ``build_nerve`` returns it.
         """
         n = len(self.boxes)
         pairs = _pairwise_intersections(self.boxes, self.d)
@@ -124,21 +124,6 @@ def _pairwise_intersections(boxes: Sequence[Box], d: int) -> list[int]:
     return meets
 
 
-@dataclass(frozen=True)
-class NerveHypergraph:
-    """The (d+1)-uniform intersection hypergraph of a box family.
-
-    Vertex i of ``base`` stands for ``family.boxes[i]``; an edge is present
-    exactly when the corresponding d+1 boxes share a point.
-    """
-
-    base: KUniformHypergraph
-    family: BoxFamily
-
-    def density(self) -> Density:
-        return self.base.edge_density()
-
-
 def boxes_intersect(boxes: Sequence[Box]) -> Optional[Point]:
     """Common point of the boxes, or None.
 
@@ -156,13 +141,17 @@ def boxes_intersect(boxes: Sequence[Box]) -> Optional[Point]:
     return None
 
 
-def build_nerve(family: BoxFamily) -> NerveHypergraph:
-    """Exact (d+1)-uniform intersection nerve; needs more than d+1 boxes."""
+def build_nerve(family: BoxFamily) -> KUniformHypergraph:
+    """Exact (d+1)-uniform intersection nerve; needs more than d+1 boxes.
+
+    Vertex i stands for ``family.boxes[i]``; an edge is present exactly
+    when the corresponding d+1 boxes share a point.
+    """
     if len(family.boxes) <= family.d + 1:
         raise ValueError(
             f"nerve needs more than d+1 = {family.d + 1} boxes, got {len(family.boxes)}"
         )
-    return NerveHypergraph(base=family.nerve_hypergraph, family=family)
+    return family.nerve_hypergraph
 
 
 def colorful_check(family: BoxFamily, budget: int = DEFAULT_BUDGET) -> TupleSearchResult:
@@ -173,7 +162,7 @@ def colorful_check(family: BoxFamily, budget: int = DEFAULT_BUDGET) -> TupleSear
     InternalConsistencyError carrying the certificate.  EXHAUSTED is
     returned as-is: it is inconclusive, not absence.
     """
-    result = find_complete_tuple(family.nerve_hypergraph, family.d + 1, budget)
+    result = find_complete_tuple(build_nerve(family), family.d + 1, budget)
     if result.verdict is Verdict.FOUND:
         raise InternalConsistencyError(
             "box-family nerve contains a complete tuple of missing edges",
@@ -215,8 +204,8 @@ def fractional_helly_pipeline(family: BoxFamily) -> HellyOutcome:
     nerve = build_nerve(family)
     d = family.d
     n = len(family.boxes)
-    alpha = nerve.density()
-    outcome = extract_hypergraph(nerve.base, d + 1)
+    alpha = nerve.edge_density()
+    outcome = extract_hypergraph(nerve, d + 1)
     if outcome.kind == "certificate":
         raise InternalConsistencyError(
             "extraction found a complete tuple of missing edges in a box nerve",

@@ -88,6 +88,18 @@ class FrontierRecord:
         }
 
 
+def _check_search(n: int, k: int, omega_cap: int) -> None:
+    # Shared by both searches: each needs a k-subset to place, and a cap
+    # that the vacuous cliques (any k-1 vertices) do not already exceed.
+    if n < k:
+        raise ValueError(f"n must be >= k = {k} so that a k-subset exists, got n = {n}")
+    if omega_cap < k - 1:
+        raise ValueError(
+            f"omega_cap = {omega_cap} is below the vacuous clique floor "
+            f"k-1 = {k - 1}; no instance can qualify"
+        )
+
+
 def exhaustive_frontier(
     n: int,
     k: int,
@@ -105,6 +117,7 @@ def exhaustive_frontier(
     pins the witness deterministically.  Refuses enumerations larger than
     ``max_enumeration`` instances.
     """
+    _check_search(n, k, omega_cap)
     positions = list(combinations(range(n), k))
     total = 1 << len(positions)
     if total > max_enumeration:
@@ -170,13 +183,7 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
     n, k, m = config.n, config.k, config.m
     if config.restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {config.restarts}")
-    if n < k:
-        raise ValueError(f"n must be >= k = {k} so that a k-subset can be toggled, got n = {n}")
-    if config.omega_cap < min(n, k - 1):
-        raise ValueError(
-            f"omega_cap = {config.omega_cap} is below the vacuous clique floor "
-            f"min(n, k-1) = {min(n, k - 1)}; no instance can qualify"
-        )
+    _check_search(n, k, config.omega_cap)
     positions = list(combinations(range(n), k))
     best: Optional[FrontierRecord] = None
     best_cm = -1

@@ -9,9 +9,10 @@ backtracking that the bitset ``find_complete_tuple`` replaced, kept
 unchanged so that verdicts, certificates and node counts can be compared.
 The other ``reference_*`` functions are the subset-scanning kernels that
 the link-index kernels replaced (m-clique family, tau scores, shrink step,
-greedy and maximum clique, graph extraction) and the all-subsets nerve
-construction that the pairwise one replaced, kept unchanged for the same
-purpose.
+greedy and maximum clique, graph extraction), the all-subsets nerve
+construction that the pairwise one replaced, and the set-based missing-edge
+matching and tuple neighbourhood that the mask-based ones replaced, kept
+unchanged for the same purpose.
 """
 
 from __future__ import annotations
@@ -376,3 +377,52 @@ def reference_nerve_edges(family: BoxFamily) -> frozenset[Edge]:
         for idx in combinations(range(len(family.boxes)), k)
         if boxes_intersect([family.boxes[i] for i in idx]) is not None
     )
+
+
+def reference_maximal_missing_matching(H: KUniformHypergraph, S: Iterable[int]) -> list[Edge]:
+    """Greedy maximal matching of missing edges inside S, lexicographic order.
+
+    The vertices of S not covered by the result form a clique: any missing
+    k-subset among them would have extended the matching.
+    """
+    verts = sorted(set(S))
+    if verts and (verts[0] < 0 or verts[-1] >= H.n):
+        raise ValueError(f"S contains a vertex outside [0, {H.n})")
+    chosen: list[Edge] = []
+    used: set[int] = set()
+    for e in combinations(verts, H.k):
+        if e in H.edges:
+            continue
+        if used.isdisjoint(e):
+            chosen.append(e)
+            used.update(e)
+    return chosen
+
+
+def reference_neighborhood_of_tuple(
+    H: KUniformHypergraph, sigma: Iterable[int], family: Iterable[Edge]
+) -> set[int]:
+    """N_sigma = {x : sigma + {x} belongs to the family}.
+
+    The family must be uniform of some arity i with |sigma| = i - 1.  The
+    result is automatically disjoint from sigma, since sigma + {x} only has
+    i distinct elements when x lies outside sigma.
+    """
+    fam = family if isinstance(family, (set, frozenset)) else set(map(tuple, family))
+    if not fam:
+        return set()
+    arities = {len(t) for t in fam}
+    if len(arities) != 1:
+        raise ValueError(f"family is not uniform: arities {sorted(arities)}")
+    i = arities.pop()
+    sig = tuple(sorted(sigma))
+    if len(sig) != i - 1:
+        raise ValueError(f"|sigma| = {len(sig)} does not match family arity {i}")
+    sigset = set(sig)
+    out = set()
+    for x in range(H.n):
+        if x in sigset:
+            continue
+        if tuple(sorted(sig + (x,))) in fam:
+            out.add(x)
+    return out

@@ -158,7 +158,7 @@ def test_criterion_05_colorful_invariant(helly_families):
             res = colorful_check(fam)
             assert res.verdict is Verdict.ABSENT, f"inconclusive verdict {res.verdict}"
             if fam.d == 1:
-                assert not has_induced_biclique(nerve.base, 2)
+                assert not has_induced_biclique(nerve, 2)
 
 
 def test_criterion_06_kalai_bound(helly_families):
@@ -166,8 +166,8 @@ def test_criterion_06_kalai_bound(helly_families):
         for fam, nerve in helly_families:
             n = len(fam.boxes)
             size, _ = max_intersecting_subfamily(fam)
-            assert meets_kalai_bound_with_slack(size, n, nerve.density(), fam.d), (
-                f"violation: d={fam.d} n={n} size={size} alpha={nerve.density()}"
+            assert meets_kalai_bound_with_slack(size, n, nerve.edge_density(), fam.d), (
+                f"violation: d={fam.d} n={n} size={size} alpha={nerve.edge_density()}"
             )
 
 
@@ -177,8 +177,8 @@ def test_criterion_07_katchalski_abbott_intervals():
             fam = random_box_family(40, 1, seed)
             nerve = build_nerve(fam)
             size, _ = max_intersecting_subfamily(fam)
-            assert meets_chordal_bound(size, 40, nerve.density()), (
-                f"violation: seed={seed} size={size} alpha={nerve.density()}"
+            assert meets_chordal_bound(size, 40, nerve.edge_density()), (
+                f"violation: seed={seed} size={size} alpha={nerve.edge_density()}"
             )
 
 

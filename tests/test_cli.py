@@ -133,6 +133,12 @@ class TestArgumentErrors:
                 ["search", "--n", "0", "--k", "2", "--m", "2", "--omega-cap", "2", "--seed", "1"],
                 "n must be >= k = 2",
             ),
+            (["bounds", "--alpha", "0", "--k", "1", "--m", "1", "--d", "1"], "k=1, m=1"),
+            (["bounds", "--alpha", "0", "--k", "2", "--m", "-3", "--d", "1"], "k=2, m=-3"),
+            (
+                ["search", "--n", "4", "--k", "2", "--m", "2", "--omega-cap", "0", "--exhaustive"],
+                "omega_cap = 0",
+            ),
         ],
     )
     def test_exit_two_with_one_line_error(self, capsys, c4_file, argv, message):

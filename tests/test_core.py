@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 from cliquecert import (
     InputFormatError,
     KUniformHypergraph,
+    all_graphs,
     count_m_cliques,
     ext_binom,
     greedy_extend_clique,
     hypergraph_from_dict,
     hypergraph_to_dict,
+    m_clique_family,
     max_clique,
     maximal_missing_matching,
-    neighborhood_of_tuple,
+    tuple_neighbourhoods,
 )
+from cliquecert.core import mask_vertices
 from helpers import (
     brute_force_max_clique,
     complete_graph,
@@ -26,8 +29,23 @@ from helpers import (
     edgeless,
     nine_vertex_example,
     random_hypergraph,
+    reference_maximal_missing_matching,
+    reference_neighborhood_of_tuple,
 )
 import random
+
+
+def vertex_mask(vertices) -> int:
+    return sum(1 << v for v in set(vertices))
+
+
+def matching(H, S) -> list[tuple[int, ...]]:
+    """maximal_missing_matching on the vertex set S, edges as tuples."""
+    return [mask_vertices(e) for e in maximal_missing_matching(H, vertex_mask(S))]
+
+
+def neighbourhood(H, sigma, family) -> set[int]:
+    return set(mask_vertices(tuple_neighbourhoods(H, family).get(vertex_mask(sigma), 0)))
 
 
 @st.composite
@@ -143,26 +161,25 @@ class TestMissingEdges:
 
 class TestMaximalMissingMatching:
     def test_cycle5_trace(self):
-        got = maximal_missing_matching(cycle_graph(5), range(5))
+        got = matching(cycle_graph(5), range(5))
         assert got == [(0, 2), (1, 3)]
 
     def test_cycle4_covers_everything(self):
-        got = maximal_missing_matching(cycle_graph(4), range(4))
+        got = matching(cycle_graph(4), range(4))
         assert got == [(0, 2), (1, 3)]
 
     def test_complete_graph_empty(self):
-        assert maximal_missing_matching(complete_graph(6), range(6)) == []
+        assert matching(complete_graph(6), range(6)) == []
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            maximal_missing_matching(cycle_graph(4), [0, 9])
+            matching(cycle_graph(4), [0, 9])
 
     @given(hypergraphs(), st.integers(min_value=0, max_value=255))
     def test_uncovered_set_is_a_clique(self, H, subset_mask):
         S = [v for v in range(H.n) if subset_mask >> v & 1]
-        matching = maximal_missing_matching(H, S)
         covered = set()
-        for e in matching:
+        for e in matching(H, S):
             assert covered.isdisjoint(e)
             assert e not in H.edges
             covered.update(e)
@@ -175,28 +192,66 @@ class TestMaximalMissingMatching:
         omega = brute_force_max_clique(H)
         for mask in range(1 << H.n):
             S = [v for v in range(H.n) if mask >> v & 1]
-            t = len(maximal_missing_matching(H, S))
+            t = len(matching(H, S))
             assert H.k * t >= len(S) - omega
 
 
 class TestNeighborhoodOfTuple:
     def test_graph_neighborhood(self):
         c4 = cycle_graph(4)
-        assert neighborhood_of_tuple(c4, {0}, c4.edges) == {1, 3}
+        assert neighbourhood(c4, {0}, c4.edges) == {1, 3}
 
     def test_complete_graph(self):
         k6 = complete_graph(6)
-        assert neighborhood_of_tuple(k6, {2}, k6.edges) == {0, 1, 3, 4, 5}
+        assert neighbourhood(k6, {2}, k6.edges) == {0, 1, 3, 4, 5}
 
     def test_round_one_family_of_nine_vertex_example(self):
         family = set(combinations(range(3, 9), 2))
         H = nine_vertex_example()
-        assert neighborhood_of_tuple(H, {3}, family) == {4, 5, 6, 7, 8}
+        assert neighbourhood(H, {3}, family) == {4, 5, 6, 7, 8}
 
-    def test_rejects_arity_mismatch(self):
-        c4 = cycle_graph(4)
+    def test_rejects_mixed_arity(self):
         with pytest.raises(ValueError):
-            neighborhood_of_tuple(c4, {0, 1}, c4.edges)
+            tuple_neighbourhoods(cycle_graph(4), [(0, 1), (0, 1, 2)])
+
+
+class TestMaskHelpersOracle:
+    """The mask-based matching and N_sigma against the set-based ones."""
+
+    @staticmethod
+    def agree(H, subsets, families):
+        for S in subsets:
+            assert matching(H, S) == reference_maximal_missing_matching(H, S), (H, S)
+        for fam in families:
+            if not fam:
+                continue
+            got = tuple_neighbourhoods(H, fam)
+            fam_set = set(fam)
+            for sigma in combinations(range(H.n), len(fam[0]) - 1):
+                want = reference_neighborhood_of_tuple(H, sigma, fam_set)
+                assert set(mask_vertices(got.get(vertex_mask(sigma), 0))) == want, (H, sigma)
+
+    def test_all_graphs_up_to_six_vertices(self):
+        # Every neighbourhood and the triangle family up to 5 vertices; the
+        # whole vertex set and the edge family on 6.
+        for n in range(1, 7):
+            for G in all_graphs(n):
+                subsets, families = [range(n)], [G.sorted_edges]
+                if n <= 5:
+                    subsets += [
+                        [u for e in G.edges if v in e for u in e if u != v] for v in range(n)
+                    ]
+                    families.append(m_clique_family(G, 3))
+                self.agree(G, subsets, families)
+
+    def test_random_hypergraphs(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            k = rng.choice([2, 3, 4])
+            H = random_hypergraph(rng, rng.randint(k, 9), k, rng.random() ** 0.5)
+            subsets = [[v for v in range(H.n) if rng.random() < 0.7] for _ in range(4)]
+            families = [m_clique_family(H, m) for m in (k, k + 1)]
+            self.agree(H, subsets + [range(H.n)], families)
 
 
 class TestGreedyExtend:

@@ -72,20 +72,20 @@ class TestBuildNerve:
     def test_pairwise_intersecting_intervals_give_complete_graph(self):
         fam = intervals((0, 10), (1, 9), (2, 8), (3, 7))
         nerve = build_nerve(fam)
-        assert nerve.base.k == 2
-        assert len(nerve.base.edges) == 6
-        assert nerve.density() == Fraction(1)
+        assert nerve.k == 2
+        assert len(nerve.edges) == 6
+        assert nerve.edge_density() == Fraction(1)
 
     def test_disjoint_intervals_give_edgeless(self):
         fam = intervals((0, 1), (2, 3), (4, 5))
         with pytest.raises(ValueError):
             build_nerve(BoxFamily(d=1, boxes=fam.boxes[:2]))
-        assert build_nerve(fam).base.edges == frozenset()
+        assert build_nerve(fam).edges == frozenset()
 
     def test_three_squares_and_one_far(self):
         fam = BoxFamily(d=2, boxes=(square(0, 2), square(1, 3), square(2, 4), square(5, 6)))
         nerve = build_nerve(fam)
-        assert nerve.base.edges == frozenset({(0, 1, 2)})
+        assert nerve.edges == frozenset({(0, 1, 2)})
 
     def test_membership_matches_predicate(self):
         rng = random.Random(13)
@@ -94,7 +94,7 @@ class TestBuildNerve:
                 fam = random_box_family(rng.randint(d + 2, 8), d, seed, spread=20, max_side=10)
                 nerve = build_nerve(fam)
                 for idx in combinations(range(len(fam.boxes)), d + 1):
-                    present = idx in nerve.base.edges
+                    present = idx in nerve.edges
                     meets = boxes_intersect([fam.boxes[i] for i in idx]) is not None
                     assert present == meets
 
@@ -114,7 +114,7 @@ class TestBuildNerve:
         colorful_check(fam)
         assert calls == [9]
         del calls[:]
-        assert build_nerve(fam).base is fam.nerve_hypergraph
+        assert build_nerve(fam) is fam.nerve_hypergraph
         assert calls == []
 
 
@@ -133,7 +133,7 @@ class TestColorfulCheck:
             fam = random_box_family(30, 1, seed)
             assert colorful_check(fam).verdict is Verdict.ABSENT
             nerve = build_nerve(fam)
-            assert not has_induced_biclique(nerve.base, 2)
+            assert not has_induced_biclique(nerve, 2)
 
     def test_random_planar_boxes_absent(self):
         for seed in range(5):
@@ -168,7 +168,7 @@ class TestHellyPipeline:
         for seed in range(20):
             fam = random_box_family(10, 1, seed, spread=50, max_side=60)
             nerve = build_nerve(fam)
-            if nerve.density() < Fraction(1, 2):
+            if nerve.edge_density() < Fraction(1, 2):
                 continue
             hits += 1
             out = fractional_helly_pipeline(fam)
@@ -223,7 +223,7 @@ class TestRandomBoxFamily:
         # nerve predicate against drift
         fam = random_box_family(200, 2, 7)
         nerve = build_nerve(fam)
-        alpha = nerve.density()
+        alpha = nerve.edge_density()
         assert Fraction(0) < alpha < Fraction(1)
         assert alpha == Fraction(1429, 164175)
 
@@ -240,14 +240,14 @@ class TestBoundConnections:
             fam = random_box_family(12, 2, seed, spread=40, max_side=30)
             nerve = build_nerve(fam)
             size, _ = max_intersecting_subfamily(fam)
-            assert meets_kalai_bound_with_slack(size, 12, nerve.density(), 2)
+            assert meets_kalai_bound_with_slack(size, 12, nerve.edge_density(), 2)
 
     def test_interval_chordal_bound_on_samples(self):
         for seed in range(25):
             fam = random_box_family(20, 1, seed)
             nerve = build_nerve(fam)
             size, _ = max_intersecting_subfamily(fam)
-            assert meets_chordal_bound(size, 20, nerve.density())
+            assert meets_chordal_bound(size, 20, nerve.edge_density())
 
 
 class TestBoxSerialization:

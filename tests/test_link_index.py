@@ -169,10 +169,10 @@ class TestPairwiseNerve:
     def test_criterion_five_corpus(self):
         for seed in range(300):
             fam = random_box_family(30, 1, seed)
-            assert build_nerve(fam).base.edges == reference_nerve_edges(fam), seed
+            assert build_nerve(fam).edges == reference_nerve_edges(fam), seed
         for seed in range(100):
             fam = random_box_family(12, 2, seed, spread=40, max_side=30)
-            assert build_nerve(fam).base.edges == reference_nerve_edges(fam), seed
+            assert build_nerve(fam).edges == reference_nerve_edges(fam), seed
 
     def test_touching_and_degenerate_boxes(self):
         for d in (1, 2, 3):
