@@ -24,6 +24,7 @@ from .bounds import (
     theorem1_bound,
 )
 from .core import (
+    BudgetExhaustedError,
     CliqueWitness,
     Density,
     Edge,
@@ -43,8 +44,7 @@ from .core import (
     tuple_neighbourhoods,
 )
 from .extractor import (
-    GraphExtractionOutcome,
-    HypergraphExtractionOutcome,
+    ExtractionOutcome,
     NoProgressError,
     ShrinkResult,
     extract_graph,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .core import Density, ext_binom
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_alpha(alpha: float | Density) -> None:
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
@@ -114,9 +114,9 @@ class BoundReport:
 
 
 def bound_report(alpha: Density, k: int, m: int, d: int) -> BoundReport:
-    a = float(alpha)
-    _check_alpha(a)
+    _check_alpha(alpha)  # on the exact value: float() overflows far outside [0, 1]
     _check_km(k, m)
+    a = float(alpha)
     return BoundReport(
         alpha=Fraction(alpha),
         k=k,

@@ -15,8 +15,9 @@ Exit codes:
 
 Reports embed an input digest (sha256 of the canonical JSON of the loaded
 object, so equivalent encodings of the same instance digest identically),
-the parameters, and versions; with a fixed seed, re-running reproduces the
-report byte for byte apart from the wall-time field.
+every parsed argument as the parameters, and versions; with a fixed seed,
+re-running reproduces the report byte for byte apart from the wall-time
+field.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from functools import cache
 from . import __version__
 from .bounds import bound_report
 from .core import (
+    BudgetExhaustedError,
     InputFormatError,
     InternalConsistencyError,
     KUniformHypergraph,
@@ -41,12 +43,7 @@ from .core import (
     hypergraph_to_dict,
     max_clique,
 )
-from .extractor import (
-    GraphExtractionOutcome,
-    HypergraphExtractionOutcome,
-    extract_graph,
-    extract_hypergraph,
-)
+from .extractor import ExtractionOutcome, extract_graph, extract_hypergraph
 from .forbidden import DEFAULT_BUDGET, Verdict, find_complete_tuple
 from .geometry import (
     box_family_from_dict,
@@ -81,6 +78,10 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputFormatError(f"input file not found: {path}")
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc.strerror or exc}")
+    except RecursionError:
+        raise InputFormatError(f"{path} is nested too deeply to parse")
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}")
 
@@ -111,41 +112,20 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "))
 
 
-def _emit(report: dict) -> None:
-    print(_dumps(report))
-
-
-def _report(subcommand: str, digest, parameters: dict, outcome, started: float) -> dict:
-    return {
-        "subcommand": subcommand,
-        "input_digest": digest,
-        "parameters": parameters,
-        "outcome": outcome,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-        "versions": {"cliquecert": __version__, "python": sys.version.split()[0]},
-    }
-
-
 def _edge_list(edges) -> list:
     return [list(e) for e in edges]
 
 
-def _graph_outcome_dict(out: GraphExtractionOutcome) -> dict:
-    t = out.trace
+def _outcome_dict(out: ExtractionOutcome, bound: float, fallback: bool, trace: dict) -> dict:
+    # The fields both extractors report; ``trace`` holds the ones they do not share.
     doc = {
         "kind": out.kind,
-        "alpha": _frac(t.alpha),
-        "alpha_float": float(t.alpha),
-        "bound": t.bound,
-        "bound_met": t.bound_met,
-        "fallback": False,
-        "trace": {
-            "mu_by_vertex": list(t.mu_by_vertex),
-            "missing_in_neighborhood": list(t.missing_in_neighborhood),
-            # json writes the (tau, score) tuples as arrays; no list copy.
-            "tau_scores": t.tau_scores,
-            "chosen_tau": list(t.chosen_tau) if t.chosen_tau else None,
-        },
+        "alpha": _frac(out.trace.alpha),
+        "alpha_float": float(out.trace.alpha),
+        "bound": bound,
+        "bound_met": out.trace.bound_met,
+        "fallback": fallback,
+        "trace": trace,
     }
     if out.kind == "clique":
         doc["vertices"] = list(out.clique.vertices)
@@ -154,37 +134,37 @@ def _graph_outcome_dict(out: GraphExtractionOutcome) -> dict:
     return doc
 
 
-def _hypergraph_outcome_dict(out: HypergraphExtractionOutcome) -> dict:
+def _graph_outcome_dict(out: ExtractionOutcome) -> dict:
     t = out.trace
-    doc = {
-        "kind": out.kind,
-        "alpha": _frac(t.alpha),
-        "alpha_float": float(t.alpha),
-        "bound": t.beta,
-        "bound_met": t.bound_met,
-        "fallback": t.fallback,
-        "trace": {
-            "chosen_taus": _edge_list(t.chosen_taus),
-            "family_sizes": list(t.family_sizes),
-            # json writes the (tau, score) tuples as arrays; no list copy.
-            "round_scores": t.round_scores,
-            "expected_bound": t.expected_bound,
-        },
+    trace = {
+        "mu_by_vertex": list(t.mu_by_vertex),
+        "missing_in_neighborhood": list(t.missing_in_neighborhood),
+        # json writes the (tau, score) tuples as arrays; no list copy.
+        "tau_scores": t.tau_scores,
+        "chosen_tau": list(t.chosen_tau) if t.chosen_tau else None,
     }
-    if out.kind == "clique":
-        doc["vertices"] = list(out.clique.vertices)
-    else:
-        doc["tuples"] = _edge_list(out.certificate.tuples)
-    return doc
+    return _outcome_dict(out, t.bound, False, trace)
+
+
+def _hypergraph_outcome_dict(out: ExtractionOutcome) -> dict:
+    t = out.trace
+    trace = {
+        "chosen_taus": _edge_list(t.chosen_taus),
+        "family_sizes": list(t.family_sizes),
+        # json writes the (tau, score) tuples as arrays; no list copy.
+        "round_scores": t.round_scores,
+        "expected_bound": t.expected_bound,
+    }
+    return _outcome_dict(out, t.beta, t.fallback, trace)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (input digest or None, outcome, exit code), and
+# ``main`` wraps the outcome in the report
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analyze(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_analyze(args) -> tuple:
     H, digest = _load_instance(args.input)
     omega = max_clique(H)
     alpha = H.edge_density()
@@ -198,12 +178,10 @@ def _cmd_analyze(args) -> int:
         "omega": len(omega.vertices),
         "omega_witness": list(omega.vertices),
     }
-    _emit(_report("analyze", digest, {"input": args.input}, outcome, t0))
-    return 0
+    return digest, outcome, 0
 
 
-def _cmd_forbidden(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_forbidden(args) -> tuple:
     H, digest = _load_instance(args.input)
     result = find_complete_tuple(H, args.m, args.budget)
     outcome = {
@@ -211,28 +189,21 @@ def _cmd_forbidden(args) -> int:
         "certificate": result.certificate.to_dict() if result.certificate else None,
         "nodes": result.nodes,
     }
-    params = {"input": args.input, "m": args.m, "budget": args.budget}
-    _emit(_report("forbidden", digest, params, outcome, t0))
-    return 4 if result.verdict is Verdict.EXHAUSTED else 0
+    return digest, outcome, 4 if result.verdict is Verdict.EXHAUSTED else 0
 
 
-def _cmd_extract(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_extract(args) -> tuple:
     H, digest = _load_instance(args.input)
-    m = args.m if args.m is not None else H.k
+    if args.m is None:
+        args.m = H.k  # the report records the resolved value
     if args.algorithm == "graph":
-        if H.k != 2 or m != 2:
+        if H.k != 2 or args.m != 2:
             raise InputFormatError("--algorithm graph requires k = 2 and m = 2")
-        outcome = _graph_outcome_dict(extract_graph(H))
-    else:
-        outcome = _hypergraph_outcome_dict(extract_hypergraph(H, m))
-    params = {"input": args.input, "m": m, "algorithm": args.algorithm}
-    _emit(_report("extract", digest, params, outcome, t0))
-    return 0
+        return digest, _graph_outcome_dict(extract_graph(H)), 0
+    return digest, _hypergraph_outcome_dict(extract_hypergraph(H, args.m)), 0
 
 
-def _cmd_bounds(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_bounds(args) -> tuple:
     try:
         alpha = Fraction(args.alpha)
     except (ValueError, ZeroDivisionError) as exc:
@@ -248,13 +219,10 @@ def _cmd_bounds(args) -> int:
         f"{'exponent':>16} {report.exponent:>14}"
     )
     print(table, file=sys.stderr)
-    params = {"alpha": args.alpha, "k": args.k, "m": args.m, "d": args.d}
-    _emit(_report("bounds", None, params, report.to_dict(), t0))
-    return 0
+    return None, report.to_dict(), 0
 
 
-def _cmd_nerve(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_nerve(args) -> tuple:
     fam, digest = _load_boxes(args.input)
     nerve = build_nerve(fam)
     density = nerve.edge_density()
@@ -263,26 +231,15 @@ def _cmd_nerve(args) -> int:
         "density": _frac(density),
         "density_float": float(density),
     }
-    _emit(_report("nerve", digest, {"input": args.input}, outcome, t0))
-    return 0
+    return digest, outcome, 0
 
 
-def _cmd_helly(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_helly(args) -> tuple:
     fam, digest = _load_boxes(args.input)
     check = colorful_check(fam, args.budget)
     if check.verdict is Verdict.EXHAUSTED:
         print("colorful check exhausted its budget; result inconclusive", file=sys.stderr)
-        _emit(
-            _report(
-                "helly",
-                digest,
-                {"input": args.input, "budget": args.budget},
-                {"verdict": check.verdict.value, "nodes": check.nodes},
-                t0,
-            )
-        )
-        return 4
+        return digest, {"verdict": check.verdict.value, "nodes": check.nodes}, 4
     out = fractional_helly_pipeline(fam)
     outcome = {
         "indices": list(out.indices),
@@ -295,12 +252,10 @@ def _cmd_helly(args) -> int:
         "colorful_verdict": check.verdict.value,
         "extraction": _hypergraph_outcome_dict(out.extraction),
     }
-    _emit(_report("helly", digest, {"input": args.input, "budget": args.budget}, outcome, t0))
-    return 0
+    return digest, outcome, 0
 
 
-def _cmd_search(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_search(args) -> tuple:
     records: list[FrontierRecord] = []
     if args.exhaustive:
         rec = exhaustive_frontier(args.n, args.k, args.m, args.omega_cap, budget=args.budget)
@@ -338,22 +293,10 @@ def _cmd_search(args) -> int:
         ],
         "records": len(records),
     }
-    params = {
-        "n": args.n,
-        "k": args.k,
-        "m": args.m,
-        "omega_cap": args.omega_cap,
-        "iters": args.iters,
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "exhaustive": args.exhaustive,
-    }
-    _emit(_report("search", None, params, outcome, t0))
-    return 0
+    return None, outcome, 0
 
 
-def _cmd_gen_boxes(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_gen_boxes(args) -> tuple:
     fam = random_box_family(
         args.n,
         args.d,
@@ -362,16 +305,7 @@ def _cmd_gen_boxes(args) -> int:
         min_side=args.min_side,
         max_side=args.max_side,
     )
-    params = {
-        "n": args.n,
-        "d": args.d,
-        "seed": args.seed,
-        "spread": args.spread,
-        "min_side": args.min_side,
-        "max_side": args.max_side,
-    }
-    _emit(_report("gen-boxes", None, params, box_family_to_dict(fam), t0))
-    return 0
+    return None, box_family_to_dict(fam), 0
 
 
 @cache
@@ -446,8 +380,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        digest, outcome, code = args.func(args)
     except ValueError as exc:
         # InputFormatError for a bad file; a plain ValueError from a library
         # entry point rejecting a parameter (m < k, n = 0, restarts = 0, ...).
@@ -456,6 +391,9 @@ def main(argv=None) -> int:
     except SizeRefusalError as exc:
         print(f"size refusal: {exc}", file=sys.stderr)
         return 3
+    except BudgetExhaustedError as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 4
     except InternalConsistencyError as exc:
         cert = getattr(exc, "certificate", None)
         doc = {
@@ -466,6 +404,16 @@ def main(argv=None) -> int:
         print(_dumps(doc))
         print(f"internal-consistency failure: {exc}", file=sys.stderr)
         return 5
+    report = {
+        "subcommand": args.subcommand,
+        "input_digest": digest,
+        "parameters": {k: v for k, v in vars(args).items() if k not in ("subcommand", "func")},
+        "outcome": outcome,
+        "wall_time_s": round(time.perf_counter() - started, 6),
+        "versions": {"cliquecert": __version__, "python": sys.version.split()[0]},
+    }
+    print(_dumps(report))
+    return code
 
 
 def app() -> None:

@@ -34,6 +34,10 @@ class SizeRefusalError(RuntimeError):
     """An enumeration would exceed its configured cap; refused up front."""
 
 
+class BudgetExhaustedError(RuntimeError):
+    """A budgeted search stopped before it could decide; inconclusive."""
+
+
 class InternalConsistencyError(RuntimeError):
     """A state the supporting theorems rule out.
 
@@ -164,8 +168,8 @@ def ext_binom(x: float, k: int) -> float:
 
 
 def count_m_cliques(H: KUniformHypergraph, m: int) -> int:
-    """Exact number of m-vertex cliques; equals |E| when m = k."""
-    return len(m_clique_family(H, m))
+    """Exact number of m-vertex cliques; the k-cliques are the edges."""
+    return len(H.edges) if m == H.k else len(m_clique_family(H, m))
 
 
 def mask_vertices(mask: int) -> tuple[int, ...]:

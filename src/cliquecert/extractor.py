@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Optional
+from typing import Iterable, Literal, Optional, Union
 
 from .bounds import beta_recursion, meets_theorem1_bound, theorem1_bound
 from .core import (
@@ -78,14 +78,6 @@ class GraphTrace:
 
 
 @dataclass(frozen=True)
-class GraphExtractionOutcome:
-    kind: Literal["clique", "certificate"]
-    clique: Optional[CliqueWitness]
-    certificate: Optional[CompleteTupleCertificate]
-    trace: GraphTrace
-
-
-@dataclass(frozen=True)
 class HypergraphTrace:
     """Counting state of the iterated extraction.
 
@@ -108,11 +100,15 @@ class HypergraphTrace:
 
 
 @dataclass(frozen=True)
-class HypergraphExtractionOutcome:
+class ExtractionOutcome:
+    """A verified clique or certificate and the trace that produced it: a
+    GraphTrace from ``extract_graph``, a HypergraphTrace from
+    ``extract_hypergraph``."""
+
     kind: Literal["clique", "certificate"]
     clique: Optional[CliqueWitness]
     certificate: Optional[CompleteTupleCertificate]
-    trace: HypergraphTrace
+    trace: Union[GraphTrace, HypergraphTrace]
 
 
 @dataclass(frozen=True)
@@ -191,7 +187,7 @@ def _ordered_scores(scores: dict[Edge, int]) -> ScoreTable:
     return tuple(sorted(scores.items()))
 
 
-def extract_graph(G: KUniformHypergraph) -> GraphExtractionOutcome:
+def extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
     """Graph extraction (k = 2): verified clique or induced-K_{2,2} certificate.
 
     Guarantee, testable on every input: if G has no induced K_{2,2}, the
@@ -219,7 +215,7 @@ def extract_graph(G: KUniformHypergraph) -> GraphExtractionOutcome:
             bound=bound,
             bound_met=True,
         )
-        return GraphExtractionOutcome("clique", witness, None, trace)
+        return ExtractionOutcome("clique", witness, None, trace)
 
     adj = [G.links.get(1 << v, 0) for v in range(n)]
     mu: list[int] = []
@@ -238,28 +234,19 @@ def extract_graph(G: KUniformHypergraph) -> GraphExtractionOutcome:
     scores = _ordered_scores({t: s.bit_count() for t, s in common.items()})
 
     ebar = first_missing_edge(G, common[tau_star])
+    cert = witness = None
     if ebar is not None:
         cert = CompleteTupleCertificate((tau_star, ebar))
         ok, reason = verify_complete_tuple(G, cert)
         if not ok:
             raise InternalConsistencyError(f"graph certificate failed verification: {reason}", cert)
-        trace = GraphTrace(
-            mu_by_vertex=tuple(mu),
-            missing_in_neighborhood=tuple(m_counts),
-            tau_scores=scores,
-            chosen_tau=tau_star,
-            alpha=alpha,
-            bound=bound,
-            bound_met=True,
-        )
-        return GraphExtractionOutcome("certificate", None, cert, trace)
-
-    for s in common.values():
-        if first_missing_edge(G, s) is None:
-            candidates.append(mask_vertices(s))
-    best_size = max(len(c) for c in candidates)
-    best = min(c for c in candidates if len(c) == best_size)
-    witness = CliqueWitness(greedy_extend_clique(G, best))
+    else:
+        for s in common.values():
+            if first_missing_edge(G, s) is None:
+                candidates.append(mask_vertices(s))
+        best_size = max(len(c) for c in candidates)
+        best = min(c for c in candidates if len(c) == best_size)
+        witness = CliqueWitness(greedy_extend_clique(G, best))
     trace = GraphTrace(
         mu_by_vertex=tuple(mu),
         missing_in_neighborhood=tuple(m_counts),
@@ -267,14 +254,14 @@ def extract_graph(G: KUniformHypergraph) -> GraphExtractionOutcome:
         chosen_tau=tau_star,
         alpha=alpha,
         bound=bound,
-        bound_met=meets_theorem1_bound(len(witness), n, alpha),
+        bound_met=cert is not None or meets_theorem1_bound(len(witness), n, alpha),
     )
-    return GraphExtractionOutcome("clique", witness, None, trace)
+    return ExtractionOutcome("clique" if cert is None else "certificate", witness, cert, trace)
 
 
 def extract_hypergraph(
     H: KUniformHypergraph, m: int, *, max_family_subsets: int = DEFAULT_MAX_FAMILY
-) -> HypergraphExtractionOutcome:
+) -> ExtractionOutcome:
     """Iterated extraction: verified clique or complete-m-tuple certificate.
 
     Builds the family of all m-cliques, applies ``shrink_step`` m-1 times
@@ -308,7 +295,7 @@ def extract_hypergraph(
             bound_met=True,
             fallback=False,
         )
-        return HypergraphExtractionOutcome("clique", CliqueWitness(tuple(range(n))), None, trace)
+        return ExtractionOutcome("clique", CliqueWitness(tuple(range(n))), None, trace)
 
     fam = m_clique_family(H, m)
     cm = len(fam)
@@ -353,7 +340,7 @@ def extract_hypergraph(
 
     if fallback:
         witness = CliqueWitness(best)
-        return HypergraphExtractionOutcome("clique", witness, None, _trace(len(best) >= expected))
+        return ExtractionOutcome("clique", witness, None, _trace(len(best) >= expected))
 
     f1 = tuple(sorted(s[0] for s in fam))
     tau_m = first_missing_edge(H, sum(1 << v for v in f1))
@@ -364,7 +351,7 @@ def extract_hypergraph(
             raise InternalConsistencyError(
                 f"iterated extraction produced an invalid certificate: {reason}", cert
             )
-        return HypergraphExtractionOutcome("certificate", None, cert, _trace(True))
+        return ExtractionOutcome("certificate", None, cert, _trace(True))
 
     witness = CliqueWitness(greedy_extend_clique(H, f1))
-    return HypergraphExtractionOutcome("clique", witness, None, _trace(len(witness) >= expected))
+    return ExtractionOutcome("clique", witness, None, _trace(len(witness) >= expected))

@@ -27,7 +27,7 @@ from .core import (
     m_clique_family,
     mask_vertices,
 )
-from .extractor import HypergraphExtractionOutcome, extract_hypergraph
+from .extractor import ExtractionOutcome, extract_hypergraph
 from .forbidden import DEFAULT_BUDGET, TupleSearchResult, Verdict, find_complete_tuple
 
 Point = tuple[int, ...]
@@ -189,7 +189,7 @@ class HellyOutcome:
     alpha: Density
     kalai_target: float
     degraded: bool
-    extraction: HypergraphExtractionOutcome
+    extraction: ExtractionOutcome
 
 
 def fractional_helly_pipeline(family: BoxFamily) -> HellyOutcome:

@@ -22,6 +22,7 @@ from typing import Iterable, Optional
 
 from .bounds import beta_recursion, theorem1_bound
 from .core import (
+    BudgetExhaustedError,
     Density,
     KUniformHypergraph,
     SizeRefusalError,
@@ -56,6 +57,10 @@ class FrontierRecord:
         cls, H: KUniformHypergraph, m: int, budget: int = DEFAULT_BUDGET
     ) -> "FrontierRecord":
         result = find_complete_tuple(H, m, budget)
+        if result.verdict is Verdict.EXHAUSTED:
+            raise BudgetExhaustedError(
+                f"the tuple search verifying the record exhausted its budget of {budget} nodes"
+            )
         if result.verdict is not Verdict.ABSENT:
             raise ValueError(
                 f"instance does not qualify: tuple search verdict is {result.verdict.value}"
@@ -176,13 +181,16 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
     omega <= omega_cap (exact) together with a completed ABSENT verdict
     from the tuple search; candidates whose search exhausts its budget are
     discarded.  The best instance ever visited is what gets reported, and
-    it is re-verified from scratch.  Restart streams are derived by
+    it is re-verified from scratch (BudgetExhaustedError when that search
+    runs out of budget).  Restart streams are derived by
     splitting the master seed, so the result is bit-reproducible for a
     fixed config.
     """
     n, k, m = config.n, config.k, config.m
     if config.restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {config.restarts}")
+    if config.iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {config.iterations}")
     _check_search(n, k, config.omega_cap)
     positions = list(combinations(range(n), k))
     best: Optional[FrontierRecord] = None

@@ -37,7 +37,7 @@ from cliquecert import (
     verify_complete_tuple,
 )
 from cliquecert.core import Edge
-from cliquecert.extractor import GraphExtractionOutcome, GraphTrace, _ordered_scores
+from cliquecert.extractor import ExtractionOutcome, GraphTrace, _ordered_scores
 from cliquecert.forbidden import DEFAULT_BUDGET
 
 
@@ -284,7 +284,7 @@ def reference_shrink_step(
     return ShrinkResult(tau=tau, family=shrunk, scores=scores)
 
 
-def reference_extract_graph(G: KUniformHypergraph) -> GraphExtractionOutcome:
+def reference_extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
     """Graph extraction over neighbourhood sets and the missing-edge list."""
     if G.k != 2:
         raise ValueError(f"graph extraction requires k = 2, got k = {G.k}")
@@ -304,7 +304,7 @@ def reference_extract_graph(G: KUniformHypergraph) -> GraphExtractionOutcome:
             bound=bound,
             bound_met=True,
         )
-        return GraphExtractionOutcome("clique", witness, None, trace)
+        return ExtractionOutcome("clique", witness, None, trace)
 
     nbr: list[set[int]] = [set() for _ in range(n)]
     for a, b in G.edges:
@@ -348,7 +348,7 @@ def reference_extract_graph(G: KUniformHypergraph) -> GraphExtractionOutcome:
             bound=bound,
             bound_met=True,
         )
-        return GraphExtractionOutcome("certificate", None, cert, trace)
+        return ExtractionOutcome("certificate", None, cert, trace)
 
     for tau, s in common.items():
         sv = sorted(s)
@@ -366,7 +366,7 @@ def reference_extract_graph(G: KUniformHypergraph) -> GraphExtractionOutcome:
         bound=bound,
         bound_met=meets_theorem1_bound(len(witness), n, alpha),
     )
-    return GraphExtractionOutcome("clique", witness, None, trace)
+    return ExtractionOutcome("clique", witness, None, trace)
 
 
 def reference_nerve_edges(family: BoxFamily) -> frozenset[Edge]:

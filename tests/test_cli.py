@@ -1,10 +1,25 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquecert import hypergraph_from_dict, hypergraph_to_dict
 from cliquecert.cli import main
+from cliquecert.forbidden import DEFAULT_BUDGET
 from helpers import cycle_graph
+
+BOXES = {
+    "d": 1,
+    "boxes": [
+        {"lo": [0], "hi": [10]},
+        {"lo": [1], "hi": [9]},
+        {"lo": [2], "hi": [8]},
+        {"lo": [3], "hi": [7]},
+    ],
+}
 
 
 def write_json(path, doc):
@@ -29,16 +44,7 @@ def c4_file(tmp_path):
 
 @pytest.fixture
 def boxes_file(tmp_path):
-    doc = {
-        "d": 1,
-        "boxes": [
-            {"lo": [0], "hi": [10]},
-            {"lo": [1], "hi": [9]},
-            {"lo": [2], "hi": [8]},
-            {"lo": [3], "hi": [7]},
-        ],
-    }
-    return write_json(tmp_path / "boxes.json", doc)
+    return write_json(tmp_path / "boxes.json", BOXES)
 
 
 class TestExtract:
@@ -139,6 +145,14 @@ class TestArgumentErrors:
                 ["search", "--n", "4", "--k", "2", "--m", "2", "--omega-cap", "0", "--exhaustive"],
                 "omega_cap = 0",
             ),
+            (["bounds", "--alpha", "1e400", "--k", "2", "--m", "2", "--d", "1"], "alpha must lie"),
+            (
+                [
+                    "search", "--n", "5", "--k", "2", "--m", "2", "--omega-cap", "3",
+                    "--seed", "1", "--iters", "-1",
+                ],
+                "iterations must be >= 0, got -1",
+            ),
         ],
     )
     def test_exit_two_with_one_line_error(self, capsys, c4_file, argv, message):
@@ -188,9 +202,16 @@ class TestAnalyze:
         assert code == 2
         assert "error" in err
 
-    def test_nonexistent_file(self, capsys):
-        code, _, _ = run(capsys, "analyze", "--input", "/nonexistent/x.json")
-        assert code == 2
+    def test_nonexistent_file(self, capsys, tmp_path):
+        # Also the unreadable ones: a directory, and JSON nested too deeply
+        # for the parser's recursion limit.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        for path in ("/nonexistent/x.json", str(tmp_path), str(deep)):
+            code, out, err = run(capsys, "analyze", "--input", path)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 class TestNerveAndHelly:
@@ -256,6 +277,20 @@ class TestSearch:
         del r1["wall_time_s"], r2["wall_time_s"]
         assert r1 == r2
 
+    def test_exhausted_verification_exits_four(self, capsys):
+        # The final re-verification of the best instance runs out of budget:
+        # inconclusive, not an invalid input.
+        code, out, err = run(
+            capsys,
+            "search", "--n", "5", "--k", "2", "--m", "2", "--omega-cap", "3",
+            "--seed", "1", "--budget", "10",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "inconclusive: the tuple search verifying the record exhausted its budget of 10 nodes"
+        ]
+
     def test_size_refusal_exit_code(self, capsys):
         code, _, err = run(
             capsys,
@@ -308,3 +343,116 @@ class TestRoundTrips:
         code, out, err = run(capsys, "helly", "--input", boxes_file)
         assert code == 5
         assert json.loads(out.strip())["error"] == "internal-consistency failure"
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: the exit-code contract and the recorded parameters
+# ---------------------------------------------------------------------------
+
+SUBCOMMANDS = ("analyze", "forbidden", "extract", "bounds", "nerve", "helly", "search", "gen-boxes")
+INPUTS = ("instance", "boxes", "directory", "missing", "malformed")
+ALPHAS = ("0", "1", "1/2", "3/4", "0.25", "1e-400")
+BAD_ALPHAS = ("2", "-1/3", "1e400", "-1e400", "x/y", "1/0")
+# The parameters a report records for an option left out of the argv.
+DEFAULTS = {
+    "forbidden": {"budget": DEFAULT_BUDGET},
+    "extract": {"m": None, "algorithm": "hypergraph"},
+    "helly": {"budget": DEFAULT_BUDGET},
+    "search": {"restarts": 1, "seed": None, "exhaustive": False, "budget": DEFAULT_BUDGET},
+    "gen-boxes": {"spread": 100, "min_side": 0, "max_side": 40},
+}
+
+
+@st.composite
+def invocations(draw):
+    """A subcommand and its options, None marking one left out.
+
+    Four draws in five keep every documented rule, so that most runs get
+    past the argument checks; the fifth may break any of them.  Sizes stay
+    small: n <= 8 (n <= 5 for the exhaustive search, whose enumeration
+    doubles per k-subset), at most 50 iterations and budgets up to 10^4.
+    """
+    wild = draw(st.integers(0, 4)) == 0
+
+    def ints(lo, hi):
+        return draw(st.integers(-1 if wild else lo, hi))
+
+    def maybe(value):
+        return value if draw(st.booleans()) else None
+
+    sub = draw(st.sampled_from(SUBCOMMANDS))
+    own = "boxes" if sub in ("nerve", "helly") else "instance"
+    if sub in ("analyze", "forbidden", "extract", "nerve", "helly"):
+        drawn = {"input": draw(st.sampled_from(INPUTS)) if wild else own}
+    if sub == "forbidden":
+        drawn.update(m=ints(2, 6), budget=maybe(ints(0, 10**4)))
+    elif sub == "extract":
+        algorithm = draw(st.sampled_from(("hypergraph", "graph")))
+        drawn.update(m=maybe(ints(2, 6)), algorithm=maybe(algorithm))
+    elif sub == "helly":
+        drawn.update(budget=maybe(ints(0, 10**4)))
+    elif sub == "bounds":
+        k = ints(2, 5)
+        alpha = draw(st.sampled_from(ALPHAS + BAD_ALPHAS if wild else ALPHAS))
+        drawn = {"alpha": alpha, "k": k, "m": ints(k, 7), "d": ints(1, 4)}
+    elif sub == "search":
+        k = ints(2, 4)
+        exhaustive = maybe(True)
+        n = ints(k, 5 if exhaustive else 8)
+        drawn = {
+            "n": n, "k": k, "m": ints(k, 6), "omega_cap": ints(k - 1, max(n, 1)),
+            "iters": ints(0, 50), "restarts": maybe(ints(1, 3)),
+            "seed": maybe(draw(st.integers(0, 1000))) if wild else draw(st.integers(0, 1000)),
+            "exhaustive": exhaustive, "budget": maybe(ints(0, 10**4)),
+        }
+    elif sub == "gen-boxes":
+        min_side = maybe(ints(0, 20))
+        drawn = {
+            "n": ints(1, 8), "d": ints(1, 3), "seed": draw(st.integers(0, 1000)),
+            "spread": maybe(ints(0, 100)), "min_side": min_side,
+            "max_side": maybe(ints(min_side or 0, 50)),
+        }
+    return sub, drawn
+
+
+@pytest.fixture(scope="module")
+def input_pool(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pool")
+    malformed = root / "malformed.json"
+    malformed.write_text("{not json")
+    return {
+        "instance": write_json(root / "c5.json", hypergraph_to_dict(cycle_graph(5))),
+        "boxes": write_json(root / "boxes.json", BOXES),
+        "directory": str(root),
+        "missing": str(root / "missing.json"),
+        "malformed": str(malformed),
+    }
+
+
+class TestArgvFuzz:
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(invocations())
+    def test_exit_codes_and_parameters(self, input_pool, invocation):
+        sub, drawn = invocation
+        if "input" in drawn:
+            drawn["input"] = input_pool[drawn["input"]]
+        argv = [sub]
+        for dest, value in drawn.items():
+            if value is None:
+                continue
+            argv.append("--" + dest.replace("_", "-"))
+            if value is not True:
+                argv.append(str(value))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+        if code != 0:
+            return
+        report = last_json(out.getvalue())
+        expected = {**DEFAULTS.get(sub, {})}
+        expected.update((dest, v) for dest, v in drawn.items() if v is not None)
+        if sub == "extract" and expected["m"] is None:
+            expected["m"] = 2  # the instance's k
+        assert report["subcommand"] == sub
+        assert report["parameters"] == expected, argv
