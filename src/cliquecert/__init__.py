@@ -70,7 +70,6 @@ from .geometry import (
     build_nerve,
     colorful_check,
     fractional_helly_pipeline,
-    max_intersecting_subfamily,
     random_box_family,
 )
 from .search import (

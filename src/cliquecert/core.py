@@ -237,36 +237,40 @@ def max_clique(H: KUniformHypergraph) -> CliqueWitness:
     Vertices are tried in ascending order, so the witness is the
     lexicographically first maximum clique; a vertex v may join the
     current clique C only if every k-subset of C + {v} containing v is an
-    edge.  Candidates are a vertex bitmask narrowed by link ANDs.  Since
-    any set of fewer than k-1 vertices is a clique vacuously, the floor is
-    min(n, k-1) even for an edgeless instance.
+    edge.  Candidates are a vertex bitmask narrowed by link ANDs, one mask
+    per clique vertex on an explicit stack, so the depth is not bounded by
+    the interpreter's recursion limit.  Since any set of fewer than k-1
+    vertices is a clique vacuously, the floor is min(n, k-1) even for an
+    edgeless instance.
     """
-    best = list(range(min(H.n, H.k - 1)))
-    _branch(H.links, H.k, [], [], (1 << H.n) - 1, best)
-    return CliqueWitness(tuple(best))
-
-
-def _branch(
-    links: dict[int, int], k: int, clique: list[int], bits: list[int], cands: int,
-    best: list[int],
-) -> None:
-    # Replaces the contents of `best` by any larger clique made of `clique`
-    # and vertices of `cands`.
-    if len(clique) > len(best):
-        best[:] = clique
-    while cands:
-        if len(clique) + cands.bit_count() <= len(best):
-            break
+    k, links = H.k, H.links
+    best = list(range(min(H.n, k - 1)))
+    size = len(best)
+    # bits: the clique as vertex bits; stack[i]: the untried candidates of
+    # its prefix of length i.
+    bits: list[int] = []
+    stack = [(1 << H.n) - 1]
+    depth = 0
+    while stack:
+        cands = stack[-1]
+        if depth + cands.bit_count() <= size:
+            stack.pop()
+            if depth:
+                depth -= 1
+                bits.pop()
+            continue
         low = cands & -cands
         cands ^= low
-        # Candidates were already consistent with `clique`; only the
+        stack[-1] = cands
+        # Candidates were already consistent with the clique; only the
         # k-subsets pairing a later u with the new vertex need checking.
-        nxt = _narrow(links, bits, low, cands, k)
-        clique.append(low.bit_length() - 1)
+        stack.append(_narrow(links, bits, low, cands, k))
         bits.append(low)
-        _branch(links, k, clique, bits, nxt, best)
-        clique.pop()
-        bits.pop()
+        depth += 1
+        if depth > size:
+            best = [b.bit_length() - 1 for b in bits]
+            size = depth
+    return CliqueWitness(tuple(best))
 
 
 def greedy_extend_clique(H: KUniformHypergraph, base: Iterable[int] = ()) -> tuple[int, ...]:

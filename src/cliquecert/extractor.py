@@ -259,9 +259,7 @@ def extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
     return ExtractionOutcome("clique" if cert is None else "certificate", witness, cert, trace)
 
 
-def extract_hypergraph(
-    H: KUniformHypergraph, m: int, *, max_family_subsets: int = DEFAULT_MAX_FAMILY
-) -> ExtractionOutcome:
+def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
     """Iterated extraction: verified clique or complete-m-tuple certificate.
 
     Builds the family of all m-cliques, applies ``shrink_step`` m-1 times
@@ -270,16 +268,17 @@ def extract_hypergraph(
     otherwise F_1 is a clique and is greedily extended.  A stalled round
     (no scoring missing edge, or an empty family) returns the best greedy
     clique seen so far with the fallback flag set; small instances stall
-    legitimately since the shrink guarantee is asymptotic.
+    legitimately since the shrink guarantee is asymptotic.  Refuses when
+    C(n, m) exceeds ``DEFAULT_MAX_FAMILY``.
     """
     if m < H.k:
         raise ValueError(f"m must be >= k = {H.k}, got {m}")
     n, k = H.n, H.k
     total = math.comb(n, m)
-    if total > max_family_subsets:
+    if total > DEFAULT_MAX_FAMILY:
         raise SizeRefusalError(
             f"enumerating C({n},{m}) = {total} m-subsets exceeds the cap of "
-            f"{max_family_subsets}; raise max_family_subsets to proceed"
+            f"{DEFAULT_MAX_FAMILY}"
         )
 
     if len(H.edges) == math.comb(n, k):

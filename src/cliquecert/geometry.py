@@ -15,7 +15,6 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Mapping, Optional, Sequence
 
 from .bounds import kalai_bound
@@ -76,21 +75,27 @@ class BoxFamily:
         return len(self.boxes)
 
     @cached_property
-    def nerve_hypergraph(self) -> KUniformHypergraph:
-        """The (d+1)-uniform intersection hypergraph, built once per family.
+    def intersection_graph(self) -> KUniformHypergraph:
+        """The pairwise-intersection graph G, built once per family: i ~ j
+        when boxes i and j share a point.
 
         Boxes have Helly number 2: a subfamily shares a point exactly when
         its boxes meet pairwise, since in each coordinate the largest lo is
         at most the smallest hi exactly when every lo is at most every hi.
-        So the edges are the (d+1)-cliques of the pairwise-intersection
-        graph.  ``build_nerve`` returns it.
+        So the nerve is the (d+1)-clique family of G, and the largest
+        subfamily with a common point is ``max_clique(G)``.
         """
         n = len(self.boxes)
         pairs = _pairwise_intersections(self.boxes, self.d)
         edges = [(i, j) for i in range(n) for j in mask_vertices(pairs[i] >> (i + 1) << (i + 1))]
-        graph = KUniformHypergraph(n=n, k=2, edges=frozenset(edges))
-        cliques = m_clique_family(graph, self.d + 1)
-        return KUniformHypergraph(n=n, k=self.d + 1, edges=frozenset(cliques))
+        return KUniformHypergraph(n=n, k=2, edges=frozenset(edges))
+
+    @cached_property
+    def nerve_hypergraph(self) -> KUniformHypergraph:
+        """The (d+1)-uniform intersection hypergraph, built once per family
+        from ``intersection_graph``.  ``build_nerve`` returns it."""
+        cliques = m_clique_family(self.intersection_graph, self.d + 1)
+        return KUniformHypergraph(n=len(self.boxes), k=self.d + 1, edges=frozenset(cliques))
 
 
 def _pairwise_intersections(boxes: Sequence[Box], d: int) -> list[int]:
@@ -234,29 +239,6 @@ def fractional_helly_pipeline(family: BoxFamily) -> HellyOutcome:
     )
 
 
-def max_intersecting_subfamily(family: BoxFamily) -> tuple[int, tuple[int, ...]]:
-    """Exact largest subfamily with a common point, via the lo-corner grid.
-
-    Any nonempty intersection of boxes contains the point whose j-th
-    coordinate is the largest lo[j] over the subfamily, which is some box's
-    lo[j]; so sweeping the grid of per-coordinate lo values and counting
-    containment is exhaustive.  Returns (size, sorted indices); ties are
-    resolved toward the lexicographically smallest candidate point.
-    """
-    boxes = family.boxes
-    if not boxes:
-        return 0, ()
-    axes = [sorted({b.lo[j] for b in boxes}) for j in range(family.d)]
-    best_size = 0
-    best_indices: tuple[int, ...] = ()
-    for p in product(*axes):
-        hits = [i for i, b in enumerate(boxes) if b.contains(p)]
-        if len(hits) > best_size:
-            best_size = len(hits)
-            best_indices = tuple(hits)
-    return best_size, best_indices
-
-
 def random_box_family(
     n: int,
     d: int,
@@ -271,6 +253,8 @@ def random_box_family(
     controls the expected pairwise-intersection density."""
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    if spread < 0:
+        raise ValueError(f"need spread >= 0, got spread={spread}")
     if not 0 <= min_side <= max_side:
         raise ValueError(f"need 0 <= min_side <= max_side, got {min_side}, {max_side}")
     rng = random.Random(seed)

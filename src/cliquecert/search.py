@@ -106,13 +106,7 @@ def _check_search(n: int, k: int, omega_cap: int) -> None:
 
 
 def exhaustive_frontier(
-    n: int,
-    k: int,
-    m: int,
-    omega_cap: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    max_enumeration: int = DEFAULT_MAX_ENUMERATION,
+    n: int, k: int, m: int, omega_cap: int, *, budget: int = DEFAULT_BUDGET
 ) -> Optional[FrontierRecord]:
     """Maximum c_m over all edge subsets with omega <= omega_cap and a
     completed proof of no complete m-tuple.
@@ -120,18 +114,22 @@ def exhaustive_frontier(
     Edge subsets are enumerated as bitmasks over the lexicographically
     sorted k-subsets; among the maximizers the lowest mask wins, which
     pins the witness deterministically.  Refuses enumerations larger than
-    ``max_enumeration`` instances.
+    ``DEFAULT_MAX_ENUMERATION`` instances.  A candidate whose tuple search
+    exhausts ``budget`` is skipped; if one of them had at least the
+    winner's c_m, the result is inconclusive and BudgetExhaustedError is
+    raised.
     """
     _check_search(n, k, omega_cap)
     positions = list(combinations(range(n), k))
     total = 1 << len(positions)
-    if total > max_enumeration:
+    if total > DEFAULT_MAX_ENUMERATION:
         raise SizeRefusalError(
             f"exhaustive search over 2^{len(positions)} = {total} instances exceeds "
-            f"the cap of {max_enumeration}"
+            f"the cap of {DEFAULT_MAX_ENUMERATION}"
         )
     best_mask_edges = None
     best_cm = -1
+    exhausted_cm = -1
     for mask in range(total):
         edges = frozenset(pos for i, pos in enumerate(positions) if mask >> i & 1)
         H = KUniformHypergraph(n=n, k=k, edges=edges)
@@ -140,10 +138,18 @@ def exhaustive_frontier(
         cm = count_m_cliques(H, m)
         if cm <= best_cm:
             continue
-        if find_complete_tuple(H, m, budget).verdict is not Verdict.ABSENT:
+        verdict = find_complete_tuple(H, m, budget).verdict
+        if verdict is Verdict.EXHAUSTED:
+            exhausted_cm = max(exhausted_cm, cm)
+        if verdict is not Verdict.ABSENT:
             continue
         best_cm = cm
         best_mask_edges = edges
+    if exhausted_cm >= 0 and exhausted_cm >= best_cm:
+        raise BudgetExhaustedError(
+            f"a candidate with c_m = {exhausted_cm} exhausted the tuple search budget of "
+            f"{budget} nodes, so the maximum is undecided"
+        )
     if best_mask_edges is None:
         return None
     winner = KUniformHypergraph(n=n, k=k, edges=best_mask_edges)

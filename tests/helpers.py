@@ -10,9 +10,10 @@ unchanged so that verdicts, certificates and node counts can be compared.
 The other ``reference_*`` functions are the subset-scanning kernels that
 the link-index kernels replaced (m-clique family, tau scores, shrink step,
 greedy and maximum clique, graph extraction), the all-subsets nerve
-construction that the pairwise one replaced, and the set-based missing-edge
-matching and tuple neighbourhood that the mask-based ones replaced, kept
-unchanged for the same purpose.
+construction that the pairwise one replaced, the set-based missing-edge
+matching and tuple neighbourhood that the mask-based ones replaced, and
+the lo-corner grid sweep that ``max_clique`` on the pairwise-intersection
+graph replaced, kept unchanged for the same purpose.
 """
 
 from __future__ import annotations
@@ -377,6 +378,29 @@ def reference_nerve_edges(family: BoxFamily) -> frozenset[Edge]:
         for idx in combinations(range(len(family.boxes)), k)
         if boxes_intersect([family.boxes[i] for i in idx]) is not None
     )
+
+
+def reference_max_intersecting_subfamily(family: BoxFamily) -> tuple[int, tuple[int, ...]]:
+    """Exact largest subfamily with a common point, via the lo-corner grid.
+
+    Any nonempty intersection of boxes contains the point whose j-th
+    coordinate is the largest lo[j] over the subfamily, which is some box's
+    lo[j]; so sweeping the grid of per-coordinate lo values and counting
+    containment is exhaustive.  Returns (size, sorted indices); ties are
+    resolved toward the lexicographically smallest candidate point.
+    """
+    boxes = family.boxes
+    if not boxes:
+        return 0, ()
+    axes = [sorted({b.lo[j] for b in boxes}) for j in range(family.d)]
+    best_size = 0
+    best_indices: tuple[int, ...] = ()
+    for p in product(*axes):
+        hits = [i for i, b in enumerate(boxes) if b.contains(p)]
+        if len(hits) > best_size:
+            best_size = len(hits)
+            best_indices = tuple(hits)
+    return best_size, best_indices
 
 
 def reference_maximal_missing_matching(H: KUniformHypergraph, S: Iterable[int]) -> list[Edge]:

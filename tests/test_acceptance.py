@@ -33,7 +33,6 @@ from cliquecert import (
     kalai_bound,
     lemma31_lower_bound,
     max_clique,
-    max_intersecting_subfamily,
     meets_chordal_bound,
     meets_kalai_bound_with_slack,
     meets_theorem1_bound,
@@ -41,7 +40,7 @@ from cliquecert import (
     theorem1_bound,
     verify_complete_tuple,
 )
-from helpers import missing_inside, nine_vertex_example
+from helpers import missing_inside, nine_vertex_example, reference_max_intersecting_subfamily
 
 MASTER_SEED = 20260809
 
@@ -165,7 +164,10 @@ def test_criterion_06_kalai_bound(helly_families):
     with criterion(6, "Kalai bound with 1/n slack on every criterion-5 family"):
         for fam, nerve in helly_families:
             n = len(fam.boxes)
-            size, _ = max_intersecting_subfamily(fam)
+            # Helly number 2: the optimum is a maximum clique of the
+            # pairwise-intersection graph; the grid sweep cross-checks it.
+            size = len(max_clique(fam.intersection_graph))
+            assert size == reference_max_intersecting_subfamily(fam)[0]
             assert meets_kalai_bound_with_slack(size, n, nerve.edge_density(), fam.d), (
                 f"violation: d={fam.d} n={n} size={size} alpha={nerve.edge_density()}"
             )
@@ -176,7 +178,7 @@ def test_criterion_07_katchalski_abbott_intervals():
         for seed in range(1000):
             fam = random_box_family(40, 1, seed)
             nerve = build_nerve(fam)
-            size, _ = max_intersecting_subfamily(fam)
+            size = len(max_clique(fam.intersection_graph))
             assert meets_chordal_bound(size, 40, nerve.edge_density()), (
                 f"violation: seed={seed} size={size} alpha={nerve.edge_density()}"
             )

@@ -153,6 +153,7 @@ class TestArgumentErrors:
                 ],
                 "iterations must be >= 0, got -1",
             ),
+            (["gen-boxes", "--n", "3", "--d", "1", "--seed", "1", "--spread", "-1"], "spread"),
         ],
     )
     def test_exit_two_with_one_line_error(self, capsys, c4_file, argv, message):
@@ -278,18 +279,32 @@ class TestSearch:
         assert r1 == r2
 
     def test_exhausted_verification_exits_four(self, capsys):
-        # The final re-verification of the best instance runs out of budget:
-        # inconclusive, not an invalid input.
-        code, out, err = run(
-            capsys,
-            "search", "--n", "5", "--k", "2", "--m", "2", "--omega-cap", "3",
-            "--seed", "1", "--budget", "10",
-        )
-        assert code == 4
-        assert out == ""
-        assert err.strip().splitlines() == [
-            "inconclusive: the tuple search verifying the record exhausted its budget of 10 nodes"
+        # Inconclusive, not an invalid input: the final re-verification of
+        # the best instance runs out of budget, or a candidate the exhaustive
+        # search had to skip could have beaten the best record.
+        cases = [
+            (
+                [
+                    "search", "--n", "5", "--k", "2", "--m", "2", "--omega-cap", "3",
+                    "--seed", "1", "--budget", "10",
+                ],
+                "inconclusive: the tuple search verifying the record exhausted its budget "
+                "of 10 nodes",
+            ),
+            (
+                [
+                    "search", "--n", "4", "--k", "2", "--m", "2", "--omega-cap", "2",
+                    "--exhaustive", "--budget", "0",
+                ],
+                "inconclusive: a candidate with c_m = 4 exhausted the tuple search budget "
+                "of 0 nodes, so the maximum is undecided",
+            ),
         ]
+        for argv, line in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == 4
+            assert out == ""
+            assert err.strip().splitlines() == [line]
 
     def test_size_refusal_exit_code(self, capsys):
         code, _, err = run(

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -142,6 +143,18 @@ class TestMaxClique:
         for _ in range(40):
             H = random_hypergraph(rng, rng.randint(3, 10), rng.choice([2, 3]), rng.random())
             assert len(max_clique(H).vertices) == brute_force_max_clique(H)
+
+    def test_depth_not_bounded_by_recursion_limit(self):
+        # The search keeps its own stack: a 250-vertex clique is found even
+        # when the interpreter allows far fewer nested calls.
+        H = complete_graph(250)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            witness = max_clique(H)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert witness.vertices == tuple(range(250))
 
 
 class TestMissingEdges:

@@ -220,7 +220,8 @@ class TestExtractHypergraph:
 
     def test_size_refusal(self):
         with pytest.raises(SizeRefusalError):
-            extract_hypergraph(edgeless(12, 2), 6, max_family_subsets=100)
+            # C(30, 10) = 30,045,015 m-subsets, above the 2,000,000 cap
+            extract_hypergraph(edgeless(30, 2), 10)
 
     def test_fallback_on_stalled_instance(self):
         two_k2 = graph(4, [(0, 1), (2, 3)])

@@ -7,20 +7,26 @@ import pytest
 from cliquecert import (
     Box,
     BoxFamily,
+    CompleteTupleCertificate,
+    KUniformHypergraph,
     Verdict,
     box_family_from_dict,
     box_family_to_dict,
     boxes_intersect,
     build_nerve,
     colorful_check,
+    find_complete_tuple,
     fractional_helly_pipeline,
     has_induced_biclique,
-    max_intersecting_subfamily,
+    m_clique_family,
+    max_clique,
     meets_chordal_bound,
     meets_kalai_bound_with_slack,
     random_box_family,
+    verify_complete_tuple,
 )
 from cliquecert import InputFormatError
+from helpers import random_hypergraph, reference_max_intersecting_subfamily
 
 
 def intervals(*pairs) -> BoxFamily:
@@ -115,7 +121,19 @@ class TestBuildNerve:
         assert calls == [9]
         del calls[:]
         assert build_nerve(fam) is fam.nerve_hypergraph
+        assert fam.intersection_graph.n == 9
         assert calls == []
+
+    def test_nerve_is_clique_family_of_intersection_graph(self):
+        for d in (1, 2, 3):
+            for seed in range(5):
+                fam = random_box_family(12, d, seed, spread=30, max_side=20)
+                G = fam.intersection_graph
+                assert G.k == 2 and G.n == 12
+                for i, j in combinations(range(12), 2):
+                    meets = boxes_intersect([fam.boxes[i], fam.boxes[j]]) is not None
+                    assert ((i, j) in G.edges) == meets
+                assert build_nerve(fam).sorted_edges == m_clique_family(G, d + 1)
 
 
 class TestColorfulCheck:
@@ -140,6 +158,41 @@ class TestColorfulCheck:
             fam = random_box_family(10, 2, seed, spread=40, max_side=30)
             assert colorful_check(fam).verdict is Verdict.ABSENT
 
+    def test_intersection_graph_has_no_induced_k2_3(self):
+        # K_2(3) has boxicity 3 (Roberts 1969), so the pairwise-intersection
+        # graph of planar boxes has no complete 3-tuple of missing edges;
+        # checked on the criterion-5 planar families.
+        for seed in range(100):
+            fam = random_box_family(12, 2, seed, spread=40, max_side=30)
+            assert find_complete_tuple(fam.intersection_graph, 3).verdict is Verdict.ABSENT
+
+
+class TestPairwiseGraphLemma:
+    def test_nerve_tuple_gives_graph_tuple(self):
+        # If the (d+1)-clique hypergraph of a graph G has a complete
+        # (d+1)-tuple, one non-adjacent pair from each of its tuples is a
+        # complete (d+1)-tuple of missing edges of G: vertices from
+        # different tuples lie in a common transversal, a clique of G.
+        rng = random.Random(2026)
+        found = 0
+        for _ in range(200):
+            n = rng.randint(9, 12)
+            G = random_hypergraph(rng, n, 2, rng.uniform(0.5, 0.95))
+            for d in (2, 3):
+                nerve = KUniformHypergraph(n=n, k=d + 1, edges=frozenset(m_clique_family(G, d + 1)))
+                res = find_complete_tuple(nerve, d + 1)
+                assert res.verdict is not Verdict.EXHAUSTED
+                if res.verdict is not Verdict.FOUND:
+                    continue
+                found += 1
+                pairs = tuple(
+                    next(e for e in combinations(T, 2) if e not in G.edges)
+                    for T in res.certificate.tuples
+                )
+                ok, reason = verify_complete_tuple(G, CompleteTupleCertificate(pairs))
+                assert ok, reason
+        assert found >= 20
+
 
 class TestHellyPipeline:
     def test_all_sharing_returns_whole_family(self):
@@ -160,8 +213,7 @@ class TestHellyPipeline:
             fam = random_box_family(10, 1, seed, max_side=60)
             out = fractional_helly_pipeline(fam)
             assert all(fam.boxes[i].contains(out.point) for i in out.indices)
-            size, _ = max_intersecting_subfamily(fam)
-            assert len(out.indices) <= size
+            assert len(out.indices) <= len(max_clique(fam.intersection_graph))
 
     def test_dense_intervals_against_oracle(self):
         hits = 0
@@ -177,31 +229,42 @@ class TestHellyPipeline:
 
 
 class TestMaxIntersectingSubfamily:
+    # Boxes have Helly number 2, so the largest subfamily with a common point
+    # is a maximum clique of the pairwise-intersection graph.
+    @staticmethod
+    def optimum(fam: BoxFamily) -> tuple[int, ...]:
+        return max_clique(fam.intersection_graph).vertices
+
     def test_disjoint(self):
-        size, idx = max_intersecting_subfamily(intervals((0, 1), (2, 3), (4, 5)))
-        assert size == 1
+        assert len(self.optimum(intervals((0, 1), (2, 3), (4, 5)))) == 1
 
     def test_all_share(self):
-        size, idx = max_intersecting_subfamily(intervals((0, 9), (1, 9), (2, 9)))
-        assert size == 3
-        assert idx == (0, 1, 2)
+        assert self.optimum(intervals((0, 9), (1, 9), (2, 9))) == (0, 1, 2)
 
     def test_sweep_example(self):
-        size, idx = max_intersecting_subfamily(intervals((0, 2), (1, 3), (2, 4), (5, 6)))
-        assert size == 3
-        assert idx == (0, 1, 2)
+        fam = intervals((0, 2), (1, 3), (2, 4), (5, 6))
+        assert self.optimum(fam) == (0, 1, 2)
+        assert reference_max_intersecting_subfamily(fam) == (3, (0, 1, 2))
 
     def test_agrees_with_subset_enumeration(self):
         for seed in range(10):
             fam = random_box_family(7, 2, seed, spread=15, max_side=10)
-            size, idx = max_intersecting_subfamily(fam)
+            idx = self.optimum(fam)
             assert boxes_intersect([fam.boxes[i] for i in idx]) is not None
             best = 0
             for r in range(1, 8):
                 for S in combinations(range(7), r):
                     if boxes_intersect([fam.boxes[i] for i in S]) is not None:
                         best = max(best, r)
-            assert size == best
+            assert len(idx) == best
+
+    def test_agrees_with_grid_sweep(self):
+        for d, n in ((1, 30), (2, 20), (3, 14)):
+            for seed in range(20):
+                fam = random_box_family(n, d, seed, spread=40, max_side=30)
+                idx = self.optimum(fam)
+                assert boxes_intersect([fam.boxes[i] for i in idx]) is not None
+                assert len(idx) == reference_max_intersecting_subfamily(fam)[0]
 
 
 class TestRandomBoxFamily:
@@ -232,6 +295,8 @@ class TestRandomBoxFamily:
             random_box_family(0, 1, 1)
         with pytest.raises(ValueError):
             random_box_family(3, 1, 1, min_side=5, max_side=2)
+        with pytest.raises(ValueError, match="spread"):
+            random_box_family(3, 1, 1, spread=-1)
 
 
 class TestBoundConnections:
@@ -239,14 +304,14 @@ class TestBoundConnections:
         for seed in range(25):
             fam = random_box_family(12, 2, seed, spread=40, max_side=30)
             nerve = build_nerve(fam)
-            size, _ = max_intersecting_subfamily(fam)
+            size = len(max_clique(fam.intersection_graph))
             assert meets_kalai_bound_with_slack(size, 12, nerve.edge_density(), 2)
 
     def test_interval_chordal_bound_on_samples(self):
         for seed in range(25):
             fam = random_box_family(20, 1, seed)
             nerve = build_nerve(fam)
-            size, _ = max_intersecting_subfamily(fam)
+            size = len(max_clique(fam.intersection_graph))
             assert meets_chordal_bound(size, 20, nerve.edge_density())
 
 

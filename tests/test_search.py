@@ -47,7 +47,8 @@ class TestExhaustiveFrontier:
 
     def test_size_refusal(self):
         with pytest.raises(SizeRefusalError):
-            exhaustive_frontier(8, 2, 2, 3, max_enumeration=1 << 20)
+            # 2^28 edge subsets, above the 2^22 cap
+            exhaustive_frontier(8, 2, 2, 3)
 
 
 class TestFrontierRecord:
