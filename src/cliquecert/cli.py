@@ -1,9 +1,9 @@
 """Command-line interface.
 
 One binary, eight subcommands, uniform JSON I/O: every run prints a single
-self-contained report document on stdout (the ``search`` subcommand
-additionally streams one JSON line per frontier record before it), with
-human-readable diagnostics on stderr only.
+self-contained report document on stdout (``search`` prints exactly one
+frontier-record line before it), with human-readable diagnostics on
+stderr only.
 
 Exit codes:
   0  success
@@ -54,7 +54,6 @@ from .geometry import (
     random_box_family,
 )
 from .search import (
-    FrontierRecord,
     HillClimbConfig,
     exhaustive_frontier,
     format_beta_table,
@@ -256,11 +255,8 @@ def _cmd_helly(args) -> tuple:
 
 
 def _cmd_search(args) -> tuple:
-    records: list[FrontierRecord] = []
     if args.exhaustive:
         rec = exhaustive_frontier(args.n, args.k, args.m, args.omega_cap, budget=args.budget)
-        if rec is not None:
-            records.append(rec)
     else:
         if args.seed is None:
             raise InputFormatError("--seed is required for randomized search")
@@ -274,10 +270,9 @@ def _cmd_search(args) -> tuple:
             seed=args.seed,
             tuple_budget=args.budget,
         )
-        records.append(hill_climb(config))
-    for rec in records:
-        print(_dumps(rec.to_dict()))
-    rows = report_beta_upper(records)
+        rec = hill_climb(config)
+    print(_dumps(rec.to_dict()))
+    rows = report_beta_upper((rec,))
     print(format_beta_table(rows), file=sys.stderr)
     outcome = {
         "rows": [
@@ -291,7 +286,7 @@ def _cmd_search(args) -> tuple:
             }
             for r in rows
         ],
-        "records": len(records),
+        "records": 1,
     }
     return None, outcome, 0
 

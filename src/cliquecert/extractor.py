@@ -222,11 +222,14 @@ def extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
     m_counts: list[int] = []
     candidates: list[tuple[int, ...]] = []
     for v in range(n):
-        matching = maximal_missing_matching(G, adj[v])
+        nv = adj[v]
+        matching = maximal_missing_matching(G, nv)
         mu.append(len(matching))
-        m_counts.append(sum(miss.bit_count() for _, miss in missing_completions(G, adj[v])))
+        # C(|N_v|, 2) minus the edges inside N_v, each counted from both ends.
+        twice_inside = sum((adj[u] & nv).bit_count() for u in mask_vertices(nv))
+        m_counts.append(math.comb(nv.bit_count(), 2) - twice_inside // 2)
         # The matched edges are disjoint, so their sum is their union.
-        candidates.append(mask_vertices(adj[v] & ~sum(matching) | 1 << v))
+        candidates.append(mask_vertices(nv & ~sum(matching) | 1 << v))
 
     common = {tau: adj[tau[0]] & adj[tau[1]] for tau in miss}
     top = max(s.bit_count() for s in common.values())

@@ -159,7 +159,6 @@ def find_complete_tuple(
         later.append(mask)
     chosen: list[int] = []
     nodes = 0
-    out_of_budget = False
 
     links, vertices = H.links, (1 << n) - 1
 
@@ -188,14 +187,6 @@ def find_complete_tuple(
                 out.append(mask)
         return out
 
-    def charge(count: int) -> bool:
-        nonlocal nodes, out_of_budget
-        nodes += count
-        if nodes > budget:
-            nodes = budget + 1
-            out_of_budget = True
-        return not out_of_budget
-
     def rows_for(pick_masks: list[int]) -> _Memo:
         # rows[t]: AND of inside[p + t] over the picks p.
         def row(t: int) -> int:
@@ -208,7 +199,9 @@ def find_complete_tuple(
 
     def extend(cands: int, allowed: int) -> bool:
         # Try each admissible candidate for the tuple at this depth, which
-        # is at most m - 2; the last tuple is decided inline.
+        # is at most m - 2; the last tuple is decided inline.  A search out
+        # of budget (nodes > budget) returns False at once, all the way up.
+        nonlocal nodes
         depth = len(chosen)
         hits = cands & allowed
         rows = rows_for(picks(depth))
@@ -230,20 +223,22 @@ def find_complete_tuple(
                     final &= rows[t]
                 if final:
                     last = final & -final
-                    passed = (cands & (2 * low - 1)).bit_count()
-                    if not charge(passed + after + (nxt & (2 * last - 1)).bit_count()):
+                    nodes += (cands & (2 * low - 1)).bit_count() + after
+                    nodes += (nxt & (2 * last - 1)).bit_count()
+                    if nodes > budget:
                         return False
                     chosen.extend((i, last.bit_length() - 1))
                     return True
                 after += nxt.bit_count()
-            charge(cands.bit_count() + after)
+            nodes += cands.bit_count() + after
             return False
         while hits:
             low = hits & -hits
             hits ^= low
             passed = cands & (2 * low - 1)
             cands ^= passed
-            if not charge(passed.bit_count()):
+            nodes += passed.bit_count()
+            if nodes > budget:
                 return False
             i = low.bit_length() - 1
             nxt = cands & later[i]
@@ -256,9 +251,9 @@ def find_complete_tuple(
             if extend(nxt, narrowed):
                 return True
             chosen.pop()
-            if out_of_budget:
+            if nodes > budget:
                 return False
-        charge(cands.bit_count())
+        nodes += cands.bit_count()
         return False
 
     hit = len(missing) >= m and extend(full, full)
@@ -271,8 +266,8 @@ def find_complete_tuple(
         if not ok:
             raise InternalConsistencyError(f"search produced an invalid certificate: {reason}", cert)
         return TupleSearchResult(Verdict.FOUND, cert, nodes)
-    if out_of_budget:
-        return TupleSearchResult(Verdict.EXHAUSTED, None, nodes)
+    if nodes > budget:
+        return TupleSearchResult(Verdict.EXHAUSTED, None, budget + 1)
     return TupleSearchResult(Verdict.ABSENT, None, nodes)
 
 
@@ -281,26 +276,39 @@ def has_induced_biclique(G: KUniformHypergraph, m: int) -> bool:
 
     A 2m-subset W induces K_2(m) exactly when every vertex of W has exactly
     one non-neighbor inside W; the non-adjacency relation is then a perfect
-    matching and all cross pairs are edges.  Implemented over vertex
-    bitmasks, independently of the tuple backtracking above.
+    matching and all cross pairs are edges.  W grows in ascending order
+    over vertex bitmasks built from ``G.edges``, independently of the
+    tuple backtracking above and of the link index.  A vertex is skipped
+    when it would give some vertex of W two non-neighbors in W, and a
+    branch is dropped when the vertices of W still without a non-neighbor
+    outnumber the free slots: each later vertex partners at most one.
     """
     if G.k != 2:
         raise ValueError(f"induced biclique detection requires k = 2, got k = {G.k}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     n = G.n
-    if 2 * m > n:
-        return False
     adj = [0] * n
     for a, b in G.edges:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     full = (1 << n) - 1
     nonadj = [full & ~adj[v] & ~(1 << v) for v in range(n)]
-    for W in combinations(range(n), 2 * m):
-        mask = 0
-        for w in W:
-            mask |= 1 << w
-        if all((mask & nonadj[w]).bit_count() == 1 for w in W):
+
+    def grow(W: int, lonely: int, start: int, free: int) -> bool:
+        # lonely: the vertices of W with no non-neighbor in W yet.
+        if lonely.bit_count() > free:
+            return False
+        if not free:
             return True
-    return False
+        for v in range(start, n - free + 1):
+            hits = nonadj[v] & W
+            if hits & ~lonely or hits.bit_count() > 1:
+                continue
+            # v pairs with its one non-neighbor in W, or waits for one.
+            lone = lonely ^ hits if hits else lonely | 1 << v
+            if grow(W | 1 << v, lone, v + 1, free - 1):
+                return True
+        return False
+
+    return grow(0, 0, 0, 2 * m)

@@ -71,9 +71,6 @@ class BoxFamily:
             if box.d != self.d:
                 raise ValueError(f"boxes[{i}] has dimension {box.d}, family has {self.d}")
 
-    def __len__(self) -> int:
-        return len(self.boxes)
-
     @cached_property
     def intersection_graph(self) -> KUniformHypergraph:
         """The pairwise-intersection graph G, built once per family: i ~ j

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .bounds import beta_recursion, theorem1_bound
 from .core import (
@@ -107,7 +107,7 @@ def _check_search(n: int, k: int, omega_cap: int) -> None:
 
 def exhaustive_frontier(
     n: int, k: int, m: int, omega_cap: int, *, budget: int = DEFAULT_BUDGET
-) -> Optional[FrontierRecord]:
+) -> FrontierRecord:
     """Maximum c_m over all edge subsets with omega <= omega_cap and a
     completed proof of no complete m-tuple.
 
@@ -117,7 +117,8 @@ def exhaustive_frontier(
     ``DEFAULT_MAX_ENUMERATION`` instances.  A candidate whose tuple search
     exhausts ``budget`` is skipped; if one of them had at least the
     winner's c_m, the result is inconclusive and BudgetExhaustedError is
-    raised.
+    raised.  Otherwise there is always a winner: mask 0, the edgeless
+    instance, has omega = k-1 <= omega_cap and no complete m-tuple.
     """
     _check_search(n, k, omega_cap)
     positions = list(combinations(range(n), k))
@@ -127,7 +128,7 @@ def exhaustive_frontier(
             f"exhaustive search over 2^{len(positions)} = {total} instances exceeds "
             f"the cap of {DEFAULT_MAX_ENUMERATION}"
         )
-    best_mask_edges = None
+    best = None
     best_cm = -1
     exhausted_cm = -1
     for mask in range(total):
@@ -144,16 +145,13 @@ def exhaustive_frontier(
         if verdict is not Verdict.ABSENT:
             continue
         best_cm = cm
-        best_mask_edges = edges
+        best = H
     if exhausted_cm >= 0 and exhausted_cm >= best_cm:
         raise BudgetExhaustedError(
             f"a candidate with c_m = {exhausted_cm} exhausted the tuple search budget of "
             f"{budget} nodes, so the maximum is undecided"
         )
-    if best_mask_edges is None:
-        return None
-    winner = KUniformHypergraph(n=n, k=k, edges=best_mask_edges)
-    return FrontierRecord.from_instance(winner, m, budget)
+    return FrontierRecord.from_instance(best, m, budget)
 
 
 @dataclass(frozen=True)
@@ -199,39 +197,28 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
         raise ValueError(f"iterations must be >= 0, got {config.iterations}")
     _check_search(n, k, config.omega_cap)
     positions = list(combinations(range(n), k))
-    best: Optional[FrontierRecord] = None
-    best_cm = -1
+    best = None
     for restart in range(config.restarts):
         rng = random.Random(_restart_seed(config.seed, restart))
-        edges: set[tuple[int, ...]] = set()
-        cur_cm = count_m_cliques(KUniformHypergraph(n=n, k=k, edges=frozenset()), m)
-        restart_best_edges = frozenset(edges)
-        restart_best_cm = cur_cm
+        # The edgeless start has no m-clique, since m >= k.
+        cur = restart_best = KUniformHypergraph(n=n, k=k, edges=frozenset())
+        cur_cm = restart_best_cm = 0
         for _ in range(config.iterations):
             pos = positions[rng.randrange(len(positions))]
-            adding = pos not in edges
-            trial = set(edges)
-            if adding:
-                trial.add(pos)
-            else:
-                trial.remove(pos)
-            H2 = KUniformHypergraph(n=n, k=k, edges=frozenset(trial))
-            cm2 = count_m_cliques(H2, m)
+            trial = KUniformHypergraph(n=n, k=k, edges=cur.edges ^ {pos})
+            cm2 = count_m_cliques(trial, m)
             if cm2 < cur_cm and rng.random() >= DOWNHILL_PROBABILITY:
                 continue
-            if len(max_clique(H2).vertices) > config.omega_cap:
+            if len(max_clique(trial).vertices) > config.omega_cap:
                 continue
-            if find_complete_tuple(H2, m, config.tuple_budget).verdict is not Verdict.ABSENT:
+            if find_complete_tuple(trial, m, config.tuple_budget).verdict is not Verdict.ABSENT:
                 continue
-            edges = trial
-            cur_cm = cm2
+            cur, cur_cm = trial, cm2
             if cur_cm > restart_best_cm:
-                restart_best_cm = cur_cm
-                restart_best_edges = frozenset(edges)
-        final = KUniformHypergraph(n=n, k=k, edges=restart_best_edges)
-        record = FrontierRecord.from_instance(final, m, config.tuple_budget)
-        if restart_best_cm > best_cm:
-            best_cm = restart_best_cm
+                restart_best, restart_best_cm = cur, cur_cm
+        record = FrontierRecord.from_instance(restart_best, m, config.tuple_budget)
+        # Every record has the same C(n, m) denominator, so alpha orders c_m.
+        if best is None or record.alpha > best.alpha:
             best = record
     return best
 

@@ -47,6 +47,12 @@ def boxes_file(tmp_path):
     return write_json(tmp_path / "boxes.json", BOXES)
 
 
+def squares_file(tmp_path) -> str:
+    # Four disjoint unit squares in the plane.
+    boxes = [{"lo": [3 * i, 3 * i], "hi": [3 * i + 1, 3 * i + 1]} for i in range(4)]
+    return write_json(tmp_path / "squares.json", {"d": 2, "boxes": boxes})
+
+
 class TestExtract:
     def test_c4_certificate_payload(self, capsys, c4_file):
         code, out, _ = run(capsys, "extract", "--input", c4_file, "--m", "2")
@@ -202,6 +208,28 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--input", str(bad))
         assert code == 2
         assert "error" in err
+        # Well-formed JSON that is not a valid instance or box family.
+        for subcommand, doc, message in [
+            ("analyze", [4, 2], "must be a JSON object"),
+            ("analyze", {"n": "4", "k": 2, "edges": []}, '"n" must be an integer'),
+            ("analyze", {"n": 4, "k": 2.0, "edges": []}, '"k" must be an integer'),
+            ("analyze", {"n": 4, "k": 1, "edges": []}, '"k" must be >= 2'),
+            ("analyze", {"n": -1, "k": 2, "edges": []}, '"n" must be >= 0'),
+            ("analyze", {"n": 4, "k": 2, "edges": {"0": [0, 1]}}, '"edges" must be a list'),
+            ("analyze", {"n": 4, "k": 2, "edges": [[0, 1], 2]}, "edges[1] is not a list"),
+            ("analyze", {"n": 4, "k": 2, "edges": [[0, "1"]]}, "edges[0][1] is not an integer"),
+            ("nerve", [BOXES], "must be a JSON object"),
+            ("nerve", {"d": 1, "boxes": {"lo": [0], "hi": [1]}}, '"boxes" must be a list'),
+            ("nerve", {"d": 1, "boxes": [{"lo": [0], "hi": [1]}, {"lo": [2]}]}, "boxes[1] must be"),
+            ("nerve", {"d": 1, "boxes": [{"lo": [0], "hi": [1.5]}]}, "boxes[0].hi[0] is not"),
+        ]:
+            path = write_json(tmp_path / "doc.json", doc)
+            code, out, err = run(capsys, subcommand, "--input", path)
+            assert code == 2
+            assert out == ""
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert message in lines[0]
 
     def test_nonexistent_file(self, capsys, tmp_path):
         # Also the unreadable ones: a directory, and JSON nested too deeply
@@ -231,6 +259,27 @@ class TestNerveAndHelly:
         assert outcome["subfamily_size"] == 4
         assert outcome["colorful_verdict"] == "absent"
 
+
+    def test_helly_exhausted_colorful_check(self, capsys, tmp_path):
+        code, out, err = run(capsys, "helly", "--input", squares_file(tmp_path), "--budget", "0")
+        assert code == 4
+        assert last_json(out)["outcome"] == {"nodes": 1, "verdict": "exhausted"}
+        assert err.strip().splitlines() == [
+            "colorful check exhausted its budget; result inconclusive"
+        ]
+
+    def test_helly_degraded_fallback(self, capsys, tmp_path):
+        # No three of the squares meet, so the nerve is edgeless and its
+        # vacuous clique {0, 1} of disjoint boxes falls back to box 0.
+        code, out, _ = run(
+            capsys, "helly", "--input", squares_file(tmp_path), "--budget", "100000"
+        )
+        assert code == 0
+        outcome = last_json(out)["outcome"]
+        assert outcome["degraded"] is True
+        assert outcome["indices"] == [0]
+        assert outcome["point"] == [0, 0]
+        assert outcome["colorful_verdict"] == "absent"
 
     @pytest.mark.parametrize("subcommand", ["nerve", "helly"])
     def test_too_few_boxes_is_input_error(self, capsys, tmp_path, subcommand):

@@ -323,6 +323,26 @@ class TestSerialization:
         H = KUniformHypergraph.from_edges(4, 2, [(1, 0), (3, 2)])
         assert H.sorted_edges == ((0, 1), (2, 3))
 
+    @pytest.mark.parametrize(
+        "n, k, edges, message",
+        [
+            (4, 1, [], "k must be >= 2"),
+            (-1, 2, [], "vertex count must be >= 0"),
+            (4, 2, [(0, 1, 2)], "has 3 vertices, expected 2"),
+            (4, 2, [(1, 0)], "not strictly increasing"),
+            (4, 2, [(2, 4)], r"vertex outside \[0, 4\)"),
+        ],
+    )
+    def test_constructor_checks(self, n, k, edges, message):
+        with pytest.raises(InputFormatError, match=message):
+            KUniformHypergraph(n=n, k=k, edges=frozenset(edges))
+
+    def test_from_edges_checks(self):
+        with pytest.raises(InputFormatError, match=r"edges\[1\]: repeated vertex"):
+            KUniformHypergraph.from_edges(4, 2, [(0, 1), (2, 2)])
+        with pytest.raises(InputFormatError, match=r"edges\[1\]: duplicate of edges\[0\]"):
+            KUniformHypergraph.from_edges(4, 2, [(0, 1), (1, 0)])
+
 
 class TestDensity:
     def test_exact_fraction(self):

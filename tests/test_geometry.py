@@ -50,6 +50,14 @@ class TestBox:
         with pytest.raises(ValueError):
             BoxFamily(d=2, boxes=(Box(lo=(0,), hi=(1,)),))
 
+    def test_rejects_mismatched_corners(self):
+        with pytest.raises(ValueError, match="lo has 2 coordinates, hi has 1"):
+            Box(lo=(0, 0), hi=(1,))
+
+    def test_rejects_zero_dimension(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+            BoxFamily(d=0, boxes=())
+
 
 class TestBoxesIntersect:
     def test_two_squares(self):
