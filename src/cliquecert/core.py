@@ -231,31 +231,71 @@ def _grow_cliques(
             bits.pop()
 
 
+def _seed_clique(links: dict[int, int], em: int) -> tuple[list[int], int]:
+    """The vertex bits of the k-set ``em``, and the vertices x with
+    em - v + x an edge for each v in em: those extending it to a clique.
+
+    Only links of (k-1)-sets that hold a vertex outside em are read from
+    here on, so the answer is the same whether or not em is an edge.
+    """
+    bits, cands, rest = [], -1, em
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        bits.append(low)
+        cands &= links.get(em ^ low, 0)
+    return bits, cands
+
+
+def count_cliques_through(links: dict[int, int], k: int, m: int, em: int) -> int:
+    """The number of m-cliques (m >= k) containing the k-set with vertex
+    mask ``em``, taken as an edge: the change in ``count_m_cliques`` when
+    it is added or removed.  ``m_clique_family``'s search, grown from em."""
+    if m == k:
+        return 1
+    bits, cands = _seed_clique(links, em)
+    family: list[Edge] = []
+    _grow_cliques(links, k, m, list(mask_vertices(em)), bits, cands, family)
+    return len(family)
+
+
 def max_clique(H: KUniformHypergraph) -> CliqueWitness:
     """Exact maximum clique by branch and bound.
 
     Vertices are tried in ascending order, so the witness is the
     lexicographically first maximum clique; a vertex v may join the
     current clique C only if every k-subset of C + {v} containing v is an
-    edge.  Candidates are a vertex bitmask narrowed by link ANDs, one mask
-    per clique vertex on an explicit stack, so the depth is not bounded by
-    the interpreter's recursion limit.  Since any set of fewer than k-1
-    vertices is a clique vacuously, the floor is min(n, k-1) even for an
-    edgeless instance.
+    edge.  Since any set of fewer than k-1 vertices is a clique vacuously,
+    the floor is min(n, k-1) even for an edgeless instance.
     """
-    k, links = H.k, H.links
-    best = list(range(min(H.n, k - 1)))
-    size = len(best)
-    # bits: the clique as vertex bits; stack[i]: the untried candidates of
-    # its prefix of length i.
-    bits: list[int] = []
-    stack = [(1 << H.n) - 1]
-    depth = 0
+    floor = tuple(range(min(H.n, H.k - 1)))
+    best = _larger_clique(H.links, H.k, [], (1 << H.n) - 1, len(floor))
+    return CliqueWitness(floor if best is None else mask_vertices(sum(best)))
+
+
+def _larger_clique(
+    links: dict[int, int], k: int, bits: list[int], cands: int, size: int
+) -> Optional[list[int]]:
+    """The first largest clique of more than ``size`` vertices made of the
+    clique ``bits`` (vertex bits) and vertices of ``cands``, each of which
+    completes every (k-1)-subset of it to an edge; None if there is none.
+
+    Candidates are a vertex bitmask narrowed by link ANDs, one mask per
+    added vertex on an explicit stack, so the depth is not bounded by the
+    interpreter's recursion limit.
+    """
+    base = len(bits)
+    bits = list(bits)
+    best = bits[:] if base > size else None
+    size = max(size, base)
+    # stack[i]: the untried candidates of the clique's first base + i vertices.
+    stack = [cands]
+    depth = base
     while stack:
         cands = stack[-1]
         if depth + cands.bit_count() <= size:
             stack.pop()
-            if depth:
+            if depth > base:
                 depth -= 1
                 bits.pop()
             continue
@@ -268,9 +308,18 @@ def max_clique(H: KUniformHypergraph) -> CliqueWitness:
         bits.append(low)
         depth += 1
         if depth > size:
-            best = [b.bit_length() - 1 for b in bits]
+            best = bits[:]
             size = depth
-    return CliqueWitness(tuple(best))
+    return best
+
+
+def clique_through_exceeds(links: dict[int, int], k: int, em: int, size: int) -> bool:
+    """True iff some clique of more than ``size`` vertices contains the
+    k-set with vertex mask ``em``, taken as an edge: adding an edge raises
+    the clique number only through such a clique.  ``max_clique``'s branch
+    and bound, started from em."""
+    bits, cands = _seed_clique(links, em)
+    return _larger_clique(links, k, bits, cands, size) is not None
 
 
 def greedy_extend_clique(H: KUniformHypergraph, base: Iterable[int] = ()) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import Edge, InputFormatError, InternalConsistencyError, KUniformHypergraph
 
@@ -115,153 +115,259 @@ class _Memo(dict):
         return value
 
 
-def find_complete_tuple(
-    H: KUniformHypergraph, m: int, budget: int = DEFAULT_BUDGET
-) -> TupleSearchResult:
-    """Bitset backtracking search for a complete m-tuple of missing edges.
+class TupleIndex:
+    """The k-sets a tuple search ranges over, and the masks it combines.
 
-    Missing edges are indexed in lexicographic order and tried in that
-    order, extended one at a time; the first certificate in this order is
-    the canonical one.  A candidate set is an int mask over those indices:
-    choosing edge i keeps the later candidates disjoint from it.  A new
-    tuple is admissible when every transversal constraint it completes
-    (k-subsets drawing k-1 earlier tuples plus the new one) is an edge,
-    i.e. when it lies inside the link of each (k-1)-set s drawn from k-1
-    earlier tuples.  The admissible candidates at a depth are therefore the
-    AND, over those s, of the mask of missing edges inside link(s); each
-    placed tuple narrows it with k ANDs of per-depth cached rows.
-
-    Every candidate the search passes over, admissible or not, costs one
-    node against ``budget``, exactly as a one-at-a-time scan would; the
-    passed-over bits are charged in bulk by popcount.  ``budget`` must be
-    non-negative; an exhausted search reports ``budget + 1`` nodes.
+    A candidate set is an int mask over ``ksets``, which are in
+    lexicographic order: ``without[v]`` holds the k-sets avoiding vertex
+    v, ``later[i]`` those after k-set i and disjoint from it, and
+    ``inside[s]`` those lying wholly inside link(s), for a (k-1)-set s
+    given as a vertex mask, read from ``links`` on first use.  The global
+    search indexes the missing edges of one instance.  The hill climb
+    indexes every k-subset, passes the missing ones as a mask, and flips
+    its edges with ``toggle``, which keeps ``links`` and ``inside`` in step.
     """
-    k = H.k
-    if m < k:
-        raise ValueError(f"m must be >= k = {k}, got {m}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    n, missing = H.n, H.missing
-    full = (1 << len(missing)) - 1
-    # without[v]: the missing edges that avoid vertex v.
-    without = [full] * n
-    for i, e in enumerate(missing):
-        for v in e:
-            without[v] ^= 1 << i
-    # later[i]: the missing edges after i in the order and disjoint from it.
-    later = []
-    above = full
-    for i, e in enumerate(missing):
-        above ^= 1 << i
-        mask = above
-        for v in e:
-            mask &= without[v]
-        later.append(mask)
-    chosen: list[int] = []
-    nodes = 0
 
-    links, vertices = H.links, (1 << n) - 1
+    __slots__ = ("k", "ksets", "full", "without", "later", "links", "inside")
 
-    def inside_link(s: int) -> int:
-        # Missing edges lying wholly inside link(s): drop every edge touching
-        # a vertex outside link(s), that is a vertex of s or a vertex v with
-        # s + v missing.
-        mask = full
-        rest = vertices & ~links.get(s, 0)
+    def __init__(self, n: int, k: int, ksets: Sequence[Edge], links: dict[int, int]):
+        full = (1 << len(ksets)) - 1
+        without = [full] * n
+        for i, e in enumerate(ksets):
+            for v in e:
+                without[v] ^= 1 << i
+        later = []
+        above = full
+        for i, e in enumerate(ksets):
+            above ^= 1 << i
+            mask = above
+            for v in e:
+                mask &= without[v]
+            later.append(mask)
+        vertices = (1 << n) - 1
+
+        def inside_link(s: int) -> int:
+            # Drop every k-set touching a vertex outside link(s), that is a
+            # vertex of s or a vertex v with s + v missing.
+            mask = full
+            rest = vertices & ~links.get(s, 0)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                mask &= without[low.bit_length() - 1]
+            return mask
+
+        self.k, self.ksets, self.full = k, ksets, full
+        self.without, self.later, self.links = without, later, links
+        self.inside = _Memo(inside_link)
+
+    def toggle(self, em: int) -> None:
+        """Flip the k-set with vertex mask ``em`` between edge and non-edge
+        in ``links``, dropping the ``inside`` entries that read the links
+        it changes."""
+        links, rest = self.links, em
         while rest:
             low = rest & -rest
             rest ^= low
-            mask &= without[low.bit_length() - 1]
-        return mask
+            links[em ^ low] = links.get(em ^ low, 0) ^ low
+            self.inside.pop(em ^ low, None)
 
-    inside = _Memo(inside_link)
+    def through(self, e: Edge, at: Optional[int]) -> tuple[int, ...]:
+        """Seed pools for the complete tuples that use the k-set e.
 
-    def picks(depth: int) -> list[int]:
-        # Vertex bitmasks of one vertex from each of k-2 chosen tuples.
-        out = []
-        for idxs in combinations(range(depth), k - 2):
-            for pick in product(*(missing[chosen[i]] for i in idxs)):
-                mask = 0
-                for v in pick:
-                    mask |= 1 << v
-                out.append(mask)
-        return out
+        ``at`` is e's index when e is a missing k-set, which then is one of
+        the tuples.  It is None when e is an edge, which then lies in a
+        transversal, so each vertex v of e has a tuple of its own: the
+        k-sets through v that avoid the rest of e.
+        """
+        if at is not None:
+            return (1 << at,)
+        without = self.without
+        pools = []
+        for v in e:
+            pool = self.full & ~without[v]
+            for u in e:
+                if u != v:
+                    pool &= without[u]
+            pools.append(pool)
+        return tuple(pools)
 
-    def rows_for(pick_masks: list[int]) -> _Memo:
-        # rows[t]: AND of inside[p + t] over the picks p.
-        def row(t: int) -> int:
-            mask = full
-            for p in pick_masks:
-                mask &= inside[p | 1 << t]
-            return mask
+    def search(
+        self, m: int, budget: int, missing: int, pools: tuple[int, ...] = ()
+    ) -> tuple[Optional[list[int]], int]:
+        """Backtracking search for a complete m-tuple among the k-sets of
+        the mask ``missing``; returns the indices of the tuples of the
+        first hit (None if there is none) and the node count.
 
-        return _Memo(row)
+        The tuple at depth d < len(pools) is drawn from ``pools[d]`` and the
+        deeper ones ascend, so with no pools the first hit is the canonical
+        certificate.  A candidate is admissible when every transversal
+        constraint it completes (k-subsets drawing k-1 earlier tuples plus
+        the new one) is an edge, i.e. when it lies inside the link of each
+        (k-1)-set s drawn from k-1 earlier tuples.  The admissible
+        candidates at a depth are therefore the AND, over those s, of
+        ``inside[s]``; each placed tuple narrows it with k ANDs of
+        per-depth cached rows.
 
-    def extend(cands: int, allowed: int) -> bool:
-        # Try each admissible candidate for the tuple at this depth, which
-        # is at most m - 2; the last tuple is decided inline.  A search out
-        # of budget (nodes > budget) returns False at once, all the way up.
-        nonlocal nodes
-        depth = len(chosen)
-        hits = cands & allowed
-        rows = rows_for(picks(depth))
-        if depth == m - 2:
-            # Charged here: every candidate passed over, plus every last-tuple
-            # candidate passed over after each admissible one.  Node counts
-            # only grow, so checking the budget at a hit and at the end gives
-            # what a check per node gives: an overshoot is clamped either way.
-            after = 0
+        Every candidate the search passes over, admissible or not, costs
+        one node against ``budget``; the passed-over bits are charged in
+        bulk by popcount.  The search stops once the count passes
+        ``budget``.
+        """
+        k, ksets, later, without, inside = self.k, self.ksets, self.later, self.without, self.inside
+        full = self.full
+        chosen: list[int] = []
+        nodes = 0
+
+        def picks(depth: int) -> list[int]:
+            # Vertex bitmasks of one vertex from each of k-2 chosen tuples.
+            out = []
+            for idxs in combinations(range(depth), k - 2):
+                for pick in product(*(ksets[chosen[i]] for i in idxs)):
+                    mask = 0
+                    for v in pick:
+                        mask |= 1 << v
+                    out.append(mask)
+            return out
+
+        def rows_for(pick_masks: list[int]) -> _Memo:
+            # rows[t]: AND of inside[p + t] over the picks p.
+            def row(t: int) -> int:
+                mask = full
+                for p in pick_masks:
+                    mask &= inside[p | 1 << t]
+                return mask
+
+            return _Memo(row)
+
+        def place(cands: int, allowed: int) -> bool:
+            # A seeded depth, at most m - 2, scans the candidates (the
+            # missing k-sets disjoint from the tuples placed) in index
+            # order, as a free depth does, and admits only those of its
+            # pool; the deeper tuples may lie on either side of it in the
+            # order.  The last tuple is decided inline, from the next pool
+            # if there is one.
+            nonlocal nodes
+            depth = len(chosen)
+            rows = rows_for(picks(depth))
+            if depth + 2 == m:
+                deeper, tail = None, pools[depth + 1] if depth + 1 < len(pools) else -1
+            else:
+                deeper = place if depth + 1 < len(pools) else extend
+            scan, hits = cands, cands & pools[depth] & allowed
             while hits:
                 low = hits & -hits
                 hits ^= low
+                passed = scan & (2 * low - 1)
+                scan ^= passed
+                nodes += passed.bit_count()
+                if nodes > budget:
+                    return False
                 i = low.bit_length() - 1
-                nxt = cands & later[i]
-                if not nxt:
-                    continue
-                final = nxt & allowed
-                for t in missing[i]:
-                    final &= rows[t]
-                if final:
+                narrowed, nxt = allowed, cands
+                for t in ksets[i]:
+                    narrowed &= rows[t]
+                    nxt &= without[t]
+                if deeper is None:
+                    final = nxt & narrowed & tail
+                    if not final:
+                        nodes += nxt.bit_count()
+                        continue
                     last = final & -final
-                    nodes += (cands & (2 * low - 1)).bit_count() + after
                     nodes += (nxt & (2 * last - 1)).bit_count()
                     if nodes > budget:
                         return False
                     chosen.extend((i, last.bit_length() - 1))
                     return True
-                after += nxt.bit_count()
-            nodes += cands.bit_count() + after
+                chosen.append(i)
+                if deeper(nxt, narrowed):
+                    return True
+                chosen.pop()
+                if nodes > budget:
+                    return False
+            nodes += scan.bit_count()
             return False
-        while hits:
-            low = hits & -hits
-            hits ^= low
-            passed = cands & (2 * low - 1)
-            cands ^= passed
-            nodes += passed.bit_count()
-            if nodes > budget:
-                return False
-            i = low.bit_length() - 1
-            nxt = cands & later[i]
-            if nxt.bit_count() < m - depth - 1:
-                continue
-            narrowed = allowed
-            for t in missing[i]:
-                narrowed &= rows[t]
-            chosen.append(i)
-            if extend(nxt, narrowed):
-                return True
-            chosen.pop()
-            if nodes > budget:
-                return False
-        nodes += cands.bit_count()
-        return False
 
-    hit = len(missing) >= m and extend(full, full)
-    # extend refers to itself through its closure; dropping the name frees
-    # the search state now instead of at the next cyclic collection.
-    del extend
-    if hit:
-        cert = CompleteTupleCertificate(tuple(missing[i] for i in chosen))
+        def extend(cands: int, allowed: int) -> bool:
+            # Try each admissible candidate, in ascending order, for the
+            # tuple at this depth, which is at most m - 2; the last tuple is
+            # decided inline.  A search out of budget (nodes > budget)
+            # returns False at once, all the way up.
+            nonlocal nodes
+            depth = len(chosen)
+            hits = cands & allowed
+            rows = rows_for(picks(depth))
+            if depth == m - 2:
+                # Charged here: every candidate passed over, plus every
+                # last-tuple candidate passed over after each admissible one.
+                # Node counts only grow, so checking the budget at a hit and
+                # at the end gives what a check per node gives: an overshoot
+                # is clamped either way.
+                after = 0
+                while hits:
+                    low = hits & -hits
+                    hits ^= low
+                    i = low.bit_length() - 1
+                    nxt = cands & later[i]
+                    if not nxt:
+                        continue
+                    final = nxt & allowed
+                    for t in ksets[i]:
+                        final &= rows[t]
+                    if final:
+                        last = final & -final
+                        nodes += (cands & (2 * low - 1)).bit_count() + after
+                        nodes += (nxt & (2 * last - 1)).bit_count()
+                        if nodes > budget:
+                            return False
+                        chosen.extend((i, last.bit_length() - 1))
+                        return True
+                    after += nxt.bit_count()
+                nodes += cands.bit_count() + after
+                return False
+            while hits:
+                low = hits & -hits
+                hits ^= low
+                passed = cands & (2 * low - 1)
+                cands ^= passed
+                nodes += passed.bit_count()
+                if nodes > budget:
+                    return False
+                i = low.bit_length() - 1
+                nxt = cands & later[i]
+                if nxt.bit_count() < m - depth - 1:
+                    continue
+                narrowed = allowed
+                for t in ksets[i]:
+                    narrowed &= rows[t]
+                chosen.append(i)
+                if extend(nxt, narrowed):
+                    return True
+                chosen.pop()
+                if nodes > budget:
+                    return False
+            nodes += cands.bit_count()
+            return False
+
+        if pools:
+            hit = place(missing, full)
+        else:
+            hit = missing.bit_count() >= m and extend(missing, full)
+        # extend and place refer to themselves through their closures;
+        # dropping the names frees the search state now instead of at the
+        # next cyclic collection.
+        del extend, place
+        return (chosen if hit else None), nodes
+
+
+def tuple_search_result(
+    H: KUniformHypergraph, tuples: Optional[Sequence[Edge]], nodes: int, budget: int
+) -> TupleSearchResult:
+    """The outcome of a search run on H that hit ``tuples`` (None for no
+    hit) after ``nodes`` nodes.  A hit is verified by enumeration before it
+    is reported FOUND; an exhausted search reports ``budget + 1`` nodes."""
+    if tuples is not None:
+        cert = CompleteTupleCertificate(tuple(tuples))
         ok, reason = verify_complete_tuple(H, cert)
         if not ok:
             raise InternalConsistencyError(f"search produced an invalid certificate: {reason}", cert)
@@ -269,6 +375,45 @@ def find_complete_tuple(
     if nodes > budget:
         return TupleSearchResult(Verdict.EXHAUSTED, None, budget + 1)
     return TupleSearchResult(Verdict.ABSENT, None, nodes)
+
+
+def find_complete_tuple(
+    H: KUniformHypergraph,
+    m: int,
+    budget: int = DEFAULT_BUDGET,
+    through: Optional[Iterable[int]] = None,
+) -> TupleSearchResult:
+    """Bitset backtracking search for a complete m-tuple of missing edges.
+
+    Missing edges are indexed in lexicographic order and tried in that
+    order, extended one at a time; the first certificate in this order is
+    the canonical one.  ``TupleIndex.search`` describes the candidate
+    masks and the node count.  ``budget`` must be non-negative; an
+    exhausted search reports ``budget + 1`` nodes.
+
+    With ``through`` a k-subset e, only the complete tuples that use e are
+    searched: when e is a missing edge, those with e as one of the tuples;
+    when e is an edge, those with each vertex of e in a tuple of its own,
+    so that e lies in a transversal.  Toggling e in an instance with no
+    complete m-tuple can only create tuples of that kind, so this decides
+    the toggled instance.  The seeded tuples are placed first, so a
+    seeded hit need not be the canonical certificate.
+    """
+    k = H.k
+    if m < k:
+        raise ValueError(f"m must be >= k = {k}, got {m}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    index = TupleIndex(H.n, k, H.missing, H.links)
+    pools: tuple[int, ...] = ()
+    if through is not None:
+        e = tuple(sorted(through))
+        if len(set(e)) != k or e[0] < 0 or e[-1] >= H.n:
+            raise ValueError(f"through = {tuple(through)} is not a {k}-subset of [0, {H.n})")
+        pools = index.through(e, None if e in H.edges else H.missing.index(e))
+    chosen, nodes = index.search(m, budget, index.full, pools)
+    tuples = None if chosen is None else [index.ksets[i] for i in chosen]
+    return tuple_search_result(H, tuples, nodes, budget)
 
 
 def has_induced_biclique(G: KUniformHypergraph, m: int) -> bool:

@@ -26,11 +26,20 @@ from .core import (
     Density,
     KUniformHypergraph,
     SizeRefusalError,
+    clique_through_exceeds,
+    count_cliques_through,
     count_m_cliques,
     hypergraph_to_dict,
+    mask_vertices,
     max_clique,
 )
-from .forbidden import DEFAULT_BUDGET, Verdict, find_complete_tuple
+from .forbidden import (
+    DEFAULT_BUDGET,
+    TupleIndex,
+    Verdict,
+    find_complete_tuple,
+    tuple_search_result,
+)
 
 DEFAULT_MAX_ENUMERATION = 1 << 22
 
@@ -93,9 +102,11 @@ class FrontierRecord:
         }
 
 
-def _check_search(n: int, k: int, omega_cap: int) -> None:
-    # Shared by both searches: each needs a k-subset to place, and a cap
-    # that the vacuous cliques (any k-1 vertices) do not already exceed.
+def _check_search(n: int, k: int, m: int, omega_cap: int) -> None:
+    # Shared by both searches: each needs a k-subset to place, a cap that
+    # the vacuous cliques (any k-1 vertices) do not already exceed, an
+    # instance arity and m >= k, which every clique count and tuple search
+    # assumes.
     if n < k:
         raise ValueError(f"n must be >= k = {k} so that a k-subset exists, got n = {n}")
     if omega_cap < k - 1:
@@ -103,6 +114,10 @@ def _check_search(n: int, k: int, omega_cap: int) -> None:
             f"omega_cap = {omega_cap} is below the vacuous clique floor "
             f"k-1 = {k - 1}; no instance can qualify"
         )
+    if k < 2:
+        raise ValueError(f"edge arity k must be >= 2, got {k}")
+    if m < k:
+        raise ValueError(f"m must be >= k = {k}, got {m}")
 
 
 def exhaustive_frontier(
@@ -120,7 +135,7 @@ def exhaustive_frontier(
     raised.  Otherwise there is always a winner: mask 0, the edgeless
     instance, has omega = k-1 <= omega_cap and no complete m-tuple.
     """
-    _check_search(n, k, omega_cap)
+    _check_search(n, k, m, omega_cap)
     positions = list(combinations(range(n), k))
     total = 1 << len(positions)
     if total > DEFAULT_MAX_ENUMERATION:
@@ -134,10 +149,8 @@ def exhaustive_frontier(
     for mask in range(total):
         edges = frozenset(pos for i, pos in enumerate(positions) if mask >> i & 1)
         H = KUniformHypergraph(n=n, k=k, edges=edges)
-        if len(max_clique(H).vertices) > omega_cap:
-            continue
         cm = count_m_cliques(H, m)
-        if cm <= best_cm:
+        if cm <= best_cm or len(max_clique(H).vertices) > omega_cap:
             continue
         verdict = find_complete_tuple(H, m, budget).verdict
         if verdict is Verdict.EXHAUSTED:
@@ -189,38 +202,75 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
     runs out of budget).  Restart streams are derived by
     splitting the master seed, so the result is bit-reproducible for a
     fixed config.
+
+    The current instance is always feasible, so a toggle of the k-set e
+    is checked only where it can change something, by the seeded kernels:
+    the m-cliques through e give the change in c_m, a clique through e
+    is the only way adding e can break the cap, and a complete tuple that
+    uses e the only one the toggle can create (``find_complete_tuple``
+    with ``through``).  The instance is kept as an edge bitmask over the
+    k-subsets with its link index; ``KUniformHypergraph`` is built only
+    for the reported instance and to verify a certificate the search
+    hits.  ``tuple_budget`` bounds each seeded search and the final
+    re-verification.
     """
     n, k, m = config.n, config.k, config.m
     if config.restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {config.restarts}")
     if config.iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {config.iterations}")
-    _check_search(n, k, config.omega_cap)
+    _check_search(n, k, m, config.omega_cap)
     positions = list(combinations(range(n), k))
+    vertex_masks = [sum(1 << v for v in e) for e in positions]
+    full = (1 << len(positions)) - 1
+    budget = config.tuple_budget
     best = None
     for restart in range(config.restarts):
         rng = random.Random(_restart_seed(config.seed, restart))
+        # The instance: bit i of `edges` for positions[i], and index.links.
         # The edgeless start has no m-clique, since m >= k.
-        cur = restart_best = KUniformHypergraph(n=n, k=k, edges=frozenset())
+        index = TupleIndex(n, k, positions, {})
+        links = index.links
+        edges = restart_best = 0
         cur_cm = restart_best_cm = 0
         for _ in range(config.iterations):
-            pos = positions[rng.randrange(len(positions))]
-            trial = KUniformHypergraph(n=n, k=k, edges=cur.edges ^ {pos})
-            cm2 = count_m_cliques(trial, m)
+            i = rng.randrange(len(positions))
+            em, adding = vertex_masks[i], not edges >> i & 1
+            # A clique through e reads no link that toggling e changes, so
+            # both clique checks run on the current links.
+            delta = 1 if m == k else count_cliques_through(links, k, m, em)
+            cm2 = cur_cm + delta if adding else cur_cm - delta
             if cm2 < cur_cm and rng.random() >= DOWNHILL_PROBABILITY:
                 continue
-            if len(max_clique(trial).vertices) > config.omega_cap:
+            # Removing an edge cannot raise omega.
+            if adding and clique_through_exceeds(links, k, em, config.omega_cap):
                 continue
-            if find_complete_tuple(trial, m, config.tuple_budget).verdict is not Verdict.ABSENT:
+            index.toggle(em)
+            trial = edges ^ 1 << i
+            pools = index.through(positions[i], None if adding else i)
+            chosen, nodes = index.search(m, budget, full ^ trial, pools)
+            if chosen is None and nodes <= budget:
+                edges, cur_cm = trial, cm2
+                if cur_cm > restart_best_cm:
+                    restart_best, restart_best_cm = edges, cur_cm
                 continue
-            cur, cur_cm = trial, cm2
-            if cur_cm > restart_best_cm:
-                restart_best, restart_best_cm = cur, cur_cm
-        record = FrontierRecord.from_instance(restart_best, m, config.tuple_budget)
+            if chosen is not None:
+                # Raises unless the certificate checks out on the trial.
+                cert = [positions[j] for j in chosen]
+                tuple_search_result(_instance(n, k, positions, trial), cert, nodes, budget)
+            index.toggle(em)
+        record = FrontierRecord.from_instance(_instance(n, k, positions, restart_best), m, budget)
         # Every record has the same C(n, m) denominator, so alpha orders c_m.
         if best is None or record.alpha > best.alpha:
             best = record
     return best
+
+
+def _instance(n: int, k: int, positions: list[tuple[int, ...]], edges: int) -> KUniformHypergraph:
+    """The instance whose edges are the positions of the bits of ``edges``."""
+    return KUniformHypergraph(
+        n=n, k=k, edges=frozenset(positions[i] for i in mask_vertices(edges))
+    )
 
 
 @dataclass(frozen=True)

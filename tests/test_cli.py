@@ -160,6 +160,22 @@ class TestArgumentErrors:
                 "iterations must be >= 0, got -1",
             ),
             (["gen-boxes", "--n", "3", "--d", "1", "--seed", "1", "--spread", "-1"], "spread"),
+            (
+                ["search", "--n", "5", "--k", "3", "--m", "2", "--omega-cap", "3", "--seed", "1"],
+                "m must be >= k = 3, got 2",
+            ),
+            (
+                ["search", "--n", "4", "--k", "3", "--m", "2", "--omega-cap", "3", "--exhaustive"],
+                "m must be >= k = 3, got 2",
+            ),
+            (
+                ["search", "--n", "4", "--k", "0", "--m", "2", "--omega-cap", "2", "--seed", "1"],
+                "edge arity k must be >= 2, got 0",
+            ),
+            (
+                ["search", "--n", "4", "--k", "1", "--m", "2", "--omega-cap", "2", "--exhaustive"],
+                "edge arity k must be >= 2, got 1",
+            ),
         ],
     )
     def test_exit_two_with_one_line_error(self, capsys, c4_file, argv, message):

@@ -1,9 +1,12 @@
-"""The experiment scripts run end to end on tiny arguments.
+"""The experiment scripts and the module entry points run end to end on
+tiny arguments.
 
-Nothing else imports them, so an API change that breaks one shows up
-only here.
+Nothing else imports the scripts, so an API change that breaks one shows
+up only here.
 """
 
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -34,3 +37,29 @@ def test_script_prints_its_table(script, args, header):
     assert proc.returncode == 0, proc.stderr
     first = proc.stdout.splitlines()[0].split()
     assert first[: len(header)] == header
+
+
+@pytest.mark.parametrize("module", ["cliquecert", "cliquecert.cli"])
+def test_module_entry_point(module):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    ok = run("bounds", "--alpha", "1/2", "--k", "2", "--m", "2", "--d", "1")
+    assert ok.returncode == 0, ok.stderr
+    lines = ok.stdout.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["subcommand"] == "bounds"
+    bad = run("search", "--n", "4", "--k", "2", "--m", "2", "--omega-cap", "0", "--seed", "1")
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("error: omega_cap = 0")
+
+
+def test_importing_main_module_runs_nothing():
+    # Tools that import every module of the package (the benchmark's
+    # tracer does) must not start the interface.
+    importlib.import_module("cliquecert.__main__")

@@ -1,5 +1,9 @@
+import hashlib
+import json
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +20,8 @@ from cliquecert import (
     max_clique,
     report_beta_upper,
 )
+from cliquecert.core import KUniformHypergraph, clique_through_exceeds, count_cliques_through
+from cliquecert.forbidden import TupleIndex
 from helpers import cycle_graph
 
 
@@ -108,6 +114,119 @@ class TestHillClimb:
         if alpha > 0:
             assert ratio >= beta_recursion(alpha, 2, 2)
             assert ratio >= theorem1_bound(alpha) - 1e-12
+
+
+# (n, k, m, omega_cap, iterations, restarts, seed) -> (alpha, omega_ratio,
+# edge digest) of the record, captured with the climb that re-ran the
+# global kernels on a rebuilt instance for every proposal.  None of these
+# configs has a tuple search that exhausts the default budget, so the
+# seeded climb must return the same records.  The first five are the
+# defaults of scripts/frontier_experiment.py.
+PINNED_RECORDS = [
+    ((7, 2, 2, 2, 4000, 3, 1), "8/21", "2/7", "1f722b5313a31de8"),
+    ((7, 2, 2, 3, 4000, 3, 1), "4/7", "3/7", "d05c21c48e60cccd"),
+    ((7, 2, 2, 4, 4000, 3, 1), "16/21", "4/7", "892c3c0a3f0fb752"),
+    ((7, 2, 2, 5, 4000, 3, 1), "6/7", "5/7", "641438aa7599db84"),
+    ((7, 2, 2, 6, 4000, 3, 1), "20/21", "6/7", "f733575ed2ad222c"),
+    ((12, 2, 2, 4, 150, 1, 11), "23/66", "1/3", "c362c59e839e2696"),
+    ((12, 2, 2, 4, 400, 1, 12), "5/11", "1/3", "ff5c83dd0e8a5991"),
+    ((10, 2, 2, 2, 500, 1, 13), "14/45", "1/5", "e8f10df005f7c9fd"),
+    ((11, 2, 2, 3, 500, 3, 14), "24/55", "3/11", "3dcc9f215f93bd88"),
+    ((9, 2, 2, 3, 300, 3, 15), "1/2", "1/3", "15b37ae5900b0728"),
+    ((8, 2, 2, 5, 300, 1, 16), "19/28", "5/8", "1f3be3c664f650aa"),
+    ((9, 3, 3, 5, 150, 1, 17), "61/84", "5/9", "a467817c0f4c6330"),
+    ((10, 3, 3, 5, 40, 1, 18), "1/4", "2/5", "e33db783b3b5912d"),
+    ((8, 3, 3, 4, 400, 3, 19), "45/56", "1/2", "6e33e2a09290e774"),
+    ((7, 3, 3, 3, 300, 1, 20), "22/35", "3/7", "57585ce18b2a9ac3"),
+    ((9, 3, 3, 6, 300, 1, 21), "67/84", "5/9", "b56941ab02437b2a"),
+    ((8, 2, 3, 3, 400, 1, 22), "13/56", "3/8", "6b82aca8e49bd221"),
+    ((9, 2, 3, 4, 400, 3, 23), "29/84", "4/9", "0e54bbfa90ba3385"),
+    ((9, 2, 4, 4, 400, 1, 24), "8/63", "4/9", "a4f8b36270b4fb5c"),
+    ((10, 2, 4, 5, 300, 1, 25), "7/30", "1/2", "19461843256b0f49"),
+    ((8, 2, 5, 5, 300, 1, 26), "1/56", "5/8", "55eac0df31b6c3fb"),
+    ((7, 3, 4, 4, 300, 1, 27), "3/7", "4/7", "3b2463a1f5af01f8"),
+    ((8, 3, 4, 5, 300, 3, 28), "39/70", "5/8", "662b59364e1612f5"),
+    ((8, 3, 5, 5, 200, 1, 29), "0", "1/4", "4f53cda18c2baa0c"),
+    ((7, 4, 4, 4, 300, 1, 30), "26/35", "4/7", "0ad123131d651557"),
+    ((7, 4, 4, 5, 300, 3, 31), "32/35", "5/7", "94d2047c6aaf8cf6"),
+    ((8, 4, 4, 6, 200, 1, 32), "29/35", "5/8", "df221a44fd6516b2"),
+    ((7, 4, 5, 5, 300, 1, 33), "8/21", "5/7", "6eb5c7c46b0679b3"),
+    ((8, 4, 6, 6, 200, 1, 34), "0", "3/8", "4f53cda18c2baa0c"),
+    ((6, 4, 4, 3, 200, 1, 35), "0", "1/2", "4f53cda18c2baa0c"),
+    ((5, 2, 2, 3, 0, 1, 36), "0", "1/5", "4f53cda18c2baa0c"),
+    ((6, 2, 2, 2, 0, 3, 37), "0", "1/6", "4f53cda18c2baa0c"),
+    ((7, 3, 5, 6, 400, 1, 38), "1/21", "5/7", "7236cc6147274ff6"),
+    ((8, 4, 5, 6, 300, 1, 39), "19/56", "3/4", "c8610f120927c79e"),
+    ((9, 2, 3, 5, 300, 3, 40), "23/42", "5/9", "1ff96e5752560aa9"),
+]
+
+
+@pytest.mark.parametrize("config, alpha, omega_ratio, digest", PINNED_RECORDS)
+def test_hill_climb_records_are_pinned(config, alpha, omega_ratio, digest):
+    n, k, m, cap, iterations, restarts, seed = config
+    rec = hill_climb(
+        HillClimbConfig(
+            n=n, k=k, m=m, omega_cap=cap, iterations=iterations, restarts=restarts, seed=seed
+        )
+    )
+    edges = json.dumps(sorted(rec.instance.edges)).encode()
+    assert (str(rec.alpha), str(rec.omega_ratio)) == (alpha, omega_ratio)
+    assert hashlib.sha256(edges).hexdigest()[:16] == digest
+
+
+class TestSeededKernels:
+    """Random feasible walks: on every proposed toggle of a k-set e, the
+    seeded kernels that the climb runs on its own masks, and their public
+    ``through`` forms, agree with the global kernels run on the toggled
+    instance."""
+
+    @staticmethod
+    def walk(k, m, n, cap, steps, seed):
+        rng = random.Random(seed)
+        positions = list(combinations(range(n), k))
+        full = (1 << len(positions)) - 1
+        index = TupleIndex(n, k, positions, {})
+        edges, directions = 0, set()
+        for _ in range(steps):
+            i = rng.randrange(len(positions))
+            e, em = positions[i], sum(1 << v for v in positions[i])
+            adding = not edges >> i & 1
+            cur = KUniformHypergraph(n=n, k=k, edges=frozenset(p for j, p in enumerate(positions) if edges >> j & 1))
+            trial = KUniformHypergraph(n=n, k=k, edges=cur.edges ^ {e})
+            with_e = trial if adding else cur
+            through = count_cliques_through(index.links, k, m, em)
+            assert count_m_cliques(trial, m) - count_m_cliques(cur, m) == (through if adding else -through)
+            assert count_cliques_through(with_e.links, k, m, em) == through
+            over = len(max_clique(trial).vertices) > cap
+            assert (adding and clique_through_exceeds(index.links, k, em, cap)) == over
+            if adding:
+                assert clique_through_exceeds(trial.links, k, em, cap) == over
+            index.toggle(em)
+            chosen, _ = index.search(m, 10**7, full ^ edges ^ 1 << i, index.through(e, None if adding else i))
+            found = find_complete_tuple(trial, m).verdict is Verdict.FOUND
+            assert (chosen is not None) == found
+            seeded = find_complete_tuple(trial, m, through=e)
+            assert (seeded.verdict is Verdict.FOUND) == found
+            if found or over:
+                index.toggle(em)
+            else:
+                edges ^= 1 << i
+                directions.add(adding)
+        return directions
+
+    @pytest.mark.parametrize("k, n", [(2, 9), (3, 8), (4, 7)])
+    @pytest.mark.parametrize("dm", [0, 1, 2])
+    def test_walks_agree_with_global_kernels(self, k, n, dm):
+        m = k + dm
+        for seed, cap in enumerate((k, m + 1, n - 1)):
+            # Both toggle directions are accepted on every walk.
+            assert self.walk(k, m, n, cap, 200, seed) == {True, False}
+
+    def test_through_rejects_a_bad_k_set(self):
+        with pytest.raises(ValueError):
+            find_complete_tuple(cycle_graph(5), 2, through=(0, 0))
+        with pytest.raises(ValueError):
+            find_complete_tuple(cycle_graph(5), 2, through=(3, 5))
 
 
 class TestReport:
