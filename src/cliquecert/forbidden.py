@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .core import Edge, InputFormatError, InternalConsistencyError, KUniformHypergraph
 
@@ -120,15 +120,16 @@ class TupleIndex:
 
     A candidate set is an int mask over ``ksets``, which are in
     lexicographic order: ``without[v]`` holds the k-sets avoiding vertex
-    v, ``later[i]`` those after k-set i and disjoint from it, and
-    ``inside[s]`` those lying wholly inside link(s), for a (k-1)-set s
-    given as a vertex mask, read from ``links`` on first use.  The global
-    search indexes the missing edges of one instance.  The hill climb
-    indexes every k-subset, passes the missing ones as a mask, and flips
-    its edges with ``toggle``, which keeps ``links`` and ``inside`` in step.
+    v, ``apart[i]`` those disjoint from k-set i, ``later[i]`` those of
+    them after it, and ``inside[s]`` those lying wholly inside link(s),
+    for a (k-1)-set s given as a vertex mask, read from ``links`` on
+    first use.  The global search indexes the missing edges of one
+    instance.  The hill climb indexes every k-subset, passes the missing
+    ones as a mask, and flips its edges with ``toggle``, which keeps
+    ``links`` and ``inside`` in step.
     """
 
-    __slots__ = ("k", "ksets", "full", "without", "later", "links", "inside")
+    __slots__ = ("k", "ksets", "full", "without", "apart", "later", "links", "inside")
 
     def __init__(self, n: int, k: int, ksets: Sequence[Edge], links: dict[int, int]):
         full = (1 << len(ksets)) - 1
@@ -136,14 +137,15 @@ class TupleIndex:
         for i, e in enumerate(ksets):
             for v in e:
                 without[v] ^= 1 << i
-        later = []
+        apart, later = [], []
         above = full
         for i, e in enumerate(ksets):
             above ^= 1 << i
-            mask = above
+            mask = full
             for v in e:
                 mask &= without[v]
-            later.append(mask)
+            apart.append(mask)
+            later.append(mask & above)
         vertices = (1 << n) - 1
 
         def inside_link(s: int) -> int:
@@ -158,7 +160,8 @@ class TupleIndex:
             return mask
 
         self.k, self.ksets, self.full = k, ksets, full
-        self.without, self.later, self.links = without, later, links
+        self.without, self.apart, self.later = without, apart, later
+        self.links = links
         self.inside = _Memo(inside_link)
 
     def toggle(self, em: int) -> None:
@@ -199,22 +202,23 @@ class TupleIndex:
         the mask ``missing``; returns the indices of the tuples of the
         first hit (None if there is none) and the node count.
 
-        The tuple at depth d < len(pools) is drawn from ``pools[d]`` and the
-        deeper ones ascend, so with no pools the first hit is the canonical
-        certificate.  A candidate is admissible when every transversal
-        constraint it completes (k-subsets drawing k-1 earlier tuples plus
-        the new one) is an edge, i.e. when it lies inside the link of each
-        (k-1)-set s drawn from k-1 earlier tuples.  The admissible
-        candidates at a depth are therefore the AND, over those s, of
-        ``inside[s]``; each placed tuple narrows it with k ANDs of
+        The tuple at depth d < len(pools) is drawn from ``pools[d]``, and
+        the tuples after it may lie on either side of it in index order;
+        the free depths ascend, so with no pools the first hit is the
+        canonical certificate.  A candidate is admissible when every
+        transversal constraint it completes (k-subsets drawing k-1 earlier
+        tuples plus the new one) is an edge, i.e. when it lies inside the
+        link of each (k-1)-set s drawn from k-1 earlier tuples.  The
+        admissible candidates at a depth are therefore the AND, over those
+        s, of ``inside[s]``; each placed tuple narrows it with k ANDs of
         per-depth cached rows.
 
-        Every candidate the search passes over, admissible or not, costs
-        one node against ``budget``; the passed-over bits are charged in
-        bulk by popcount.  The search stops once the count passes
-        ``budget``.
+        Every candidate a depth passes over, admissible, in its pool or
+        not, costs one node against ``budget``; the passed-over bits are
+        charged in bulk by popcount.  The search stops once the count
+        passes ``budget``.
         """
-        k, ksets, later, without, inside = self.k, self.ksets, self.later, self.without, self.inside
+        k, ksets, inside = self.k, self.ksets, self.inside
         full = self.full
         chosen: list[int] = []
         nodes = 0
@@ -240,62 +244,24 @@ class TupleIndex:
 
             return _Memo(row)
 
-        def place(cands: int, allowed: int) -> bool:
-            # A seeded depth, at most m - 2, scans the candidates (the
-            # missing k-sets disjoint from the tuples placed) in index
-            # order, as a free depth does, and admits only those of its
-            # pool; the deeper tuples may lie on either side of it in the
-            # order.  The last tuple is decided inline, from the next pool
-            # if there is one.
-            nonlocal nodes
-            depth = len(chosen)
-            rows = rows_for(picks(depth))
-            if depth + 2 == m:
-                deeper, tail = None, pools[depth + 1] if depth + 1 < len(pools) else -1
-            else:
-                deeper = place if depth + 1 < len(pools) else extend
-            scan, hits = cands, cands & pools[depth] & allowed
-            while hits:
-                low = hits & -hits
-                hits ^= low
-                passed = scan & (2 * low - 1)
-                scan ^= passed
-                nodes += passed.bit_count()
-                if nodes > budget:
-                    return False
-                i = low.bit_length() - 1
-                narrowed, nxt = allowed, cands
-                for t in ksets[i]:
-                    narrowed &= rows[t]
-                    nxt &= without[t]
-                if deeper is None:
-                    final = nxt & narrowed & tail
-                    if not final:
-                        nodes += nxt.bit_count()
-                        continue
-                    last = final & -final
-                    nodes += (nxt & (2 * last - 1)).bit_count()
-                    if nodes > budget:
-                        return False
-                    chosen.extend((i, last.bit_length() - 1))
-                    return True
-                chosen.append(i)
-                if deeper(nxt, narrowed):
-                    return True
-                chosen.pop()
-                if nodes > budget:
-                    return False
-            nodes += scan.bit_count()
-            return False
-
         def extend(cands: int, allowed: int) -> bool:
             # Try each admissible candidate, in ascending order, for the
             # tuple at this depth, which is at most m - 2; the last tuple is
-            # decided inline.  A search out of budget (nodes > budget)
-            # returns False at once, all the way up.
+            # decided inline.  The next depth draws from the candidates
+            # disjoint from the new tuple: those after it at a free depth,
+            # all of them at a seeded one.  A search out of budget
+            # (nodes > budget) returns False at once, all the way up.
             nonlocal nodes
             depth = len(chosen)
             hits = cands & allowed
+            if depth < len(pools):
+                # No size prune at a seeded depth.  It would only save
+                # nodes, and the node count decides which small-budget
+                # climbs exhaust.
+                hits &= pools[depth]
+                succ, need = self.apart, 1
+            else:
+                succ, need = self.later, m - depth - 1
             rows = rows_for(picks(depth))
             if depth == m - 2:
                 # Charged here: every candidate passed over, plus every
@@ -303,12 +269,14 @@ class TupleIndex:
                 # Node counts only grow, so checking the budget at a hit and
                 # at the end gives what a check per node gives: an overshoot
                 # is clamped either way.
+                if depth + 1 < len(pools):
+                    allowed &= pools[depth + 1]
                 after = 0
                 while hits:
                     low = hits & -hits
                     hits ^= low
                     i = low.bit_length() - 1
-                    nxt = cands & later[i]
+                    nxt = cands & succ[i]
                     if not nxt:
                         continue
                     final = nxt & allowed
@@ -325,17 +293,18 @@ class TupleIndex:
                     after += nxt.bit_count()
                 nodes += cands.bit_count() + after
                 return False
+            scan = cands
             while hits:
                 low = hits & -hits
                 hits ^= low
-                passed = cands & (2 * low - 1)
-                cands ^= passed
+                passed = scan & (2 * low - 1)
+                scan ^= passed
                 nodes += passed.bit_count()
                 if nodes > budget:
                     return False
                 i = low.bit_length() - 1
-                nxt = cands & later[i]
-                if nxt.bit_count() < m - depth - 1:
+                nxt = cands & succ[i]
+                if nxt.bit_count() < need:
                     continue
                 narrowed = allowed
                 for t in ksets[i]:
@@ -346,17 +315,15 @@ class TupleIndex:
                 chosen.pop()
                 if nodes > budget:
                     return False
-            nodes += cands.bit_count()
+            nodes += scan.bit_count()
             return False
 
-        if pools:
-            hit = place(missing, full)
-        else:
-            hit = missing.bit_count() >= m and extend(missing, full)
-        # extend and place refer to themselves through their closures;
-        # dropping the names frees the search state now instead of at the
-        # next cyclic collection.
-        del extend, place
+        # The size prune of a free first depth.
+        hit = (pools or missing.bit_count() >= m) and extend(missing, full)
+        # extend refers to itself through its closure; dropping the name
+        # frees the search state now instead of at the next cyclic
+        # collection.
+        del extend
         return (chosen if hit else None), nodes
 
 
@@ -378,10 +345,7 @@ def tuple_search_result(
 
 
 def find_complete_tuple(
-    H: KUniformHypergraph,
-    m: int,
-    budget: int = DEFAULT_BUDGET,
-    through: Optional[Iterable[int]] = None,
+    H: KUniformHypergraph, m: int, budget: int = DEFAULT_BUDGET
 ) -> TupleSearchResult:
     """Bitset backtracking search for a complete m-tuple of missing edges.
 
@@ -390,14 +354,6 @@ def find_complete_tuple(
     the canonical one.  ``TupleIndex.search`` describes the candidate
     masks and the node count.  ``budget`` must be non-negative; an
     exhausted search reports ``budget + 1`` nodes.
-
-    With ``through`` a k-subset e, only the complete tuples that use e are
-    searched: when e is a missing edge, those with e as one of the tuples;
-    when e is an edge, those with each vertex of e in a tuple of its own,
-    so that e lies in a transversal.  Toggling e in an instance with no
-    complete m-tuple can only create tuples of that kind, so this decides
-    the toggled instance.  The seeded tuples are placed first, so a
-    seeded hit need not be the canonical certificate.
     """
     k = H.k
     if m < k:
@@ -405,13 +361,7 @@ def find_complete_tuple(
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     index = TupleIndex(H.n, k, H.missing, H.links)
-    pools: tuple[int, ...] = ()
-    if through is not None:
-        e = tuple(sorted(through))
-        if len(set(e)) != k or e[0] < 0 or e[-1] >= H.n:
-            raise ValueError(f"through = {tuple(through)} is not a {k}-subset of [0, {H.n})")
-        pools = index.through(e, None if e in H.edges else H.missing.index(e))
-    chosen, nodes = index.search(m, budget, index.full, pools)
+    chosen, nodes = index.search(m, budget, index.full)
     tuples = None if chosen is None else [index.ksets[i] for i in chosen]
     return tuple_search_result(H, tuples, nodes, budget)
 

@@ -207,12 +207,12 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
     is checked only where it can change something, by the seeded kernels:
     the m-cliques through e give the change in c_m, a clique through e
     is the only way adding e can break the cap, and a complete tuple that
-    uses e the only one the toggle can create (``find_complete_tuple``
-    with ``through``).  The instance is kept as an edge bitmask over the
-    k-subsets with its link index; ``KUniformHypergraph`` is built only
-    for the reported instance and to verify a certificate the search
-    hits.  ``tuple_budget`` bounds each seeded search and the final
-    re-verification.
+    uses e the only one the toggle can create (``TupleIndex.search``
+    seeded with ``TupleIndex.through``).  The instance is kept as an edge
+    bitmask over the k-subsets with its link index; ``KUniformHypergraph``
+    is built only for the reported instance and to verify a certificate
+    the search hits.  ``tuple_budget`` bounds each seeded search and the
+    final re-verification.
     """
     n, k, m = config.n, config.k, config.m
     if config.restarts < 1:
@@ -238,7 +238,7 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
             em, adding = vertex_masks[i], not edges >> i & 1
             # A clique through e reads no link that toggling e changes, so
             # both clique checks run on the current links.
-            delta = 1 if m == k else count_cliques_through(links, k, m, em)
+            delta = count_cliques_through(links, k, m, em)
             cm2 = cur_cm + delta if adding else cur_cm - delta
             if cm2 < cur_cm and rng.random() >= DOWNHILL_PROBABILITY:
                 continue

@@ -21,7 +21,7 @@ from cliquecert import (
     report_beta_upper,
 )
 from cliquecert.core import KUniformHypergraph, clique_through_exceeds, count_cliques_through
-from cliquecert.forbidden import TupleIndex
+from cliquecert.forbidden import CompleteTupleCertificate, TupleIndex, verify_complete_tuple
 from helpers import cycle_graph
 
 
@@ -176,9 +176,9 @@ def test_hill_climb_records_are_pinned(config, alpha, omega_ratio, digest):
 
 class TestSeededKernels:
     """Random feasible walks: on every proposed toggle of a k-set e, the
-    seeded kernels that the climb runs on its own masks, and their public
-    ``through`` forms, agree with the global kernels run on the toggled
-    instance."""
+    seeded kernels that the climb runs on its own masks agree with the
+    global kernels run on the toggled instance, and a seeded hit is a
+    valid certificate that uses e."""
 
     @staticmethod
     def walk(k, m, n, cap, steps, seed):
@@ -205,8 +205,13 @@ class TestSeededKernels:
             chosen, _ = index.search(m, 10**7, full ^ edges ^ 1 << i, index.through(e, None if adding else i))
             found = find_complete_tuple(trial, m).verdict is Verdict.FOUND
             assert (chosen is not None) == found
-            seeded = find_complete_tuple(trial, m, through=e)
-            assert (seeded.verdict is Verdict.FOUND) == found
+            if found:
+                cert = CompleteTupleCertificate(tuple(positions[j] for j in chosen))
+                assert verify_complete_tuple(trial, cert) == (True, None)
+                # A removed e is one of the tuples; an added e lies in a
+                # transversal, each of its vertices in a tuple of its own.
+                hosts = [sum(v in t for v in e) for t in cert.tuples]
+                assert e in cert.tuples if not adding else hosts.count(1) == k
             if found or over:
                 index.toggle(em)
             else:
@@ -221,12 +226,6 @@ class TestSeededKernels:
         for seed, cap in enumerate((k, m + 1, n - 1)):
             # Both toggle directions are accepted on every walk.
             assert self.walk(k, m, n, cap, 200, seed) == {True, False}
-
-    def test_through_rejects_a_bad_k_set(self):
-        with pytest.raises(ValueError):
-            find_complete_tuple(cycle_graph(5), 2, through=(0, 0))
-        with pytest.raises(ValueError):
-            find_complete_tuple(cycle_graph(5), 2, through=(3, 5))
 
 
 class TestReport:
