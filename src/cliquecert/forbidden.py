@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .core import Edge, InputFormatError, InternalConsistencyError, KUniformHypergraph
 
@@ -81,24 +81,45 @@ def verify_complete_tuple(
     a clique (all product(tuples) choices, each clique-checked by
     enumeration).  Arity mismatches are argument errors, not False verdicts.
     """
+    return check_complete_tuple(H.n, H.k, H.edges.__contains__, cert)
+
+
+def check_complete_tuple(
+    n: int, k: int, is_edge: Callable[[Edge], object], cert: CompleteTupleCertificate
+) -> tuple[bool, Optional[str]]:
+    """``verify_complete_tuple`` on the k-uniform instance on [0, n) whose
+    edges are the sorted k-tuples t with a truthy ``is_edge(t)``.
+    ``is_edge`` is asked only about k-subsets of [0, n)."""
     m = cert.m
-    if m < H.k:
-        raise ValueError(f"certificate has m = {m} < k = {H.k}")
+    if m < k:
+        raise ValueError(f"certificate has m = {m} < k = {k}")
     for t in cert.tuples:
-        if len(t) != H.k or len(set(t)) != H.k:
-            raise ValueError(f"tuple {t} is not a {H.k}-subset")
+        if len(t) != k or len(set(t)) != k:
+            raise ValueError(f"tuple {t} is not a {k}-subset")
     for i, j in combinations(range(m), 2):
         if set(cert.tuples[i]) & set(cert.tuples[j]):
             return False, f"tuples {cert.tuples[i]} and {cert.tuples[j]} are not disjoint"
     for t in cert.tuples:
-        if min(t) < 0 or max(t) >= H.n:
-            return False, f"{t} has a vertex outside [0, {H.n})"
-        if tuple(sorted(t)) in H.edges:
+        if min(t) < 0 or max(t) >= n:
+            return False, f"{t} has a vertex outside [0, {n})"
+        if is_edge(tuple(sorted(t))):
             return False, f"{t} is not a missing edge"
     for transversal in product(*cert.tuples):
-        if not H.is_clique(transversal):
-            return False, f"transversal {tuple(sorted(transversal))} is not a clique"
+        vs = sorted(transversal)
+        if not all(is_edge(s) for s in combinations(vs, k)):
+            return False, f"transversal {tuple(vs)} is not a clique"
     return True, None
+
+
+def certify(
+    cert: CompleteTupleCertificate, outcome: tuple[bool, Optional[str]]
+) -> CompleteTupleCertificate:
+    """``cert``, a search hit, once its check ``outcome`` (ok, reason) has
+    passed; InternalConsistencyError, carrying it, otherwise."""
+    ok, reason = outcome
+    if not ok:
+        raise InternalConsistencyError(f"search produced an invalid certificate: {reason}", cert)
+    return cert
 
 
 class _Memo(dict):
@@ -180,20 +201,18 @@ class TupleIndex:
 
         ``at`` is e's index when e is a missing k-set, which then is one of
         the tuples.  It is None when e is an edge, which then lies in a
-        transversal, so each vertex v of e has a tuple of its own: the
-        k-sets through v that avoid the rest of e.
+        transversal, so each vertex v of e has a tuple of its own.  Each
+        vertex of that tuple completes e - v to a transversal, so the tuple
+        lies inside link(e - v), which holds v too once ``toggle`` has made
+        e an edge: its pool is the k-sets of ``inside[e - v]`` through v.
         """
         if at is not None:
             return (1 << at,)
-        without = self.without
-        pools = []
+        em = 0
         for v in e:
-            pool = self.full & ~without[v]
-            for u in e:
-                if u != v:
-                    pool &= without[u]
-            pools.append(pool)
-        return tuple(pools)
+            em |= 1 << v
+        inside, without = self.inside, self.without
+        return tuple(inside[em ^ 1 << v] & ~without[v] for v in e)
 
     def search(
         self, m: int, budget: int, missing: int, pools: tuple[int, ...] = ()
@@ -327,23 +346,6 @@ class TupleIndex:
         return (chosen if hit else None), nodes
 
 
-def tuple_search_result(
-    H: KUniformHypergraph, tuples: Optional[Sequence[Edge]], nodes: int, budget: int
-) -> TupleSearchResult:
-    """The outcome of a search run on H that hit ``tuples`` (None for no
-    hit) after ``nodes`` nodes.  A hit is verified by enumeration before it
-    is reported FOUND; an exhausted search reports ``budget + 1`` nodes."""
-    if tuples is not None:
-        cert = CompleteTupleCertificate(tuple(tuples))
-        ok, reason = verify_complete_tuple(H, cert)
-        if not ok:
-            raise InternalConsistencyError(f"search produced an invalid certificate: {reason}", cert)
-        return TupleSearchResult(Verdict.FOUND, cert, nodes)
-    if nodes > budget:
-        return TupleSearchResult(Verdict.EXHAUSTED, None, budget + 1)
-    return TupleSearchResult(Verdict.ABSENT, None, nodes)
-
-
 def find_complete_tuple(
     H: KUniformHypergraph, m: int, budget: int = DEFAULT_BUDGET
 ) -> TupleSearchResult:
@@ -362,8 +364,13 @@ def find_complete_tuple(
         raise ValueError(f"budget must be >= 0, got {budget}")
     index = TupleIndex(H.n, k, H.missing, H.links)
     chosen, nodes = index.search(m, budget, index.full)
-    tuples = None if chosen is None else [index.ksets[i] for i in chosen]
-    return tuple_search_result(H, tuples, nodes, budget)
+    if chosen is not None:
+        # A hit is verified by enumeration before it is reported FOUND.
+        cert = CompleteTupleCertificate(tuple(index.ksets[i] for i in chosen))
+        return TupleSearchResult(Verdict.FOUND, certify(cert, verify_complete_tuple(H, cert)), nodes)
+    if nodes > budget:
+        return TupleSearchResult(Verdict.EXHAUSTED, None, budget + 1)
+    return TupleSearchResult(Verdict.ABSENT, None, nodes)
 
 
 def has_induced_biclique(G: KUniformHypergraph, m: int) -> bool:

@@ -35,10 +35,12 @@ from .core import (
 )
 from .forbidden import (
     DEFAULT_BUDGET,
+    CompleteTupleCertificate,
     TupleIndex,
     Verdict,
+    certify,
+    check_complete_tuple,
     find_complete_tuple,
-    tuple_search_result,
 )
 
 DEFAULT_MAX_ENUMERATION = 1 << 22
@@ -210,9 +212,10 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
     uses e the only one the toggle can create (``TupleIndex.search``
     seeded with ``TupleIndex.through``).  The instance is kept as an edge
     bitmask over the k-subsets with its link index; ``KUniformHypergraph``
-    is built only for the reported instance and to verify a certificate
-    the search hits.  ``tuple_budget`` bounds each seeded search and the
-    final re-verification.
+    is built only for each restart's best instance, and a certificate the
+    search hits is verified by enumeration against the edge bitmask.
+    ``tuple_budget`` bounds each seeded search and the final
+    re-verification.
     """
     n, k, m = config.n, config.k, config.m
     if config.restarts < 1:
@@ -221,6 +224,7 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
         raise ValueError(f"iterations must be >= 0, got {config.iterations}")
     _check_search(n, k, m, config.omega_cap)
     positions = list(combinations(range(n), k))
+    rank = {e: i for i, e in enumerate(positions)}
     vertex_masks = [sum(1 << v for v in e) for e in positions]
     full = (1 << len(positions)) - 1
     budget = config.tuple_budget
@@ -255,22 +259,20 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
                     restart_best, restart_best_cm = edges, cur_cm
                 continue
             if chosen is not None:
-                # Raises unless the certificate checks out on the trial.
-                cert = [positions[j] for j in chosen]
-                tuple_search_result(_instance(n, k, positions, trial), cert, nodes, budget)
+                # Raises unless the certificate checks out on the trial,
+                # read bit by bit from its mask rather than from the links
+                # the search used.
+                cert = CompleteTupleCertificate(tuple(positions[j] for j in chosen))
+                certify(cert, check_complete_tuple(n, k, lambda t: trial >> rank[t] & 1, cert))
             index.toggle(em)
-        record = FrontierRecord.from_instance(_instance(n, k, positions, restart_best), m, budget)
+        H = KUniformHypergraph(
+            n=n, k=k, edges=frozenset(positions[j] for j in mask_vertices(restart_best))
+        )
+        record = FrontierRecord.from_instance(H, m, budget)
         # Every record has the same C(n, m) denominator, so alpha orders c_m.
         if best is None or record.alpha > best.alpha:
             best = record
     return best
-
-
-def _instance(n: int, k: int, positions: list[tuple[int, ...]], edges: int) -> KUniformHypergraph:
-    """The instance whose edges are the positions of the bits of ``edges``."""
-    return KUniformHypergraph(
-        n=n, k=k, edges=frozenset(positions[i] for i in mask_vertices(edges))
-    )
 
 
 @dataclass(frozen=True)

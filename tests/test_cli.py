@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cliquecert import hypergraph_from_dict, hypergraph_to_dict
 from cliquecert.cli import main
 from cliquecert.forbidden import DEFAULT_BUDGET
-from helpers import cycle_graph
+from helpers import brute_force_has_complete_tuple, brute_force_max_clique, cycle_graph
 
 BOXES = {
     "d": 1,
@@ -346,12 +346,14 @@ class TestSearch:
     def test_exhausted_verification_exits_four(self, capsys):
         # Inconclusive, not an invalid input: the final re-verification of
         # the best instance runs out of budget, or a candidate the exhaustive
-        # search had to skip could have beaten the best record.
+        # search had to skip could have beaten the best record.  With no
+        # iterations the record is the edgeless start, whose 10 missing
+        # edges exhaust 10 nodes whatever the seeded searches cost.
         cases = [
             (
                 [
                     "search", "--n", "5", "--k", "2", "--m", "2", "--omega-cap", "3",
-                    "--seed", "1", "--budget", "10",
+                    "--seed", "1", "--budget", "10", "--iters", "0",
                 ],
                 "inconclusive: the tuple search verifying the record exhausted its budget "
                 "of 10 nodes",
@@ -370,6 +372,23 @@ class TestSearch:
             assert code == 4
             assert out == ""
             assert err.strip().splitlines() == [line]
+
+    def test_small_budget_climb_leaves_the_edgeless_start(self, capsys):
+        # The seeded searches of this climb fit in 10 nodes, so it moves,
+        # and its best instance re-verifies within the same budget.
+        code, out, _ = run(
+            capsys,
+            "search", "--n", "5", "--k", "2", "--m", "2", "--omega-cap", "3",
+            "--seed", "1", "--budget", "10",
+        )
+        assert code == 0
+        record = json.loads(out.splitlines()[0])
+        assert record["verified"] == "absent"
+        H = hypergraph_from_dict(record["instance"])
+        assert H.edges
+        assert not brute_force_has_complete_tuple(H, 2)
+        assert brute_force_max_clique(H) <= 3
+        assert last_json(out)["outcome"]["records"] == 1
 
     def test_size_refusal_exit_code(self, capsys):
         code, _, err = run(

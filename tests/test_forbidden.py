@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import combinations, product
 
@@ -14,6 +15,7 @@ from cliquecert import (
     random_box_family,
     verify_complete_tuple,
 )
+from cliquecert.forbidden import TupleIndex
 from helpers import (
     brute_force_has_complete_tuple,
     complete_graph,
@@ -215,6 +217,71 @@ class TestReferenceOracle:
                 assert outcome(find_complete_tuple(H, d + 1, budget)) == outcome(
                     reference_find_complete_tuple(H, d + 1, budget)
                 ), (n, d, seed, budget)
+
+
+class TestNarrowedSeedPools:
+    """The seeded search on the pools of ``TupleIndex.through`` against the
+    brute force, not against ``find_complete_tuple``: from an instance with
+    no complete m-tuple, every toggle of every k-set hits exactly when the
+    toggled instance has one, and every hit verifies."""
+
+    @staticmethod
+    def toggle_each(H, m, has_tuple):
+        n, k = H.n, H.k
+        positions = list(combinations(range(n), k))
+        full = (1 << len(positions)) - 1
+        edges = sum(1 << i for i, e in enumerate(positions) if e in H.edges)
+        index = TupleIndex(n, k, positions, dict(H.links))
+        directions = set()
+        for i, e in enumerate(positions):
+            em, adding = sum(1 << v for v in e), e not in H.edges
+            trial = KUniformHypergraph(n=n, k=k, edges=H.edges ^ {e})
+            index.toggle(em)
+            pools = index.through(e, None if adding else i)
+            chosen, _ = index.search(m, 10**7, full ^ edges ^ 1 << i, pools)
+            index.toggle(em)
+            assert (chosen is not None) == has_tuple(trial, m), (sorted(H.edges), e, m)
+            if chosen is not None:
+                cert = CompleteTupleCertificate(tuple(positions[j] for j in chosen))
+                assert verify_complete_tuple(trial, cert) == (True, None)
+                directions.add(adding)
+        return directions
+
+    def test_all_graphs_up_to_five_vertices(self):
+        # Every toggled graph is one of the graphs walked, so each brute
+        # force runs once.
+        has_tuple = functools.cache(brute_force_has_complete_tuple)
+        directions = set()
+        for n in range(2, 6):
+            for H in all_graphs(n):
+                for m in (2, 3):
+                    if not has_tuple(H, m):
+                        directions |= self.toggle_each(H, m, has_tuple)
+        assert directions == {True, False}
+
+    def test_random_three_uniform_instances(self):
+        # Planted complete 3-tuples on 9 vertices, broken by dropping an
+        # edge of a transversal or by making one of the tuples an edge, so
+        # that toggling it back is a hit in either direction.
+        rng = random.Random(1907)
+        directions, tried = set(), 0
+        while tried < 12:
+            H = planted_complete_tuple(rng, 9, 3, 3)
+            tuples = next(
+                c for c in combinations(H.missing, 3)
+                if verify_complete_tuple(H, CompleteTupleCertificate(c))[0]
+            )
+            # With k = m a transversal is one k-set.
+            if tried % 2:
+                flip = tuple(sorted(rng.choice(t) for t in tuples))
+            else:
+                flip = rng.choice(tuples)
+            H = KUniformHypergraph(n=9, k=3, edges=H.edges ^ {flip})
+            if brute_force_has_complete_tuple(H, 3):
+                continue
+            tried += 1
+            directions |= self.toggle_each(H, 3, brute_force_has_complete_tuple)
+        assert directions == {True, False}
 
 
 class TestInducedBiclique:

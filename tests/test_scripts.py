@@ -17,6 +17,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_script(script, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "script, args, header",
     [
@@ -29,14 +37,35 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_prints_its_table(script, args, header):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr
     first = proc.stdout.splitlines()[0].split()
     assert first[: len(header)] == header
+
+
+def test_frontier_experiment_m_defaults_to_k():
+    proc = run_script(
+        "frontier_experiment.py", "--n", "6", "--k", "3", "--iters", "20", "--restarts", "1"
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[2:]
+    assert rows and all(row.split()[:2] == ["3", "3"] for row in rows)
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["--n", "5", "--k", "3", "--m", "2"], "error: m must be >= k = 3, got 2"),
+        (["--n", "5", "--k", "1"], "error: edge arity k must be >= 2, got 1"),
+        (["--n", "6", "--restarts", "0"], "error: restarts must be >= 1, got 0"),
+        (["--n", "2"], "error: no clique cap to try: --n must exceed 2"),
+    ],
+)
+def test_frontier_experiment_argument_errors_exit_two(args, error):
+    proc = run_script("frontier_experiment.py", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [error]
 
 
 @pytest.mark.parametrize("module", ["cliquecert", "cliquecert.cli"])

@@ -20,9 +20,19 @@ from cliquecert import (
     max_clique,
     report_beta_upper,
 )
-from cliquecert.core import KUniformHypergraph, clique_through_exceeds, count_cliques_through
-from cliquecert.forbidden import CompleteTupleCertificate, TupleIndex, verify_complete_tuple
-from helpers import cycle_graph
+from cliquecert.core import (
+    InternalConsistencyError,
+    KUniformHypergraph,
+    clique_through_exceeds,
+    count_cliques_through,
+)
+from cliquecert.forbidden import (
+    CompleteTupleCertificate,
+    TupleIndex,
+    check_complete_tuple,
+    verify_complete_tuple,
+)
+from helpers import cycle_graph, nine_vertex_example, random_hypergraph
 
 
 def record_cm(rec: FrontierRecord) -> int:
@@ -226,6 +236,77 @@ class TestSeededKernels:
         for seed, cap in enumerate((k, m + 1, n - 1)):
             # Both toggle directions are accepted on every walk.
             assert self.walk(k, m, n, cap, 200, seed) == {True, False}
+
+
+class TestSeededCertificateCheck:
+    """The climb verifies a seeded hit against its edge bitmask, without
+    building an instance: a bad hit raises with its certificate, and the
+    bitmask check agrees with ``verify_complete_tuple``."""
+
+    @pytest.mark.parametrize(
+        "kind, reason",
+        [
+            ("overlap", "are not disjoint"),
+            ("edge", "is not a missing edge"),
+            ("cross", "is not a clique"),
+        ],
+    )
+    def test_bad_hit_raises_with_its_certificate(self, monkeypatch, kind, reason):
+        # The first proposal from the edgeless start adds an edge and
+        # reaches the tuple search; the patched search answers it with a
+        # hit that fails in the given way.
+        seen = []
+
+        def low(mask):
+            return (mask & -mask).bit_length() - 1
+
+        def search(index, m, budget, missing, pools=()):
+            if kind == "overlap":
+                chosen = [0, 1]
+            else:
+                first = low(index.full & ~missing if kind == "edge" else missing)
+                chosen = [first, low(index.apart[first] & missing)]
+            seen.append(missing)
+            return chosen, 1
+
+        monkeypatch.setattr(TupleIndex, "search", search)
+        with pytest.raises(InternalConsistencyError) as info:
+            hill_climb(HillClimbConfig(n=5, k=2, m=2, omega_cap=3, iterations=10, seed=1))
+        positions = list(combinations(range(5), 2))
+        trial = KUniformHypergraph(
+            n=5, k=2, edges=frozenset(p for i, p in enumerate(positions) if not seen[0] >> i & 1)
+        )
+        cert = info.value.certificate
+        ok, expected = verify_complete_tuple(trial, cert)
+        assert not ok and reason in expected
+        assert str(info.value) == f"search produced an invalid certificate: {expected}"
+        assert len(seen) == 1
+
+    def test_bitmask_check_agrees_with_verify(self):
+        rng = random.Random(1911)
+        instances = [cycle_graph(4), nine_vertex_example()]
+        for _ in range(60):
+            k = rng.choice([2, 3])
+            instances.append(random_hypergraph(rng, rng.randint(k, 8), k, rng.random()))
+        kinds = ("disjoint", "outside", "missing", "clique")
+        outcomes = set()
+        for H in instances:
+            n, k = H.n, H.k
+            positions = list(combinations(range(n), k))
+            rank = {e: i for i, e in enumerate(positions)}
+            edges = sum(1 << i for i, e in enumerate(positions) if e in H.edges)
+            for m in (k, k + 1):
+                certs = [c for _, c in zip(range(150), combinations(H.missing, m))]
+                for _ in range(20):
+                    # Any k-subsets of [0, n], so some overlap, hold an
+                    # edge or leave the vertex range.
+                    certs.append(tuple(tuple(rng.sample(range(n + 1), k)) for _ in range(m)))
+                for tuples in certs:
+                    cert = CompleteTupleCertificate(tuple(tuples))
+                    got = check_complete_tuple(n, k, lambda t: edges >> rank[t] & 1, cert)
+                    assert got == verify_complete_tuple(H, cert), (sorted(H.edges), tuples)
+                    outcomes.add(got[0] or next(w for w in kinds if w in got[1]))
+        assert outcomes == {True, "disjoint", "outside", "missing", "clique"}
 
 
 class TestReport:
