@@ -12,6 +12,7 @@ cross-multiplication and never touch floats.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -196,14 +197,22 @@ def m_clique_family(H: KUniformHypergraph, m: int) -> tuple[Edge, ...]:
     Depth-first in ascending vertex order.  The candidate mask holds the
     vertices above the partial clique C that complete every (k-1)-subset
     of C to an edge; adding v narrows it by the links of the new
-    (k-1)-subsets, T + {v} for each (k-2)-subset T of C.
+    (k-1)-subsets, T + {v} for each (k-2)-subset T of C.  The search
+    recurses once per clique vertex; an m it cannot reach under the
+    interpreter's recursion limit is refused with ``SizeRefusalError``.
     """
     k = H.k
     if m < k:
         raise ValueError(f"m must be >= k = {k}, got {m}")
     family: list[Edge] = []
     if m <= H.n:
-        _grow_cliques(H.links, k, m, [], [], (1 << H.n) - 1, family)
+        try:
+            _grow_cliques(H.links, k, m, [], [], (1 << H.n) - 1, family)
+        except RecursionError:
+            raise SizeRefusalError(
+                f"an m-clique of {m} vertices nests deeper than the interpreter's "
+                f"recursion limit of {sys.getrecursionlimit()}"
+            ) from None
     return tuple(family)
 
 

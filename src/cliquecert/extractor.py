@@ -18,12 +18,18 @@ all m-cliques, each shrink step picks the missing edge tau lying inside the
 most tuple-neighborhoods and restricts the family to those tuples, picking
 up one tau per round.  After m-1 rounds the surviving vertex set either
 contains a missing edge (completing a certificate) or is itself a clique.
+
+A round scores missing edges from the transposed incidence, as bit-parallel
+clique solvers do (San Segundo et al. 2011): each sigma of the round gets a
+position j, and col[x] is the mask of the positions whose N_sigma holds x.
+The score of tau is then popcount(AND of col[t] for t in tau), one big-int
+AND per candidate missing k-set, and the surviving sigma are the positions
+in that AND for the chosen tau.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Union
@@ -41,7 +47,6 @@ from .core import (
     m_clique_family,
     mask_vertices,
     maximal_missing_matching,
-    missing_completions,
     tuple_neighbourhoods,
 )
 from .forbidden import CompleteTupleCertificate, verify_complete_tuple
@@ -125,24 +130,64 @@ def score_tau(H: KUniformHypergraph, family: Iterable[Edge]) -> dict[Edge, int]:
     family's arity, and N_sigma = {x : sigma + {x} in family}.  Only missing
     edges with positive score appear in the map; the score total equals the
     number of (sigma, tau) incidences.
+
+    The count is read off the transposed incidence: number the sigma with a
+    nonempty N_sigma 0, 1, 2, ... and let col[x] be the mask of the numbers
+    whose N_sigma holds x.  Then tau lies inside exactly the N_sigma numbered
+    in the AND of col[t] over t in tau, and its score is that AND's popcount.
     """
-    return _scores(H, tuple_neighbourhoods(H, family))
+    return _scores(H, _columns(H, family)[1])
 
 
-def _scores(H: KUniformHypergraph, nbhd: dict[int, int]) -> dict[Edge, int]:
-    # The tau scores from the N_sigma masks, one count per missing k-set
-    # inside each N_sigma.
-    counts: Counter[int] = Counter()
-    for nb in nbhd.values():
-        if nb.bit_count() >= H.k:
-            found: list[int] = []
-            for s, miss in missing_completions(H, nb):
-                while miss:
-                    low = miss & -miss
-                    miss ^= low
-                    found.append(s | low)
-            counts.update(found)
-    return {mask_vertices(tau): c for tau, c in counts.items()}
+def _columns(H: KUniformHypergraph, family: Iterable[Edge]) -> tuple[list[int], list[int]]:
+    # The sigma with a nonempty N_sigma, as vertex masks in position order,
+    # and for each vertex x the mask of the positions whose N_sigma holds x.
+    nbhd = tuple_neighbourhoods(H, family)
+    col = [0] * H.n
+    for j, nb in enumerate(nbhd.values()):
+        bit = 1 << j
+        while nb:
+            low = nb & -nb
+            nb ^= low
+            col[low.bit_length() - 1] |= bit
+    return list(nbhd), col
+
+
+def _scores(H: KUniformHypergraph, col: list[int]) -> dict[Edge, int]:
+    # The tau scores from the columns: one AND per missing k-set whose
+    # (k-1)-prefix lies inside some N_sigma.
+    scores: dict[Edge, int] = {}
+    support = sum(1 << x for x, c in enumerate(col) if c)
+    _score_prefixes(H.links, col, (), 0, -1, support, H.k - 1, scores)
+    return scores
+
+
+def _score_prefixes(
+    links: dict[int, int], col: list[int], prefix: Edge, s: int, acc: int, rest: int,
+    depth: int, scores: dict[Edge, int],
+) -> None:
+    # Extends the prefix s (vertex mask; ``prefix`` its vertices, ``acc``
+    # the AND of their columns) by depth vertices of rest above it, and
+    # scores every missing completion of a full (k-1)-prefix.
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        a = acc & col[v]
+        if not a:
+            continue
+        t = s | low
+        if depth == 1:
+            miss = rest & ~links.get(t, 0)
+            while miss:
+                b = miss & -miss
+                miss ^= b
+                w = b.bit_length() - 1
+                c = (a & col[w]).bit_count()
+                if c:
+                    scores[(*prefix, v, w)] = c
+        elif rest.bit_count() >= depth:
+            _score_prefixes(links, col, (*prefix, v), t, a, rest, depth - 1, scores)
 
 
 def shrink_step(
@@ -155,7 +200,8 @@ def shrink_step(
     N_sigma, in lexicographic order; every surviving sigma then satisfies
     sigma + {t} in family for all t in tau.  The chosen tau is necessarily
     disjoint from all previously chosen ones; a violation means the family
-    invariant was broken upstream and raises.
+    invariant was broken upstream and raises.  Both the scores and the
+    survivors are read from one set of columns (see ``score_tau``).
 
     Raises NoProgressError when the family is empty or no neighborhood
     contains a missing edge.
@@ -163,8 +209,8 @@ def shrink_step(
     fam = family if isinstance(family, (set, frozenset, tuple, list)) else list(family)
     if not fam:
         raise NoProgressError("family is empty")
-    nbhd = tuple_neighbourhoods(H, fam)
-    scores = _scores(H, nbhd)
+    sigmas, col = _columns(H, fam)
+    scores = _scores(H, col)
     if not scores:
         raise NoProgressError("no tuple neighborhood contains a missing edge")
     top = max(scores.values())
@@ -174,12 +220,10 @@ def shrink_step(
             raise InternalConsistencyError(
                 f"chosen missing edge {tau} intersects previously chosen {prev}"
             )
-    tmask = sum(1 << t for t in tau)
-    shrunk = sorted(
-        mask_vertices(sigma)
-        for sigma, nb in nbhd.items()
-        if nb & tmask == tmask
-    )
+    keep = -1
+    for t in tau:
+        keep &= col[t]
+    shrunk = sorted(mask_vertices(sigmas[j]) for j in mask_vertices(keep))
     return ShrinkResult(tau=tau, family=tuple(shrunk), scores=scores)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,23 @@ class TestExtract:
         path = write_json(tmp_path / "h3.json", {"n": 4, "k": 3, "edges": [[0, 1, 2]]})
         code, _, err = run(capsys, "extract", "--input", path, "--algorithm", "graph")
         assert code == 2
+
+    def test_clique_deeper_than_the_recursion_limit_is_refused(self, capsys, tmp_path):
+        # The m-clique search recurses once per clique vertex.  C(260, 259)
+        # = 260 m-subsets pass the size cap, and the two that leave out 0
+        # or 1 are cliques of K_260 minus the edge 01.
+        doc = {"n": 260, "k": 2, "missing": [[0, 1]]}
+        path = write_json(tmp_path / "deep.json", doc)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            code, out, err = run(capsys, "extract", "--input", path, "--m", "259")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 3
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("size refusal: ")
 
 
 class TestForbidden:

@@ -13,6 +13,7 @@ import pytest
 
 import cliquecert.extractor as extractor
 from cliquecert import (
+    KUniformHypergraph,
     all_graphs,
     build_nerve,
     count_m_cliques,
@@ -26,8 +27,10 @@ from cliquecert import (
     shrink_step,
 )
 from cliquecert.cli import _graph_outcome_dict, _hypergraph_outcome_dict
+from cliquecert.core import mask_vertices
 from helpers import (
     brute_force_max_clique,
+    graph,
     random_hypergraph,
     reference_extract_graph,
     reference_greedy_extend_clique,
@@ -36,6 +39,7 @@ from helpers import (
     reference_nerve_edges,
     reference_score_tau,
     reference_shrink_step,
+    relabel,
 )
 
 
@@ -52,6 +56,27 @@ def same_extraction(H, m) -> bool:
     # The outcome dataclasses hold everything the report dictionary is
     # made of, so equal outcomes print equal reports.
     return extract_hypergraph(H, m) == reference_extraction(H, m)
+
+
+def same_rounds(H, fam, rounds: int) -> bool:
+    """score_tau and shrink_step agree with the oracles on ``fam`` and on
+    each family shrink_step returns, for up to ``rounds`` rounds."""
+    taus = []
+    for _ in range(rounds):
+        if score_tau(H, fam) != reference_score_tau(H, fam):
+            return False
+        try:
+            want = reference_shrink_step(H, fam, taus)
+        except extractor.NoProgressError:
+            with pytest.raises(extractor.NoProgressError):
+                shrink_step(H, fam, taus)
+            return True
+        step = shrink_step(H, fam, taus)
+        if step != want:
+            return False
+        taus.append(step.tau)
+        fam = step.family
+    return True
 
 
 def random_instances(seed: int, count: int, max_n: int = 9):
@@ -121,6 +146,29 @@ class TestCliqueKernels:
                 continue
             assert shrink_step(H, fam) == want
 
+    def test_scores_and_shrink_in_later_rounds(self):
+        # Rounds 2 to m - 1 score and shrink the families that shrink_step
+        # itself returned, of arity m - 1 down to 2.  Disjoint planted
+        # missing k-sets keep most runs going past the first round.
+        rng = random.Random(18)
+        for k in (2, 3, 4):
+            for _ in range(25):
+                n = rng.randint(2 * k + 1, 10)
+                order = rng.sample(range(n), n)
+                planted = {tuple(sorted(order[i:i + k])) for i in range(0, n - k + 1, k)}
+                q = rng.uniform(0, 0.1)
+                H = KUniformHypergraph(n=n, k=k, edges=frozenset(
+                    e for e in combinations(range(n), k)
+                    if e not in planted and rng.random() >= q
+                ))
+                for m in (k + 1, k + 2):
+                    assert same_rounds(H, m_clique_family(H, m), m - 1), (H, m)
+
+    def test_scores_and_shrink_on_benchmark_sized_nerves(self):
+        for n, d, spread, side in ((90, 1, 100, 40), (40, 2, 100, 40), (26, 3, 30, 30)):
+            H = random_box_family(n, d, 1, spread=spread, max_side=side).nerve_hypergraph
+            assert same_rounds(H, m_clique_family(H, H.k + 1), H.k), (n, d)
+
     def test_family_members_must_be_vertex_sets(self):
         H = random_hypergraph(random.Random(1), 5, 2, 0.5)
         with pytest.raises(ValueError):
@@ -151,6 +199,47 @@ class TestExtractionOracle:
             assert _graph_outcome_dict(extract_graph(G)) == _graph_outcome_dict(
                 reference_extract_graph(G)
             ), sorted(G.edges)
+
+    def test_graph_extraction_on_interval_nerves(self):
+        # Interval graphs are chordal, so every common neighbourhood of a
+        # missing edge is a clique and the candidate scan never stops at a
+        # certificate.
+        for n in (20, 45, 90):
+            for seed in range(4):
+                G = random_box_family(n, 1, seed, spread=100, max_side=40).nerve_hypergraph
+                got = extract_graph(G)
+                assert got.kind == "clique"
+                assert got == reference_extract_graph(G), (n, seed)
+
+    # Ten vertices whose best candidate cliques have four vertices: the
+    # common neighbourhoods of two missing edges and one per-vertex
+    # candidate.  The lexicographic tie-break picks the per-vertex one as
+    # labelled and, relabelled by TIE_PERM, the common neighbourhood that
+    # the scan reaches second.
+    TIE_EDGES = [
+        (0, 1), (0, 4), (0, 5), (0, 7), (0, 8), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+        (1, 7), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 9), (3, 6), (3, 9), (4, 5),
+        (4, 6), (4, 7), (4, 8), (4, 9), (5, 6), (5, 7), (6, 8), (7, 9),
+    ]
+    TIE_PERM = [9, 6, 4, 3, 8, 2, 0, 1, 5, 7]
+
+    @pytest.mark.parametrize(
+        "perm, tied, witness",
+        [
+            (list(range(10)), [(1, 2, 4, 5), (1, 4, 5, 7)], (0, 1, 4, 5, 7)),
+            (TIE_PERM, [(1, 2, 6, 8), (2, 4, 6, 8)], (1, 2, 4, 6, 8)),
+        ],
+    )
+    def test_graph_extraction_tie_break(self, perm, tied, witness):
+        G = relabel(graph(10, self.TIE_EDGES), perm)
+        adj = [G.links.get(1 << v, 0) for v in range(G.n)]
+        common = {mask_vertices(adj[a] & adj[b]) for a, b in G.missing}
+        cliques = [c for c in common if G.is_clique(c)]
+        assert max(map(len, cliques)) == 4
+        assert sorted(c for c in cliques if len(c) == 4) == tied
+        got = extract_graph(G)
+        assert got == reference_extract_graph(G)
+        assert got.clique.vertices == witness
 
     def test_random_hypergraphs(self):
         for _, H in random_instances(15, 300):
