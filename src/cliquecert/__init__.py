@@ -17,9 +17,6 @@ from .bounds import (
     bound_report,
     chordal_bound,
     kalai_bound,
-    lemma31_lower_bound,
-    meets_chordal_bound,
-    meets_kalai_bound_with_slack,
     meets_theorem1_bound,
     theorem1_bound,
 )
@@ -32,9 +29,7 @@ from .core import (
     InternalConsistencyError,
     KUniformHypergraph,
     SizeRefusalError,
-    all_graphs,
     count_m_cliques,
-    ext_binom,
     greedy_extend_clique,
     hypergraph_from_dict,
     hypergraph_to_dict,

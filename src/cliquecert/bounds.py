@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Density, ext_binom
+from .core import Density
 
 
 def _check_alpha(alpha: float | Density) -> None:
@@ -68,16 +68,6 @@ def kalai_bound(alpha: float, d: int) -> float:
     if d < 1:
         raise ValueError(f"dimension d must be >= 1, got {d}")
     return 1.0 - (1.0 - alpha) ** (1.0 / (d + 1))
-
-
-def lemma31_lower_bound(s: int, omega: int, k: int, m: int) -> float:
-    """Missing-edge count floor for any s-vertex subset of an instance with
-    clique number omega and no complete m-tuple of missing edges:
-    C(m,k)^-1 * extended_binom((s - omega)/k, k).  Zero when s <= omega
-    (the bound is vacuous there)."""
-    if s <= omega:
-        return 0.0
-    return ext_binom((s - omega) / k, k) / math.comb(m, k)
 
 
 @dataclass(frozen=True)
@@ -151,28 +141,3 @@ def meets_theorem1_bound(size: int, n: int, alpha: Density) -> bool:
     if t <= 0:
         return True
     return 4 * u >= t * t
-
-
-def meets_chordal_bound(size: int, n: int, alpha: Density) -> bool:
-    """Exactly decide size/n >= 1 - sqrt(1 - alpha)."""
-    if n == 0:
-        return True
-    u = 1 - Fraction(alpha)
-    t = 1 - Fraction(size, n)
-    if t <= 0:
-        return True
-    return u >= t * t
-
-
-def meets_kalai_bound_with_slack(size: int, n: int, alpha: Density, d: int) -> bool:
-    """Exactly decide size/n >= 1 - (1-alpha)^(1/(d+1)) - 1/n.
-
-    The 1/n slack absorbs integrality of the subfamily size.  Rearranged to
-    (1-alpha) >= ((n - size - 1)/n)^(d+1), decided in rationals.
-    """
-    if n == 0:
-        return True
-    q = Fraction(n - size - 1, n)
-    if q <= 0:
-        return True
-    return 1 - Fraction(alpha) >= q ** (d + 1)

@@ -249,6 +249,7 @@ def _cmd_helly(args) -> tuple:
         "kalai_target": out.kalai_target,
         "degraded": out.degraded,
         "colorful_verdict": check.verdict.value,
+        "colorful_nodes": check.nodes,
         "extraction": _hypergraph_outcome_dict(out.extraction),
     }
     return digest, outcome, 0

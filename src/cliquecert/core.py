@@ -78,21 +78,6 @@ class KUniformHypergraph:
             if e[0] < 0 or e[-1] >= self.n:
                 raise InputFormatError(f"edge {e} has a vertex outside [0, {self.n})")
 
-    @classmethod
-    def from_edges(cls, n: int, k: int, edges: Iterable[Iterable[int]]) -> "KUniformHypergraph":
-        """Build an instance from unsorted edge iterables, canonicalizing each."""
-        canon = []
-        seen: dict[Edge, int] = {}
-        for pos, raw in enumerate(edges):
-            e = tuple(sorted(raw))
-            if len(set(e)) != len(e):
-                raise InputFormatError(f"edges[{pos}]: repeated vertex in {tuple(raw)}")
-            if e in seen:
-                raise InputFormatError(f"edges[{pos}]: duplicate of edges[{seen[e]}]")
-            seen[e] = pos
-            canon.append(e)
-        return cls(n=n, k=k, edges=frozenset(canon))
-
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
@@ -150,22 +135,6 @@ class CliqueWitness:
 
     def verify(self, host: KUniformHypergraph) -> bool:
         return host.is_clique(self.vertices)
-
-
-def ext_binom(x: float, k: int) -> float:
-    """Continuous convex extension of the binomial coefficient.
-
-    Returns x(x-1)...(x-k+1)/k! for x >= k-1 and 0 below, which makes the
-    function continuous at x = k-1 and convex on the whole real line.
-    """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if x < k - 1:
-        return 0.0
-    num = 1.0
-    for j in range(k):
-        num *= x - j
-    return num / math.factorial(k)
 
 
 def count_m_cliques(H: KUniformHypergraph, m: int) -> int:
@@ -497,11 +466,3 @@ def hypergraph_from_dict(obj: Mapping) -> KUniformHypergraph:
 
 def hypergraph_to_dict(H: KUniformHypergraph) -> dict:
     return {"n": H.n, "k": H.k, "edges": [list(e) for e in H.sorted_edges]}
-
-
-def all_graphs(n: int) -> Iterator[KUniformHypergraph]:
-    """Every 2-uniform hypergraph on n labelled vertices, by edge bitmask."""
-    positions = list(combinations(range(n), 2))
-    for mask in range(1 << len(positions)):
-        edges = frozenset(pos for i, pos in enumerate(positions) if mask >> i & 1)
-        yield KUniformHypergraph(n=n, k=2, edges=edges)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from typing import Callable, Mapping, Optional, Sequence
 
 from .core import Edge, InputFormatError, InternalConsistencyError, KUniformHypergraph
@@ -136,6 +136,17 @@ class _Memo(dict):
         return value
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _charge(cands: int, succ: Sequence[int], dropped: int) -> int:
+    """The sum of |cands & succ[i]| over the bits i of ``dropped``, in one
+    C-level pass: ``succ`` compressed by the bits of ``dropped``, lowest
+    first, as bytes 0 and 1."""
+    rows = compress(succ, bin(dropped)[:1:-1].encode().translate(_BITS))
+    return sum(map(int.bit_count, map(cands.__and__, rows)))
+
+
 class TupleIndex:
     """The k-sets a tuple search ranges over, and the masks it combines.
 
@@ -172,18 +183,71 @@ class TupleIndex:
         def inside_link(s: int) -> int:
             # Drop every k-set touching a vertex outside link(s), that is a
             # vertex of s or a vertex v with s + v missing.
-            mask = full
-            rest = vertices & ~links.get(s, 0)
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                mask &= without[low.bit_length() - 1]
-            return mask
+            return self.avoiding(vertices & ~links.get(s, 0))
 
         self.k, self.ksets, self.full = k, ksets, full
         self.without, self.apart, self.later = without, apart, later
         self.links = links
         self.inside = _Memo(inside_link)
+
+    def avoiding(self, vertices: int) -> int:
+        """The k-sets that avoid every vertex of the mask ``vertices``."""
+        mask, without = self.full, self.without
+        while vertices:
+            low = vertices & -vertices
+            vertices ^= low
+            mask &= without[low.bit_length() - 1]
+        return mask
+
+    def picks(self, chosen: Sequence[int]) -> list[int]:
+        """Vertex masks of one vertex from each of k - 2 of the tuples
+        ``chosen``: with a vertex of each of two more tuples, such a pick
+        makes a transversal constraint."""
+        ksets, out = self.ksets, []
+        for idxs in combinations(chosen, self.k - 2):
+            for pick in product(*(ksets[i] for i in idxs)):
+                mask = 0
+                for v in pick:
+                    mask |= 1 << v
+                out.append(mask)
+        return out
+
+    def vertex_core(self, chosen: Sequence[int], pick_masks: list[int]) -> int:
+        """A mask of the k-sets that can hold either of the last two tuples
+        of a complete tuple extending the tuples ``chosen``, among the
+        k-sets that avoid them; ``pick_masks`` is ``picks(chosen)``.
+
+        Call u a core neighbour of t, both vertices off ``chosen``, when
+        p + t + u is an edge for every pick p, that is when u lies in the
+        AND of link(p + t) over the picks.  The relation is symmetric, and
+        each vertex of either last tuple has the k vertices of the other
+        among its core neighbours.  So both tuples lie in the largest
+        vertex set X in which every vertex keeps k core neighbours, which
+        peeling finds as for a k-core.  Returns 0 when X has fewer than 2k
+        vertices, else the k-sets avoiding the free vertices outside X.
+        """
+        k, links, ksets = self.k, self.links, self.ksets
+        free = (1 << len(self.without)) - 1
+        for i in chosen:
+            for v in ksets[i]:
+                free &= ~(1 << v)
+        nbrs, rest = [], free
+        while rest:
+            t = rest & -rest
+            rest ^= t
+            mask = free
+            for p in pick_masks:
+                mask &= links.get(p | t, 0)
+            nbrs.append((t, mask))
+        core = free
+        while True:
+            kept = [(t, mask) for t, mask in nbrs if (mask & core).bit_count() >= k]
+            if len(kept) < 2 * k:
+                return 0
+            if len(kept) == len(nbrs):
+                return self.avoiding(free ^ core)
+            nbrs = kept
+            core = sum(t for t, _ in kept)
 
     def toggle(self, em: int) -> None:
         """Flip the k-set with vertex mask ``em`` between edge and non-edge
@@ -236,22 +300,19 @@ class TupleIndex:
         not, costs one node against ``budget``; the passed-over bits are
         charged in bulk by popcount.  The search stops once the count
         passes ``budget``.
+
+        The last depth, m - 2, pairs each candidate with its successors
+        in one loop step.  When its candidates outnumber the vertices, it
+        first keeps only those inside ``vertex_core`` of the tuples
+        chosen so far, and charges each dropped candidate what its loop
+        step would have, the count of its successors, in one bulk pass
+        (up to the hit, if there is one).  Verdicts, hits and node
+        counts are the same as without the filter.
         """
-        k, ksets, inside = self.k, self.ksets, self.inside
-        full = self.full
+        ksets, inside = self.ksets, self.inside
+        full, n = self.full, len(self.without)
         chosen: list[int] = []
         nodes = 0
-
-        def picks(depth: int) -> list[int]:
-            # Vertex bitmasks of one vertex from each of k-2 chosen tuples.
-            out = []
-            for idxs in combinations(range(depth), k - 2):
-                for pick in product(*(ksets[chosen[i]] for i in idxs)):
-                    mask = 0
-                    for v in pick:
-                        mask |= 1 << v
-                    out.append(mask)
-            return out
 
         def rows_for(pick_masks: list[int]) -> _Memo:
             # rows[t]: AND of inside[p + t] over the picks p.
@@ -281,7 +342,8 @@ class TupleIndex:
                 succ, need = self.apart, 1
             else:
                 succ, need = self.later, m - depth - 1
-            rows = rows_for(picks(depth))
+            pick_masks = self.picks(chosen)
+            rows = rows_for(pick_masks)
             if depth == m - 2:
                 # Charged here: every candidate passed over, plus every
                 # last-tuple candidate passed over after each admissible one.
@@ -290,7 +352,13 @@ class TupleIndex:
                 # is clamped either way.
                 if depth + 1 < len(pools):
                     allowed &= pools[depth + 1]
-                after = 0
+                dropped = after = 0
+                if hits.bit_count() > n:
+                    # Worth its cost only when the candidates outnumber
+                    # the vertices.  A dropped candidate is charged what
+                    # the loop would charge it, its successors in cands.
+                    kept = hits & self.vertex_core(chosen, pick_masks)
+                    dropped, hits = hits ^ kept, kept
                 while hits:
                     low = hits & -hits
                     hits ^= low
@@ -305,11 +373,15 @@ class TupleIndex:
                         last = final & -final
                         nodes += (cands & (2 * low - 1)).bit_count() + after
                         nodes += (nxt & (2 * last - 1)).bit_count()
+                        if dropped:
+                            nodes += _charge(cands, succ, dropped & (low - 1))
                         if nodes > budget:
                             return False
                         chosen.extend((i, last.bit_length() - 1))
                         return True
                     after += nxt.bit_count()
+                if dropped:
+                    after += _charge(cands, succ, dropped)
                 nodes += cands.bit_count() + after
                 return False
             scan = cands

@@ -90,7 +90,10 @@ class BoxFamily:
     @cached_property
     def nerve_hypergraph(self) -> KUniformHypergraph:
         """The (d+1)-uniform intersection hypergraph, built once per family
-        from ``intersection_graph``.  ``build_nerve`` returns it."""
+        from ``intersection_graph``.  ``build_nerve`` returns it.  At d = 1
+        it is G itself, since the 2-clique family of a graph is its edges."""
+        if self.d == 1:
+            return self.intersection_graph
         cliques = m_clique_family(self.intersection_graph, self.d + 1)
         return KUniformHypergraph(n=len(self.boxes), k=self.d + 1, edges=frozenset(cliques))
 

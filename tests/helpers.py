@@ -13,19 +13,25 @@ greedy and maximum clique, graph extraction), the all-subsets nerve
 construction that the pairwise one replaced, the set-based missing-edge
 matching and tuple neighbourhood that the mask-based ones replaced, and
 the lo-corner grid sweep that ``max_clique`` on the pairwise-intersection
-graph replaced, kept unchanged for the same purpose.
+graph replaced, kept unchanged for the same purpose.  The instance
+builders ``from_edges`` and ``all_graphs``, the Lemma 3.1 floor and the
+exact chordal and Kalai checks serve only the tests, so they live here.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from cliquecert import (
     BoxFamily,
     CliqueWitness,
     CompleteTupleCertificate,
+    Density,
+    InputFormatError,
     InternalConsistencyError,
     KUniformHypergraph,
     NoProgressError,
@@ -42,8 +48,31 @@ from cliquecert.extractor import ExtractionOutcome, GraphTrace, _ordered_scores
 from cliquecert.forbidden import DEFAULT_BUDGET
 
 
+def from_edges(n: int, k: int, edges: Iterable[Iterable[int]]) -> KUniformHypergraph:
+    """Build an instance from unsorted edge iterables, canonicalizing each."""
+    canon = []
+    seen: dict[Edge, int] = {}
+    for pos, raw in enumerate(edges):
+        e = tuple(sorted(raw))
+        if len(set(e)) != len(e):
+            raise InputFormatError(f"edges[{pos}]: repeated vertex in {tuple(raw)}")
+        if e in seen:
+            raise InputFormatError(f"edges[{pos}]: duplicate of edges[{seen[e]}]")
+        seen[e] = pos
+        canon.append(e)
+    return KUniformHypergraph(n=n, k=k, edges=frozenset(canon))
+
+
+def all_graphs(n: int) -> Iterator[KUniformHypergraph]:
+    """Every 2-uniform hypergraph on n labelled vertices, by edge bitmask."""
+    positions = list(combinations(range(n), 2))
+    for mask in range(1 << len(positions)):
+        edges = frozenset(pos for i, pos in enumerate(positions) if mask >> i & 1)
+        yield KUniformHypergraph(n=n, k=2, edges=edges)
+
+
 def graph(n: int, edges) -> KUniformHypergraph:
-    return KUniformHypergraph.from_edges(n, 2, edges)
+    return from_edges(n, 2, edges)
 
 
 def cycle_graph(n: int) -> KUniformHypergraph:
@@ -450,3 +479,54 @@ def reference_neighborhood_of_tuple(
         if tuple(sorted(sig + (x,))) in fam:
             out.add(x)
     return out
+
+
+def ext_binom(x: float, k: int) -> float:
+    """Continuous convex extension of the binomial coefficient.
+
+    Returns x(x-1)...(x-k+1)/k! for x >= k-1 and 0 below, which makes the
+    function continuous at x = k-1 and convex on the whole real line.
+    """
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+    if x < k - 1:
+        return 0.0
+    num = 1.0
+    for j in range(k):
+        num *= x - j
+    return num / math.factorial(k)
+
+
+def lemma31_lower_bound(s: int, omega: int, k: int, m: int) -> float:
+    """Missing-edge count floor for any s-vertex subset of an instance with
+    clique number omega and no complete m-tuple of missing edges:
+    C(m,k)^-1 * extended_binom((s - omega)/k, k).  Zero when s <= omega
+    (the bound is vacuous there)."""
+    if s <= omega:
+        return 0.0
+    return ext_binom((s - omega) / k, k) / math.comb(m, k)
+
+
+def meets_chordal_bound(size: int, n: int, alpha: Density) -> bool:
+    """Exactly decide size/n >= 1 - sqrt(1 - alpha)."""
+    if n == 0:
+        return True
+    u = 1 - Fraction(alpha)
+    t = 1 - Fraction(size, n)
+    if t <= 0:
+        return True
+    return u >= t * t
+
+
+def meets_kalai_bound_with_slack(size: int, n: int, alpha: Density, d: int) -> bool:
+    """Exactly decide size/n >= 1 - (1-alpha)^(1/(d+1)) - 1/n.
+
+    The 1/n slack absorbs integrality of the subfamily size.  Rearranged to
+    (1-alpha) >= ((n - size - 1)/n)^(d+1), decided in rationals.
+    """
+    if n == 0:
+        return True
+    q = Fraction(n - size - 1, n)
+    if q <= 0:
+        return True
+    return 1 - Fraction(alpha) >= q ** (d + 1)

@@ -18,7 +18,6 @@ from cliquecert import (
     HillClimbConfig,
     KUniformHypergraph,
     Verdict,
-    all_graphs,
     asymptotic_exponent,
     beta_recursion,
     build_nerve,
@@ -31,16 +30,21 @@ from cliquecert import (
     has_induced_biclique,
     hill_climb,
     kalai_bound,
-    lemma31_lower_bound,
     max_clique,
-    meets_chordal_bound,
-    meets_kalai_bound_with_slack,
     meets_theorem1_bound,
     random_box_family,
     theorem1_bound,
     verify_complete_tuple,
 )
-from helpers import missing_inside, nine_vertex_example, reference_max_intersecting_subfamily
+from helpers import (
+    all_graphs,
+    lemma31_lower_bound,
+    meets_chordal_bound,
+    meets_kalai_bound_with_slack,
+    missing_inside,
+    nine_vertex_example,
+    reference_max_intersecting_subfamily,
+)
 
 MASTER_SEED = 20260809
 

@@ -10,13 +10,15 @@ from cliquecert import (
     beta_recursion,
     bound_report,
     chordal_bound,
-    ext_binom,
     kalai_bound,
+    meets_theorem1_bound,
+    theorem1_bound,
+)
+from helpers import (
+    ext_binom,
     lemma31_lower_bound,
     meets_chordal_bound,
     meets_kalai_bound_with_slack,
-    meets_theorem1_bound,
-    theorem1_bound,
 )
 
 

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquecert import hypergraph_from_dict, hypergraph_to_dict
+from cliquecert import (
+    Verdict,
+    box_family_to_dict,
+    build_nerve,
+    find_complete_tuple,
+    hypergraph_from_dict,
+    hypergraph_to_dict,
+    random_box_family,
+)
 from cliquecert.cli import main
 from cliquecert.forbidden import DEFAULT_BUDGET
 from helpers import brute_force_has_complete_tuple, brute_force_max_clique, cycle_graph
@@ -293,6 +301,15 @@ class TestNerveAndHelly:
         assert outcome["subfamily_size"] == 4
         assert outcome["colorful_verdict"] == "absent"
 
+    @pytest.mark.parametrize("d, n, budget", [(1, 30, DEFAULT_BUDGET), (2, 12, 100_000), (3, 10, 5_000)])
+    def test_helly_reports_colorful_nodes(self, capsys, tmp_path, d, n, budget):
+        fam = random_box_family(n, d, 3, spread=40, max_side=30)
+        path = write_json(tmp_path / "fam.json", box_family_to_dict(fam))
+        code, out, _ = run(capsys, "helly", "--input", path, "--budget", str(budget))
+        assert code == 0
+        want = find_complete_tuple(build_nerve(fam), d + 1, budget)
+        assert want.verdict is Verdict.ABSENT
+        assert last_json(out)["outcome"]["colorful_nodes"] == want.nodes > 0
 
     def test_helly_exhausted_colorful_check(self, capsys, tmp_path):
         code, out, err = run(capsys, "helly", "--input", squares_file(tmp_path), "--budget", "0")

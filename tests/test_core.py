@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from cliquecert import (
     InputFormatError,
     KUniformHypergraph,
-    all_graphs,
     count_m_cliques,
-    ext_binom,
     greedy_extend_clique,
     hypergraph_from_dict,
     hypergraph_to_dict,
@@ -23,11 +21,14 @@ from cliquecert import (
 )
 from cliquecert.core import mask_vertices
 from helpers import (
+    all_graphs,
     brute_force_max_clique,
     complete_graph,
     complete_kuniform,
     cycle_graph,
     edgeless,
+    ext_binom,
+    from_edges,
     nine_vertex_example,
     random_hypergraph,
     reference_maximal_missing_matching,
@@ -320,7 +321,7 @@ class TestSerialization:
             hypergraph_from_dict(doc)
 
     def test_from_edges_canonicalizes(self):
-        H = KUniformHypergraph.from_edges(4, 2, [(1, 0), (3, 2)])
+        H = from_edges(4, 2, [(1, 0), (3, 2)])
         assert H.sorted_edges == ((0, 1), (2, 3))
 
     @pytest.mark.parametrize(
@@ -339,9 +340,9 @@ class TestSerialization:
 
     def test_from_edges_checks(self):
         with pytest.raises(InputFormatError, match=r"edges\[1\]: repeated vertex"):
-            KUniformHypergraph.from_edges(4, 2, [(0, 1), (2, 2)])
+            from_edges(4, 2, [(0, 1), (2, 2)])
         with pytest.raises(InputFormatError, match=r"edges\[1\]: duplicate of edges\[0\]"):
-            KUniformHypergraph.from_edges(4, 2, [(0, 1), (1, 0)])
+            from_edges(4, 2, [(0, 1), (1, 0)])
 
 
 class TestDensity:

@@ -11,7 +11,6 @@ from cliquecert import (
     extract_graph,
     extract_hypergraph,
     find_complete_tuple,
-    lemma31_lower_bound,
     max_clique,
     meets_theorem1_bound,
     score_tau,
@@ -19,12 +18,14 @@ from cliquecert import (
     verify_complete_tuple,
 )
 from helpers import (
+    all_graphs,
     brute_force_max_clique,
     complete_graph,
     complete_kuniform,
     cycle_graph,
     edgeless,
     graph,
+    lemma31_lower_bound,
     missing_inside,
     nine_vertex_example,
     random_hypergraph,
@@ -77,7 +78,7 @@ class TestExtractGraph:
 
     def test_guarantee_on_small_biclique_free_graphs(self):
         # exhaustive n <= 4 here; the n = 6 sweep lives in the acceptance suite
-        from cliquecert import all_graphs, has_induced_biclique
+        from cliquecert import has_induced_biclique
 
         for n in (1, 2, 3, 4):
             for H in all_graphs(n):

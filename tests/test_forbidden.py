@@ -9,7 +9,6 @@ from cliquecert import (
     InputFormatError,
     KUniformHypergraph,
     Verdict,
-    all_graphs,
     find_complete_tuple,
     has_induced_biclique,
     random_box_family,
@@ -17,6 +16,7 @@ from cliquecert import (
 )
 from cliquecert.forbidden import TupleIndex
 from helpers import (
+    all_graphs,
     brute_force_has_complete_tuple,
     complete_graph,
     complete_kuniform,
@@ -165,13 +165,14 @@ class TestFind:
             assert a == b
 
 
-def planted_complete_tuple(rng, n, k, m):
-    """A dense random k-graph with m disjoint missing edges whose
-    transversals are all edges, so that a complete m-tuple exists."""
+def planted_complete_tuple(rng, n, k, m, p=None):
+    """A random k-graph, dense unless its edge probability ``p`` is
+    given, with m disjoint missing edges whose transversals are all
+    edges, so that a complete m-tuple exists."""
     verts = list(range(n))
     rng.shuffle(verts)
     planted = [tuple(sorted(verts[i * k : (i + 1) * k])) for i in range(m)]
-    H = random_hypergraph(rng, n, k, 1 - rng.random() ** 2 / 4)
+    H = random_hypergraph(rng, n, k, 1 - rng.random() ** 2 / 4 if p is None else p)
     edges = set(H.edges) - set(planted)
     for transversal in product(*planted):
         edges.update(combinations(sorted(transversal), k))
@@ -217,6 +218,49 @@ class TestReferenceOracle:
                 assert outcome(find_complete_tuple(H, d + 1, budget)) == outcome(
                     reference_find_complete_tuple(H, d + 1, budget)
                 ), (n, d, seed, budget)
+
+
+class TestVertexCoreFilter:
+    """The last-depth filter never drops a tuple of a hit: the last two
+    tuples of every hit lie inside ``vertex_core`` of the tuples before
+    them, whether or not the search ran the filter on the way there."""
+
+    def test_hits_lie_inside_the_core(self, monkeypatch):
+        ran = {}
+        core_of = TupleIndex.vertex_core
+
+        def spy(index, chosen, pick_masks):
+            ran[tuple(chosen)] = mask = core_of(index, chosen, pick_masks)
+            return mask
+
+        monkeypatch.setattr(TupleIndex, "vertex_core", spy)
+        rng = random.Random(1913)
+        gated = dict.fromkeys((2, 3, 4), 0)
+        for _ in range(400):
+            k = rng.choice([2, 3, 4])
+            m = rng.choice([k, k + 1])
+            if rng.random() < 0.5 and k * m <= 16:
+                # A sparse background leaves many candidates at the hit's
+                # last depth, which is what crosses the gate.  At k = m = 4
+                # it makes the search long, and a dense one crosses too.
+                n = rng.randint(k * m, k * m + 2)
+                p = rng.random() if k * m <= 12 else None
+                H = planted_complete_tuple(rng, n, k, m, p)
+            else:
+                H = random_hypergraph(rng, rng.randint(2 * k, 10), k, rng.random() ** 0.5)
+            index = TupleIndex(H.n, k, H.missing, H.links)
+            ran.clear()
+            chosen, _ = index.search(m, 10**7, index.full)
+            if chosen is None:
+                continue
+            head = chosen[:-2]
+            core = core_of(index, head, index.picks(head))
+            assert all(core >> i & 1 for i in chosen[-2:]), (sorted(H.edges), m)
+            if tuple(head) in ran:
+                # The hit's own last depth crossed the gate.
+                assert ran[tuple(head)] == core
+                gated[k] += 1
+        assert min(gated.values()) >= 5, gated
 
 
 class TestNarrowedSeedPools:
@@ -305,8 +349,6 @@ class TestInducedBiclique:
 class TestEquivalenceWithBicliqueSearch:
     def test_exhaustive_small_graphs(self):
         # every graph on up to 5 vertices
-        from cliquecert import all_graphs
-
         for n in (2, 3, 4, 5):
             for H in all_graphs(n):
                 for m in (2, 3):

@@ -20,13 +20,16 @@ from cliquecert import (
     has_induced_biclique,
     m_clique_family,
     max_clique,
-    meets_chordal_bound,
-    meets_kalai_bound_with_slack,
     random_box_family,
     verify_complete_tuple,
 )
 from cliquecert import InputFormatError
-from helpers import random_hypergraph, reference_max_intersecting_subfamily
+from helpers import (
+    meets_chordal_bound,
+    meets_kalai_bound_with_slack,
+    random_hypergraph,
+    reference_max_intersecting_subfamily,
+)
 
 
 def intervals(*pairs) -> BoxFamily:
@@ -142,6 +145,11 @@ class TestBuildNerve:
                     meets = boxes_intersect([fam.boxes[i], fam.boxes[j]]) is not None
                     assert ((i, j) in G.edges) == meets
                 assert build_nerve(fam).sorted_edges == m_clique_family(G, d + 1)
+
+    def test_interval_nerve_is_the_intersection_graph(self):
+        for seed in range(5):
+            fam = random_box_family(20, 1, seed, spread=30, max_side=10)
+            assert build_nerve(fam) is fam.intersection_graph
 
 
 class TestColorfulCheck:

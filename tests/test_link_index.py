@@ -14,7 +14,6 @@ import pytest
 import cliquecert.extractor as extractor
 from cliquecert import (
     KUniformHypergraph,
-    all_graphs,
     build_nerve,
     count_m_cliques,
     extract_graph,
@@ -29,6 +28,7 @@ from cliquecert import (
 from cliquecert.cli import _graph_outcome_dict, _hypergraph_outcome_dict
 from cliquecert.core import mask_vertices
 from helpers import (
+    all_graphs,
     brute_force_max_clique,
     graph,
     random_hypergraph,

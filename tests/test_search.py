@@ -237,6 +237,43 @@ class TestSeededKernels:
             # Both toggle directions are accepted on every walk.
             assert self.walk(k, m, n, cap, 200, seed) == {True, False}
 
+    @staticmethod
+    def seeded_runs(k, m, n, cap, steps, seed, budgets):
+        """(chosen, nodes) of the seeded search at each budget, on every
+        proposal of a climb-shaped walk that the cap lets through; the
+        walk takes a toggle when the first budget finds no hit."""
+        rng = random.Random(seed)
+        positions = list(combinations(range(n), k))
+        full = (1 << len(positions)) - 1
+        index = TupleIndex(n, k, positions, {})
+        edges, runs = 0, []
+        for _ in range(steps):
+            i = rng.randrange(len(positions))
+            em, adding = sum(1 << v for v in positions[i]), not edges >> i & 1
+            if adding and clique_through_exceeds(index.links, k, em, cap):
+                continue
+            index.toggle(em)
+            missing = full ^ edges ^ 1 << i
+            pools = index.through(positions[i], None if adding else i)
+            runs.append([index.search(m, budget, missing, pools) for budget in budgets])
+            if runs[-1][0][0] is None:
+                edges ^= 1 << i
+            else:
+                index.toggle(em)
+        return runs
+
+    def test_seeded_node_counts_are_pinned(self):
+        # The digest was taken with the search that charged every
+        # last-depth candidate in its own loop step, before the vertex-core
+        # filter; the budgets of 200, 10 and 0 exhaust on some proposals.
+        runs = [
+            self.seeded_runs(k, m, n, m + 2, 400, 100 * k + m, (10**7, 200, 10, 0))
+            for k, n in ((2, 12), (3, 9), (4, 8))
+            for m in range(k, k + 3)
+        ]
+        digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()[:16]
+        assert digest == "2be137f3bf66318f"
+
 
 class TestSeededCertificateCheck:
     """The climb verifies a seeded hit against its edge bitmask, without
