@@ -36,7 +36,6 @@ from .core import (
     m_clique_family,
     max_clique,
     maximal_missing_matching,
-    tuple_neighbourhoods,
 )
 from .extractor import (
     ExtractionOutcome,

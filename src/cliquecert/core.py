@@ -374,37 +374,6 @@ def maximal_missing_matching(H: KUniformHypergraph, within: int) -> list[int]:
     return chosen
 
 
-def tuple_neighbourhoods(H: KUniformHypergraph, family: Iterable[Edge]) -> dict[int, int]:
-    """N_sigma = {x : sigma + {x} in family} for every sigma with a nonempty
-    one, as vertex bitmasks.
-
-    Keys are the (i-1)-subsets sigma of the family's members: each member S
-    gives bit x to N[S - x] for each x in S.  Members are vertex sets of
-    one arity i >= 2 inside [0, n).
-    """
-    fam = family if isinstance(family, (set, frozenset, tuple, list)) else list(family)
-    if not fam:
-        return {}
-    arities = {len(t) for t in fam}
-    if len(arities) != 1:
-        raise ValueError(f"family is not uniform: arities {sorted(arities)}")
-    i = arities.pop()
-    if i < 2:
-        raise ValueError(f"family arity must be >= 2, got {i}")
-    limit = 1 << H.n
-    nbhd: dict[int, int] = {}
-    for S in fam:
-        sm = 0
-        for x in S:
-            sm |= 1 << x
-        if sm >= limit or sm.bit_count() != i:
-            raise ValueError(f"family member {S} is not a set of {i} vertices in [0, {H.n})")
-        for x in S:
-            b = 1 << x
-            nbhd[sm ^ b] = nbhd.get(sm ^ b, 0) | b
-    return nbhd
-
-
 # ---------------------------------------------------------------------------
 # Instance file format: {"n": int, "k": int, "edges": [[int,...],...]} with
 # vertices 0-based and each edge sorted ascending.  For dense instances the

@@ -47,7 +47,6 @@ from .core import (
     m_clique_family,
     mask_vertices,
     maximal_missing_matching,
-    tuple_neighbourhoods,
 )
 from .forbidden import CompleteTupleCertificate, verify_complete_tuple
 
@@ -141,16 +140,29 @@ def score_tau(H: KUniformHypergraph, family: Iterable[Edge]) -> dict[Edge, int]:
 
 def _columns(H: KUniformHypergraph, family: Iterable[Edge]) -> tuple[list[int], list[int]]:
     # The sigma with a nonempty N_sigma, as vertex masks in position order,
-    # and for each vertex x the mask of the positions whose N_sigma holds x.
-    nbhd = tuple_neighbourhoods(H, family)
+    # and for each vertex x the mask of the positions whose N_sigma holds x,
+    # in one pass: each member S numbers every S - x by first appearance
+    # and sets that position's bit in col[x].  Members are vertex sets of
+    # one arity i >= 2 inside [0, n).
+    pos: dict[int, int] = {}
     col = [0] * H.n
-    for j, nb in enumerate(nbhd.values()):
-        bit = 1 << j
-        while nb:
-            low = nb & -nb
-            nb ^= low
-            col[low.bit_length() - 1] |= bit
-    return list(nbhd), col
+    limit = 1 << H.n
+    i = None
+    for S in family:
+        if len(S) != i:
+            if i is not None:
+                raise ValueError(f"family is not uniform: arities {i} and {len(S)}")
+            i = len(S)
+            if i < 2:
+                raise ValueError(f"family arity must be >= 2, got {i}")
+        sm = 0
+        for x in S:
+            sm |= 1 << x
+        if sm >= limit or sm.bit_count() != i:
+            raise ValueError(f"family member {S} is not a set of {i} vertices in [0, {H.n})")
+        for x in S:
+            col[x] |= 1 << pos.setdefault(sm ^ 1 << x, len(pos))
+    return list(pos), col
 
 
 def _scores(H: KUniformHypergraph, col: list[int]) -> dict[Edge, int]:
@@ -206,10 +218,9 @@ def shrink_step(
     Raises NoProgressError when the family is empty or no neighborhood
     contains a missing edge.
     """
-    fam = family if isinstance(family, (set, frozenset, tuple, list)) else list(family)
-    if not fam:
+    sigmas, col = _columns(H, family)
+    if not sigmas:
         raise NoProgressError("family is empty")
-    sigmas, col = _columns(H, fam)
     scores = _scores(H, col)
     if not scores:
         raise NoProgressError("no tuple neighborhood contains a missing edge")
@@ -361,8 +372,6 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
             if len(cand) > len(best):
                 best = cand
         try:
-            if not fam:
-                raise NoProgressError("family is empty")
             step = shrink_step(H, fam, taus)
         except NoProgressError:
             fallback = True

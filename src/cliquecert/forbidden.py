@@ -53,6 +53,8 @@ class CompleteTupleCertificate:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise InputFormatError(f"tuples[{pos}][{j}] is not an integer")
         tuples = tuple(tuple(t) for t in raw)
+        if "m" in obj and (not isinstance(obj["m"], int) or isinstance(obj["m"], bool)):
+            raise InputFormatError('field "m" must be an integer')
         if "m" in obj and obj["m"] != len(tuples):
             raise InputFormatError(f'"m" = {obj["m"]} does not match {len(tuples)} tuples')
         return cls(tuples=tuples)

@@ -43,7 +43,10 @@ from .forbidden import (
     find_complete_tuple,
 )
 
-DEFAULT_MAX_ENUMERATION = 1 << 22
+MAX_ENUMERATION_BITS = 22
+# The climb's TupleIndex keeps C(n, k) masks of C(n, k) bits in ``apart``
+# and half that in ``later``: 0.75 GiB at 2^16 k-subsets.
+MAX_CLIMB_SLOTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -131,20 +134,23 @@ def exhaustive_frontier(
     Edge subsets are enumerated as bitmasks over the lexicographically
     sorted k-subsets; among the maximizers the lowest mask wins, which
     pins the witness deterministically.  Refuses enumerations larger than
-    ``DEFAULT_MAX_ENUMERATION`` instances.  A candidate whose tuple search
+    2^``MAX_ENUMERATION_BITS`` instances.  A candidate whose tuple search
     exhausts ``budget`` is skipped; if one of them had at least the
     winner's c_m, the result is inconclusive and BudgetExhaustedError is
     raised.  Otherwise there is always a winner: mask 0, the edgeless
     instance, has omega = k-1 <= omega_cap and no complete m-tuple.
     """
     _check_search(n, k, m, omega_cap)
-    positions = list(combinations(range(n), k))
-    total = 1 << len(positions)
-    if total > DEFAULT_MAX_ENUMERATION:
+    # Compare exponents: 2^C(n, k) is not built, and nothing is listed,
+    # before the refusal.
+    slots = math.comb(n, k)
+    if slots > MAX_ENUMERATION_BITS:
         raise SizeRefusalError(
-            f"exhaustive search over 2^{len(positions)} = {total} instances exceeds "
-            f"the cap of {DEFAULT_MAX_ENUMERATION}"
+            f"exhaustive search over 2^C({n},{k}) = 2^{slots} instances exceeds "
+            f"the cap of 2^{MAX_ENUMERATION_BITS} = {1 << MAX_ENUMERATION_BITS}"
         )
+    positions = list(combinations(range(n), k))
+    total = 1 << slots
     best = None
     best_cm = -1
     exhausted_cm = -1
@@ -215,7 +221,7 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
     is built only for each restart's best instance, and a certificate the
     search hits is verified by enumeration against the edge bitmask.
     ``tuple_budget`` bounds each seeded search and the final
-    re-verification.
+    re-verification.  Refuses more than ``MAX_CLIMB_SLOTS`` k-subsets.
     """
     n, k, m = config.n, config.k, config.m
     if config.restarts < 1:
@@ -223,6 +229,12 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
     if config.iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {config.iterations}")
     _check_search(n, k, m, config.omega_cap)
+    slots = math.comb(n, k)
+    if slots > MAX_CLIMB_SLOTS:
+        raise SizeRefusalError(
+            f"hill climb over C({n},{k}) = {slots} k-subsets exceeds the cap of "
+            f"{MAX_CLIMB_SLOTS}"
+        )
     positions = list(combinations(range(n), k))
     rank = {e: i for i, e in enumerate(positions)}
     vertex_masks = [sum(1 << v for v in e) for e in positions]

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +32,19 @@ BOXES = {
         {"lo": [3], "hi": [7]},
     ],
 }
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs main on its arguments with the address space capped at 1 GiB, so a
+# command that allocates a large table dies with MemoryError (exit 1)
+# instead of taking the host's memory.
+MAIN_UNDER_1GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from cliquecert.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def write_json(path, doc):
@@ -432,6 +448,27 @@ class TestSearch:
         )
         assert code == 3
         assert "refusal" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 2^C(100, 5) instances; C(100, 5) k-subsets would not fit.
+            ["--exhaustive", "--n", "100", "--k", "5", "--m", "5", "--omega-cap", "6"],
+            # C(1000, 2) k-subsets: two C(1000, 2)-square bit tables.
+            ["--n", "1000", "--k", "2", "--m", "2", "--omega-cap", "3", "--iters", "1",
+             "--seed", "1"],
+        ],
+    )
+    def test_size_refusal_comes_before_allocation(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", MAIN_UNDER_1GIB, "search", *argv],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("size refusal: ")
 
 
 class TestGenBoxes:

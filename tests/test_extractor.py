@@ -137,6 +137,10 @@ class TestScoreTau:
         with pytest.raises(ValueError):
             score_tau(cycle_graph(4), {(0, 1), (0, 1, 2)})
 
+    def test_mixed_arity_names_the_first_two_arities(self):
+        with pytest.raises(ValueError, match="arities 3 and 2"):
+            score_tau(cycle_graph(4), [(0, 1, 2), (0, 1), (0, 1, 2, 3)])
+
 
 class TestShrinkStep:
     def test_nine_vertex_round_one(self):

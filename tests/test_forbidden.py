@@ -377,6 +377,19 @@ class TestCertificateSerialization:
             CompleteTupleCertificate.from_dict({"m": 3, "tuples": [[0, 1]]})
 
     @pytest.mark.parametrize(
+        "doc",
+        [
+            {"m": True, "tuples": [[0, 1]]},
+            {"m": 2.0, "tuples": [[0, 1], [2, 3]]},
+            {"m": "2", "tuples": [[0, 1], [2, 3]]},
+            {"m": None, "tuples": [[0, 1]]},
+        ],
+    )
+    def test_rejects_non_integer_m(self, doc):
+        with pytest.raises(InputFormatError, match='"m" must be an integer'):
+            CompleteTupleCertificate.from_dict(doc)
+
+    @pytest.mark.parametrize(
         "tuples",
         [
             [[0.0, 2.0], [1.0, 3.0]],

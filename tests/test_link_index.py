@@ -169,6 +169,26 @@ class TestCliqueKernels:
             H = random_box_family(n, d, 1, spread=spread, max_side=side).nerve_hypergraph
             assert same_rounds(H, m_clique_family(H, H.k + 1), H.k), (n, d)
 
+    def test_one_pass_over_the_family(self):
+        # A shrink round reads its family once, so a one-shot iterator
+        # gives what the tuple gives; a second pass would see it empty.
+        cases = [
+            (H, m_clique_family(H, rng.choice([H.k, H.k + 1])))
+            for rng, H in random_instances(19, 200)
+        ]
+        for n, d, spread, side in ((90, 1, 100, 40), (40, 2, 100, 40), (26, 3, 30, 30)):
+            H = random_box_family(n, d, 1, spread=spread, max_side=side).nerve_hypergraph
+            cases.append((H, m_clique_family(H, H.k + 1)))
+        for H, fam in cases:
+            assert score_tau(H, iter(fam)) == score_tau(H, fam)
+            try:
+                want = shrink_step(H, fam)
+            except extractor.NoProgressError:
+                with pytest.raises(extractor.NoProgressError):
+                    shrink_step(H, iter(fam))
+                continue
+            assert shrink_step(H, iter(fam)) == want
+
     def test_family_members_must_be_vertex_sets(self):
         H = random_hypergraph(random.Random(1), 5, 2, 0.5)
         with pytest.raises(ValueError):
