@@ -48,7 +48,7 @@ from .core import (
     mask_vertices,
     maximal_missing_matching,
 )
-from .forbidden import CompleteTupleCertificate, verify_complete_tuple
+from .forbidden import CompleteTupleCertificate, certify, verify_complete_tuple
 
 DEFAULT_MAX_FAMILY = 2_000_000
 
@@ -156,8 +156,11 @@ def _columns(H: KUniformHypergraph, family: Iterable[Edge]) -> tuple[list[int], 
             if i < 2:
                 raise ValueError(f"family arity must be >= 2, got {i}")
         sm = 0
-        for x in S:
-            sm |= 1 << x
+        try:
+            for x in S:
+                sm |= 1 << x
+        except ValueError:  # a negative vertex
+            sm = limit
         if sm >= limit or sm.bit_count() != i:
             raise ValueError(f"family member {S} is not a set of {i} vertices in [0, {H.n})")
         for x in S:
@@ -257,25 +260,12 @@ def extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
     n = G.n
     miss = G.missing
     alpha = G.edge_density()
-    bound = theorem1_bound(float(alpha))
-
-    if not miss:
-        witness = CliqueWitness(tuple(range(n)))
-        trace = GraphTrace(
-            mu_by_vertex=(0,) * n,
-            missing_in_neighborhood=(0,) * n,
-            tau_scores=(),
-            chosen_tau=None,
-            alpha=alpha,
-            bound=bound,
-            bound_met=True,
-        )
-        return ExtractionOutcome("clique", witness, None, trace)
 
     adj = [G.links.get(1 << v, 0) for v in range(n)]
     mu: list[int] = []
     m_counts: list[int] = []
-    candidates: list[tuple[int, ...]] = []
+    # The empty clique stands only when there is no vertex.
+    candidates: list[tuple[int, ...]] = [()]
     for v in range(n):
         nv = adj[v]
         matching = maximal_missing_matching(G, nv)
@@ -287,18 +277,15 @@ def extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
         candidates.append(mask_vertices(nv & ~sum(matching) | 1 << v))
 
     common = {tau: adj[tau[0]] & adj[tau[1]] for tau in miss}
-    top = max(s.bit_count() for s in common.values())
-    tau_star = next(t for t in miss if common[t].bit_count() == top)
-    scores = _ordered_scores({t: s.bit_count() for t, s in common.items()})
-
-    ebar = first_missing_edge(G, common[tau_star])
-    cert = witness = None
-    if ebar is not None:
-        cert = CompleteTupleCertificate((tau_star, ebar))
-        ok, reason = verify_complete_tuple(G, cert)
-        if not ok:
-            raise InternalConsistencyError(f"graph certificate failed verification: {reason}", cert)
-    else:
+    tau_star = cert = witness = None
+    if miss:
+        top = max(s.bit_count() for s in common.values())
+        tau_star = next(t for t in miss if common[t].bit_count() == top)
+        ebar = first_missing_edge(G, common[tau_star])
+        if ebar is not None:
+            cert = CompleteTupleCertificate((tau_star, ebar))
+            certify(cert, verify_complete_tuple(G, cert))
+    if cert is None:
         for s in common.values():
             if first_missing_edge(G, s) is None:
                 candidates.append(mask_vertices(s))
@@ -308,10 +295,10 @@ def extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
     trace = GraphTrace(
         mu_by_vertex=tuple(mu),
         missing_in_neighborhood=tuple(m_counts),
-        tau_scores=scores,
+        tau_scores=_ordered_scores({t: s.bit_count() for t, s in common.items()}),
         chosen_tau=tau_star,
         alpha=alpha,
-        bound=bound,
+        bound=theorem1_bound(float(alpha)),
         bound_met=cert is not None or meets_theorem1_bound(len(witness), n, alpha),
     )
     return ExtractionOutcome("clique" if cert is None else "certificate", witness, cert, trace)
@@ -326,7 +313,8 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
     otherwise F_1 is a clique and is greedily extended.  A stalled round
     (no scoring missing edge, or an empty family) returns the best greedy
     clique seen so far with the fallback flag set; small instances stall
-    legitimately since the shrink guarantee is asymptotic.  Refuses when
+    legitimately since the shrink guarantee is asymptotic.  A complete
+    instance is its own clique, with no family listed.  Refuses when
     C(n, m) exceeds ``DEFAULT_MAX_FAMILY``.
     """
     if m < H.k:
@@ -339,74 +327,52 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
             f"{DEFAULT_MAX_FAMILY}"
         )
 
-    if len(H.edges) == math.comb(n, k):
-        alpha = Fraction(1)
-        beta = beta_recursion(1.0, k, m)
-        trace = HypergraphTrace(
-            chosen_taus=(),
-            family_sizes=(total,),
-            round_scores=(),
-            alpha=alpha,
-            beta=beta,
-            expected_bound=beta * n,
-            bound_met=True,
-            fallback=False,
-        )
-        return ExtractionOutcome("clique", CliqueWitness(tuple(range(n))), None, trace)
-
-    fam = m_clique_family(H, m)
-    cm = len(fam)
-    alpha = Fraction(cm, total) if total else Fraction(0)
-    beta = beta_recursion(float(alpha), k, m) if cm > 0 else 0.0
-    expected = beta * n
-
-    sizes = [cm]
     taus: list[Edge] = []
     tables: list[ScoreTable] = []
-    best = greedy_extend_clique(H, ())
+    cert = None
     fallback = False
+    if len(H.edges) == math.comb(n, k):
+        sizes = [total]
+        alpha = Fraction(1)
+        clique = tuple(range(n))
+    else:
+        fam = m_clique_family(H, m)
+        sizes = [len(fam)]
+        alpha = Fraction(len(fam), total) if total else Fraction(0)
+        clique = greedy_extend_clique(H, ())
+        for _ in range(m - 1):
+            if fam:
+                cand = greedy_extend_clique(H, fam[0])
+                if len(cand) > len(clique):
+                    clique = cand
+            try:
+                step = shrink_step(H, fam, taus)
+            except NoProgressError:
+                fallback = True
+                break
+            taus.append(step.tau)
+            fam = step.family
+            sizes.append(len(fam))
+            tables.append(_ordered_scores(step.scores))
+        else:  # no round stalled: inspect the surviving vertex set F_1
+            f1 = tuple(sorted(s[0] for s in fam))
+            tau_m = first_missing_edge(H, sum(1 << v for v in f1))
+            if tau_m is None:
+                clique = greedy_extend_clique(H, f1)
+            else:
+                cert = CompleteTupleCertificate((*taus, tau_m))
+                certify(cert, verify_complete_tuple(H, cert))
 
-    for _ in range(m - 1):
-        if fam:
-            cand = greedy_extend_clique(H, fam[0])
-            if len(cand) > len(best):
-                best = cand
-        try:
-            step = shrink_step(H, fam, taus)
-        except NoProgressError:
-            fallback = True
-            break
-        taus.append(step.tau)
-        fam = step.family
-        sizes.append(len(fam))
-        tables.append(_ordered_scores(step.scores))
-
-    def _trace(bound_met: bool) -> HypergraphTrace:
-        return HypergraphTrace(
-            chosen_taus=tuple(taus),
-            family_sizes=tuple(sizes),
-            round_scores=tuple(tables),
-            alpha=alpha,
-            beta=beta,
-            expected_bound=expected,
-            bound_met=bound_met,
-            fallback=fallback,
-        )
-
-    if fallback:
-        witness = CliqueWitness(best)
-        return ExtractionOutcome("clique", witness, None, _trace(len(best) >= expected))
-
-    f1 = tuple(sorted(s[0] for s in fam))
-    tau_m = first_missing_edge(H, sum(1 << v for v in f1))
-    if tau_m is not None:
-        cert = CompleteTupleCertificate(tuple(taus) + (tau_m,))
-        ok, reason = verify_complete_tuple(H, cert)
-        if not ok:
-            raise InternalConsistencyError(
-                f"iterated extraction produced an invalid certificate: {reason}", cert
-            )
-        return ExtractionOutcome("certificate", None, cert, _trace(True))
-
-    witness = CliqueWitness(greedy_extend_clique(H, f1))
-    return ExtractionOutcome("clique", witness, None, _trace(len(witness) >= expected))
+    beta = beta_recursion(float(alpha), k, m) if alpha else 0.0
+    trace = HypergraphTrace(
+        chosen_taus=tuple(taus),
+        family_sizes=tuple(sizes),
+        round_scores=tuple(tables),
+        alpha=alpha,
+        beta=beta,
+        expected_bound=beta * n,
+        bound_met=cert is not None or len(clique) >= beta * n,
+        fallback=fallback,
+    )
+    witness = CliqueWitness(clique) if cert is None else None
+    return ExtractionOutcome("clique" if cert is None else "certificate", witness, cert, trace)

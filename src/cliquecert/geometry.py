@@ -209,8 +209,8 @@ def fractional_helly_pipeline(family: BoxFamily) -> HellyOutcome:
     nerve = build_nerve(family)
     d = family.d
     n = len(family.boxes)
-    alpha = nerve.edge_density()
     outcome = extract_hypergraph(nerve, d + 1)
+    alpha = outcome.trace.alpha
     if outcome.kind == "certificate":
         raise InternalConsistencyError(
             "extraction found a complete tuple of missing edges in a box nerve",

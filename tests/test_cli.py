@@ -92,6 +92,18 @@ class TestExtract:
         assert code == 0
         assert last_json(out)["outcome"]["kind"] == "certificate"
 
+    @pytest.mark.parametrize("algorithm", ["hypergraph", "graph"])
+    def test_invalid_certificate_exits_5_with_it(self, capsys, monkeypatch, c4_file, algorithm):
+        import cliquecert.extractor as extractor_module
+
+        monkeypatch.setattr(extractor_module, "verify_complete_tuple", lambda *_: (False, "forced"))
+        code, out, err = run(capsys, "extract", "--input", c4_file, "--algorithm", algorithm)
+        assert code == 5
+        doc = json.loads(out)
+        assert doc["detail"] == "search produced an invalid certificate: forced"
+        assert doc["certificate"]["tuples"] == [[0, 2], [1, 3]]
+        assert err.splitlines() == [f"internal-consistency failure: {doc['detail']}"]
+
     def test_graph_algorithm_rejects_hypergraphs(self, capsys, tmp_path):
         path = write_json(tmp_path / "h3.json", {"n": 4, "k": 3, "edges": [[0, 1, 2]]})
         code, _, err = run(capsys, "extract", "--input", path, "--algorithm", "graph")

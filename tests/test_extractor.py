@@ -1,16 +1,21 @@
+import dataclasses
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import cliquecert.extractor as extractor_module
 from cliquecert import (
+    InternalConsistencyError,
     NoProgressError,
     SizeRefusalError,
     Verdict,
     extract_graph,
     extract_hypergraph,
     find_complete_tuple,
+    hypergraph_from_dict,
     max_clique,
     meets_theorem1_bound,
     score_tau,
@@ -141,6 +146,12 @@ class TestScoreTau:
         with pytest.raises(ValueError, match="arities 3 and 2"):
             score_tau(cycle_graph(4), [(0, 1, 2), (0, 1), (0, 1, 2, 3)])
 
+    @pytest.mark.parametrize("member", [(-1, 0), (0, 4), (1, 1)])
+    def test_rejects_member_outside_the_vertex_set(self, member):
+        message = f"family member {member} is not a set of 2 vertices in [0, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            score_tau(cycle_graph(4), [member])
+
 
 class TestShrinkStep:
     def test_nine_vertex_round_one(self):
@@ -267,6 +278,143 @@ class TestExtractHypergraph:
         for _ in range(150):
             H = random_hypergraph(rng, rng.randint(2, 8), 2, rng.random())
             assert extract_hypergraph(H, 2).kind == extract_graph(H).kind
+
+
+# Degenerate instances: no vertex, fewer vertices than k, complete, edgeless,
+# and the two 4-vertex graphs that end in a certificate and in a stalled
+# round.  m > n leaves no m-set to list.
+EDGE_CORPUS = {
+    "n0": edgeless(0, 2),
+    "n1k3": edgeless(1, 3),
+    "k4": hypergraph_from_dict({"n": 4, "k": 2, "missing": []}),
+    "e5": edgeless(5, 2),
+    "k5k3": complete_kuniform(5, 3),
+    "c4": cycle_graph(4),
+    "2k2": graph(4, [(0, 1), (2, 3)]),
+}
+C4_SCORES = (((0, 2), 2), ((1, 3), 2))
+# (instance, "graph" or m): (kind, clique vertices or certificate tuples,
+# trace fields in declaration order).  Every value is frozen, so any change
+# here is a change of behaviour.
+EDGE_OUTCOMES = {
+    ("n0", "graph"): ("clique", (), ((), (), (), None, Fraction(1), 1.0, True)),
+    ("n0", 2): (
+        "clique", (),
+        ((), (0,), (), Fraction(1), 0.00043402777777777775, 0.0, True, False),
+    ),
+    ("n0", 3): ("clique", (), ((), (0,), (), Fraction(1), 7.178025906215364e-12, 0.0, True, False)),
+    ("n0", 4): (
+        "clique", (),
+        ((), (0,), (), Fraction(1), 1.7709354738747007e-28, 0.0, True, False),
+    ),
+    ("n1k3", 3): (
+        "clique", (0,),
+        ((), (0,), (), Fraction(1), 3.971137586459913e-25, 3.971137586459913e-25, True, False),
+    ),
+    ("n1k3", 4): (
+        "clique", (0,),
+        ((), (0,), (), Fraction(1), 6.665961611578503e-85, 6.665961611578503e-85, True, False),
+    ),
+    ("n1k3", 5): (
+        "clique", (0,),
+        ((), (0,), (), Fraction(1), 2.329696716611711e-271, 2.329696716611711e-271, True, False),
+    ),
+    ("k4", "graph"): (
+        "clique", (0, 1, 2, 3),
+        ((0,) * 4, (0,) * 4, (), None, Fraction(1), 1.0, True),
+    ),
+    ("k4", 2): (
+        "clique", (0, 1, 2, 3),
+        ((), (6,), (), Fraction(1), 0.00043402777777777775, 0.001736111111111111, True, False),
+    ),
+    ("k4", 3): (
+        "clique", (0, 1, 2, 3),
+        ((), (4,), (), Fraction(1), 7.178025906215364e-12, 2.8712103624861456e-11, True, False),
+    ),
+    ("k4", 5): (
+        "clique", (0, 1, 2, 3),
+        ((), (0,), (), Fraction(1), 4.212720233087427e-63, 1.6850880932349707e-62, True, False),
+    ),
+    ("e5", "graph"): (
+        "clique", (0,),
+        (
+            (0,) * 5, (0,) * 5, tuple((t, 0) for t in combinations(range(5), 2)), (0, 1),
+            Fraction(0), 0.0, True,
+        ),
+    ),
+    ("e5", 2): ("clique", (0,), ((), (0,), (), Fraction(0), 0.0, 0.0, True, True)),
+    ("e5", 3): ("clique", (0,), ((), (0,), (), Fraction(0), 0.0, 0.0, True, True)),
+    ("e5", 6): ("clique", (0,), ((), (0,), (), Fraction(0), 0.0, 0.0, True, True)),
+    ("k5k3", 3): (
+        "clique", (0, 1, 2, 3, 4),
+        ((), (10,), (), Fraction(1), 3.971137586459913e-25, 1.9855687932299563e-24, True, False),
+    ),
+    ("k5k3", 4): (
+        "clique", (0, 1, 2, 3, 4),
+        ((), (5,), (), Fraction(1), 6.665961611578503e-85, 3.3329808057892518e-84, True, False),
+    ),
+    ("k5k3", 6): ("clique", (0, 1, 2, 3, 4), ((), (0,), (), Fraction(1), 0.0, 0.0, True, False)),
+    ("c4", "graph"): (
+        "certificate", ((0, 2), (1, 3)),
+        ((1,) * 4, (1,) * 4, C4_SCORES, (0, 2), Fraction(2, 3), 0.17863279495408174, True),
+    ),
+    ("c4", 2): (
+        "certificate", ((0, 2), (1, 3)),
+        (
+            ((0, 2),), (4, 2), (C4_SCORES,), Fraction(2, 3), 0.00019290123456790122,
+            0.0007716049382716049, True, False,
+        ),
+    ),
+    ("c4", 3): ("clique", (0, 1), ((), (0,), (), Fraction(0), 0.0, 0.0, True, True)),
+    ("c4", 5): ("clique", (0, 1), ((), (0,), (), Fraction(0), 0.0, 0.0, True, True)),
+    ("2k2", "graph"): (
+        "clique", (0, 1),
+        (
+            (0,) * 4, (0,) * 4, (((0, 2), 0), ((0, 3), 0), ((1, 2), 0), ((1, 3), 0)), (0, 2),
+            Fraction(1, 3), 0.0336735048112146, True,
+        ),
+    ),
+    ("2k2", 2): (
+        "clique", (0, 1),
+        ((), (2,), (), Fraction(1, 3), 4.8225308641975306e-05, 0.00019290123456790122, True, True),
+    ),
+    ("2k2", 3): ("clique", (0, 1), ((), (0,), (), Fraction(0), 0.0, 0.0, True, True)),
+    ("2k2", 5): ("clique", (0, 1), ((), (0,), (), Fraction(0), 0.0, 0.0, True, True)),
+}
+
+
+@pytest.mark.parametrize("name, m", list(EDGE_OUTCOMES))
+def test_edge_corpus(name, m):
+    H = EDGE_CORPUS[name]
+    out = extract_graph(H) if m == "graph" else extract_hypergraph(H, m)
+    kind, payload, fields = EDGE_OUTCOMES[name, m]
+    assert out.kind == kind
+    if kind == "clique":
+        assert out.certificate is None and out.clique.vertices == payload
+    else:
+        assert out.clique is None and out.certificate.tuples == payload
+    expected = [pytest.approx(f, rel=1e-12, abs=0) if isinstance(f, float) else f for f in fields]
+    assert list(dataclasses.astuple(out.trace)) == expected
+
+
+@pytest.mark.parametrize(
+    "extract, H, tuples",
+    [
+        (extract_graph, cycle_graph(4), ((0, 2), (1, 3))),
+        (
+            lambda H: extract_hypergraph(H, 3),
+            nine_vertex_example(),
+            ((0, 1, 2), (3, 4, 5), (6, 7, 8)),
+        ),
+    ],
+    ids=["graph", "hypergraph"],
+)
+def test_certificate_gate(monkeypatch, extract, H, tuples):
+    monkeypatch.setattr(extractor_module, "verify_complete_tuple", lambda *_: (False, "forced"))
+    message = "^search produced an invalid certificate: forced$"
+    with pytest.raises(InternalConsistencyError, match=message) as info:
+        extract(H)
+    assert info.value.certificate.tuples == tuples
 
 
 class TestLemma31Observed:
