@@ -10,9 +10,13 @@ recorded as data.
 
 Usage: python3 scripts/helly_experiment.py [--n 20] [--d 1] [--families 30]
        [--seed 0]
+
+An argument the library rejects (a family of fewer than d+2 boxes, n or d
+below 1) or a --families below 1 prints one "error:" line and exits 2.
 """
 
 import argparse
+import sys
 
 from cliquecert import (
     build_nerve,
@@ -31,6 +35,16 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
+    if args.families < 1:
+        print(f"error: --families must be >= 1, got {args.families}", file=sys.stderr)
+        return 2
+    try:
+        # The library checks n and d, which every family shares, so one
+        # family checks them all before the header is printed.
+        build_nerve(random_box_family(args.n, args.d, args.seed))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     header = f"{'seed':>5} {'side':>5} {'alpha':>10} {'kalai*n':>9} {'exact':>6} {'pipeline':>9}"
     print(header)
     print("-" * len(header))

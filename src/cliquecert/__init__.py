@@ -17,6 +17,7 @@ from .bounds import (
     bound_report,
     chordal_bound,
     kalai_bound,
+    meets_beta_bound,
     meets_theorem1_bound,
     theorem1_bound,
 )

@@ -141,3 +141,28 @@ def meets_theorem1_bound(size: int, n: int, alpha: Density) -> bool:
     if t <= 0:
         return True
     return 4 * u >= t * t
+
+
+def meets_beta_bound(size: int, n: int, alpha: Density, k: int, m: int) -> bool:
+    """Exactly decide size >= beta_recursion(alpha, k, m) * n.
+
+    With alpha = p/q, K = k^(m-1) and S = k + k^2 + ... + k^(m-1), the
+    recursion gives beta = p^K / (q^K (12km)^S), so the bound holds
+    exactly when p^K n <= size q^K (12km)^S.  beta is 0 at alpha = 0.
+    Since alpha <= 1, beta * n < 1 once n < 2^S <= (12km)^S, and then a
+    nonempty clique meets it; the powers are built only when S < log2(n),
+    so they stay small however far the float beta underflows.
+    """
+    _check_alpha(alpha)
+    _check_km(k, m)
+    alpha = Fraction(alpha)
+    if not alpha or not n:
+        return True
+    K = S = 0
+    for i in range(1, m):
+        K = k**i
+        S += K
+        if S >= n.bit_length():
+            return size >= 1
+    p, q = alpha.numerator, alpha.denominator
+    return p**K * n <= size * q**K * (12 * k * m) ** S

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Union
 
-from .bounds import beta_recursion, meets_theorem1_bound, theorem1_bound
+from .bounds import beta_recursion, meets_beta_bound, meets_theorem1_bound, theorem1_bound
 from .core import (
     CliqueWitness,
     Density,
@@ -88,9 +88,11 @@ class HypergraphTrace:
     family_sizes lists |F_m|, |F_{m-1}|, ..., down to the last family
     reached; round_scores holds one score table per completed shrink round.
     beta is the recursion bound at the instance's exact m-clique density and
-    expected_bound is beta * n.  fallback marks runs where a shrink round
-    stalled (legitimate at small n) and the best greedy clique seen so far
-    was returned instead.
+    expected_bound is beta * n, both floats for the report; bound_met
+    compares the clique size with beta * n exactly (``meets_beta_bound``),
+    and is vacuously True for a certificate.  fallback marks runs where a
+    shrink round stalled (legitimate at small n) and the best greedy
+    clique seen so far was returned instead.
     """
 
     chosen_taus: tuple[Edge, ...]
@@ -371,7 +373,7 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
         alpha=alpha,
         beta=beta,
         expected_bound=beta * n,
-        bound_met=cert is not None or len(clique) >= beta * n,
+        bound_met=cert is not None or meets_beta_bound(len(clique), n, alpha, k, m),
         fallback=fallback,
     )
     witness = CliqueWitness(clique) if cert is None else None

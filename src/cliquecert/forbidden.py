@@ -11,13 +11,24 @@ oracle for the general search.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from itertools import combinations, compress, product
 from typing import Callable, Mapping, Optional, Sequence
 
-from .core import Edge, InputFormatError, InternalConsistencyError, KUniformHypergraph
+from .core import (
+    Edge,
+    InputFormatError,
+    InternalConsistencyError,
+    KUniformHypergraph,
+    SizeRefusalError,
+)
 
 DEFAULT_BUDGET = 10_000_000
+# A TupleIndex over M k-sets keeps M masks of M bits in ``apart`` and
+# about half that in ``later``: 0.75 GiB at 2^16 k-sets.  Both tuple
+# searches refuse more k-sets than this before listing them.
+MAX_TUPLE_SLOTS = 1 << 16
 
 
 class Verdict(enum.Enum):
@@ -149,6 +160,22 @@ def _charge(cands: int, succ: Sequence[int], dropped: int) -> int:
     return sum(map(int.bit_count, map(cands.__and__, rows)))
 
 
+def _core(nbrs: list[tuple[int, int]], core: int, k: int, least: int) -> int:
+    """The vertex mask of the k-core of the graph given by ``nbrs``, its
+    (vertex bit, neighbour mask) pairs, whose vertex bits make up the mask
+    ``core``: the vertices left once those with fewer than k neighbours
+    left are peeled, round by round.  0 as soon as fewer than ``least``
+    vertices are left."""
+    while True:
+        kept = [(t, mask) for t, mask in nbrs if (mask & core).bit_count() >= k]
+        if len(kept) < least:
+            return 0
+        if len(kept) == len(nbrs):
+            return core
+        nbrs = kept
+        core = sum(t for t, _ in kept)
+
+
 class TupleIndex:
     """The k-sets a tuple search ranges over, and the masks it combines.
 
@@ -156,14 +183,16 @@ class TupleIndex:
     lexicographic order: ``without[v]`` holds the k-sets avoiding vertex
     v, ``apart[i]`` those disjoint from k-set i, ``later[i]`` those of
     them after it, and ``inside[s]`` those lying wholly inside link(s),
-    for a (k-1)-set s given as a vertex mask, read from ``links`` on
-    first use.  The global search indexes the missing edges of one
-    instance.  The hill climb indexes every k-subset, passes the missing
-    ones as a mask, and flips its edges with ``toggle``, which keeps
-    ``links`` and ``inside`` in step.
+    for a (k-1)-set s given as a vertex mask.  ``cores[p]``, for a
+    (k-2)-set p given as a vertex mask, is the vertex mask of the k-core
+    of p's link graph, in which t ~ u when p + t + u is an edge.  Both
+    memos read ``links`` on first use.  The global search indexes the
+    missing edges of one instance.  The hill climb indexes every
+    k-subset, passes the missing ones as a mask, and flips its edges with
+    ``toggle``, which keeps ``links``, ``inside`` and ``cores`` in step.
     """
 
-    __slots__ = ("k", "ksets", "full", "without", "apart", "later", "links", "inside")
+    __slots__ = ("k", "ksets", "full", "without", "apart", "later", "links", "inside", "cores")
 
     def __init__(self, n: int, k: int, ksets: Sequence[Edge], links: dict[int, int]):
         full = (1 << len(ksets)) - 1
@@ -171,15 +200,13 @@ class TupleIndex:
         for i, e in enumerate(ksets):
             for v in e:
                 without[v] ^= 1 << i
-        apart, later = [], []
-        above = full
-        for i, e in enumerate(ksets):
-            above ^= 1 << i
+        apart = []
+        for e in ksets:
             mask = full
             for v in e:
                 mask &= without[v]
             apart.append(mask)
-            later.append(mask & above)
+        later = [mask >> (i + 1) << (i + 1) for i, mask in enumerate(apart)]
         vertices = (1 << n) - 1
 
         def inside_link(s: int) -> int:
@@ -187,10 +214,25 @@ class TupleIndex:
             # vertex of s or a vertex v with s + v missing.
             return self.avoiding(vertices & ~links.get(s, 0))
 
+        def link_core(p: int) -> int:
+            # The link graph lives on the vertices off p, and the peel
+            # starts from those with k neighbours; a k-core that has a
+            # vertex has at least k + 1.
+            nbrs, start, rest = [], 0, vertices & ~p
+            while rest:
+                t = rest & -rest
+                rest ^= t
+                mask = links.get(p | t, 0)
+                if mask.bit_count() >= k:
+                    nbrs.append((t, mask))
+                    start |= t
+            return _core(nbrs, start, k, k + 1)
+
         self.k, self.ksets, self.full = k, ksets, full
         self.without, self.apart, self.later = without, apart, later
         self.links = links
         self.inside = _Memo(inside_link)
+        self.cores = _Memo(link_core)
 
     def avoiding(self, vertices: int) -> int:
         """The k-sets that avoid every vertex of the mask ``vertices``."""
@@ -201,12 +243,12 @@ class TupleIndex:
             mask &= without[low.bit_length() - 1]
         return mask
 
-    def picks(self, chosen: Sequence[int]) -> list[int]:
-        """Vertex masks of one vertex from each of k - 2 of the tuples
-        ``chosen``: with a vertex of each of two more tuples, such a pick
-        makes a transversal constraint."""
+    def picks(self, chosen: Sequence[int], size: Optional[int] = None) -> list[int]:
+        """Vertex masks of one vertex from each of ``size`` of the tuples
+        ``chosen``, k - 2 unless given: with a vertex of each of two more
+        tuples, such a pick of k - 2 makes a transversal constraint."""
         ksets, out = self.ksets, []
-        for idxs in combinations(chosen, self.k - 2):
+        for idxs in combinations(chosen, self.k - 2 if size is None else size):
             for pick in product(*(ksets[i] for i in idxs)):
                 mask = 0
                 for v in pick:
@@ -225,42 +267,55 @@ class TupleIndex:
         each vertex of either last tuple has the k vertices of the other
         among its core neighbours.  So both tuples lie in the largest
         vertex set X in which every vertex keeps k core neighbours, which
-        peeling finds as for a k-core.  Returns 0 when X has fewer than 2k
-        vertices, else the k-sets avoiding the free vertices outside X.
+        peeling finds as for a k-core.  X has minimum degree k in the
+        link graph of every pick p, so it lies inside ``cores[p]``, and
+        the peel starts from the free vertices inside those of them that
+        are memoised.  The search's look-ahead memoises them all before
+        it enters a last depth from a free depth.  Below a seeded depth,
+        as in a climb whose toggles keep dropping cores, the ones left
+        are used and the rest are not recomputed.  Returns 0 when X has
+        fewer than 2k vertices, at once when that start has, else the
+        k-sets avoiding the free vertices outside X.
         """
-        k, links, ksets = self.k, self.links, self.ksets
+        k, links, ksets, cores = self.k, self.links, self.ksets, self.cores
         free = (1 << len(self.without)) - 1
         for i in chosen:
             for v in ksets[i]:
                 free &= ~(1 << v)
-        nbrs, rest = [], free
+        start = free
+        for p in pick_masks:
+            start &= cores.get(p, -1)
+        if start.bit_count() < 2 * k:
+            return 0
+        nbrs, rest = [], start
         while rest:
             t = rest & -rest
             rest ^= t
-            mask = free
+            mask = start
             for p in pick_masks:
                 mask &= links.get(p | t, 0)
             nbrs.append((t, mask))
-        core = free
-        while True:
-            kept = [(t, mask) for t, mask in nbrs if (mask & core).bit_count() >= k]
-            if len(kept) < 2 * k:
-                return 0
-            if len(kept) == len(nbrs):
-                return self.avoiding(free ^ core)
-            nbrs = kept
-            core = sum(t for t, _ in kept)
+        core = _core(nbrs, start, k, 2 * k)
+        return self.avoiding(free ^ core) if core else 0
 
     def toggle(self, em: int) -> None:
         """Flip the k-set with vertex mask ``em`` between edge and non-edge
-        in ``links``, dropping the ``inside`` entries that read the links
-        it changes."""
-        links, rest = self.links, em
+        in ``links``, dropping the memo entries that read the links it
+        changes: ``inside`` of each (k-1)-subset of the k-set and
+        ``cores`` of each (k-2)-subset."""
+        links, inside, cores, rest = self.links, self.inside, self.cores, em
         while rest:
             low = rest & -rest
             rest ^= low
             links[em ^ low] = links.get(em ^ low, 0) ^ low
-            self.inside.pop(em ^ low, None)
+            inside.pop(em ^ low, None)
+            # Only the look-ahead memoises cores, and a climb at m = k
+            # never reaches it: skip the pops while there are none.
+            more = rest if cores else 0
+            while more:
+                high = more & -more
+                more ^= high
+                cores.pop(em ^ low ^ high, None)
 
     def through(self, e: Edge, at: Optional[int]) -> tuple[int, ...]:
         """Seed pools for the complete tuples that use the k-set e.
@@ -304,15 +359,26 @@ class TupleIndex:
         passes ``budget``.
 
         The last depth, m - 2, pairs each candidate with its successors
-        in one loop step.  When its candidates outnumber the vertices, it
-        first keeps only those inside ``vertex_core`` of the tuples
-        chosen so far, and charges each dropped candidate what its loop
-        step would have, the count of its successors, in one bulk pass
-        (up to the hit, if there is one).  Verdicts, hits and node
-        counts are the same as without the filter.
+        in one loop step.  At k >= 3 two rules skip such steps, and each
+        charges the skipped ones what they would have cost, the count of
+        a candidate's successors, in one bulk pass (``_charge``), so
+        verdicts, hits and node counts are the same as without them.
+        Both rest on ``vertex_core``: the last two tuples of a hit lie in
+        its vertex set X, which lies inside ``cores[p]`` for each pick p.
+        A free depth m - 3 ANDs the cores of the picks of each
+        candidate's child: the depth's own picks, and those through the
+        candidate.  When fewer than 2k vertices are left, the child can
+        hold no hit, so it is not called: the parent charges what the
+        child would charge, its candidates and the successors of its
+        admissible ones.  A last depth whose candidates outnumber the
+        vertices keeps only those inside ``vertex_core`` and charges the
+        dropped ones (up to the hit, if there is one).  At k = 2 the one
+        pick is empty and X lies in the 2-core of the graph, which keeps
+        nearly every vertex, so neither rule runs.
         """
-        ksets, inside = self.ksets, self.inside
-        full, n = self.full, len(self.without)
+        ksets, inside, cores = self.ksets, self.inside, self.cores
+        k, full, n = self.k, self.full, len(self.without)
+        vertices = (1 << n) - 1
         chosen: list[int] = []
         nodes = 0
 
@@ -355,7 +421,7 @@ class TupleIndex:
                 if depth + 1 < len(pools):
                     allowed &= pools[depth + 1]
                 dropped = after = 0
-                if hits.bit_count() > n:
+                if k > 2 and hits.bit_count() > n:
                     # Worth its cost only when the candidates outnumber
                     # the vertices.  A dropped candidate is charged what
                     # the loop would charge it, its successors in cands.
@@ -386,6 +452,16 @@ class TupleIndex:
                     after += _charge(cands, succ, dropped)
                 nodes += cands.bit_count() + after
                 return False
+            # The look-ahead: the children of a free depth m - 3 are last
+            # depths, and each child's X lies inside `base`, the cores of
+            # this depth's picks, and the cores of the picks through its
+            # own tuple, each a prefix of k - 3 vertices plus one of it.
+            ahead = k > 2 and depth == m - 3 and depth >= len(pools)
+            if ahead:
+                base = vertices
+                for p in pick_masks:
+                    base &= cores[p]
+                prefixes = self.picks(chosen, k - 3)
             scan = cands
             while hits:
                 low = hits & -hits
@@ -402,6 +478,18 @@ class TupleIndex:
                 narrowed = allowed
                 for t in ksets[i]:
                     narrowed &= rows[t]
+                if ahead:
+                    bound = base
+                    for t in ksets[i]:
+                        for pre in prefixes:
+                            bound &= cores[pre | 1 << t]
+                    if bound.bit_count() < 2 * k:
+                        # The child's charge: its candidates, and the
+                        # successors of its admissible ones.
+                        nodes += nxt.bit_count() + _charge(nxt, succ, nxt & narrowed)
+                        if nodes > budget:
+                            return False
+                        continue
                 chosen.append(i)
                 if extend(nxt, narrowed):
                     return True
@@ -429,13 +517,21 @@ def find_complete_tuple(
     order, extended one at a time; the first certificate in this order is
     the canonical one.  ``TupleIndex.search`` describes the candidate
     masks and the node count.  ``budget`` must be non-negative; an
-    exhausted search reports ``budget + 1`` nodes.
+    exhausted search reports ``budget + 1`` nodes.  Refuses more than
+    ``MAX_TUPLE_SLOTS`` missing edges, counted as C(n, k) - |E| before
+    they are listed.
     """
     k = H.k
     if m < k:
         raise ValueError(f"m must be >= k = {k}, got {m}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    slots = math.comb(H.n, k) - len(H.edges)
+    if slots > MAX_TUPLE_SLOTS:
+        raise SizeRefusalError(
+            f"tuple search over C({H.n},{k}) - {len(H.edges)} = {slots} missing edges "
+            f"exceeds the cap of {MAX_TUPLE_SLOTS}"
+        )
     index = TupleIndex(H.n, k, H.missing, H.links)
     chosen, nodes = index.search(m, budget, index.full)
     if chosen is not None:

@@ -35,6 +35,7 @@ from .core import (
 )
 from .forbidden import (
     DEFAULT_BUDGET,
+    MAX_TUPLE_SLOTS,
     CompleteTupleCertificate,
     TupleIndex,
     Verdict,
@@ -44,9 +45,6 @@ from .forbidden import (
 )
 
 MAX_ENUMERATION_BITS = 22
-# The climb's TupleIndex keeps C(n, k) masks of C(n, k) bits in ``apart``
-# and half that in ``later``: 0.75 GiB at 2^16 k-subsets.
-MAX_CLIMB_SLOTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -221,7 +219,8 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
     is built only for each restart's best instance, and a certificate the
     search hits is verified by enumeration against the edge bitmask.
     ``tuple_budget`` bounds each seeded search and the final
-    re-verification.  Refuses more than ``MAX_CLIMB_SLOTS`` k-subsets.
+    re-verification.  Its ``TupleIndex`` holds every k-subset, so it
+    refuses more than ``forbidden.MAX_TUPLE_SLOTS`` of them.
     """
     n, k, m = config.n, config.k, config.m
     if config.restarts < 1:
@@ -230,10 +229,10 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
         raise ValueError(f"iterations must be >= 0, got {config.iterations}")
     _check_search(n, k, m, config.omega_cap)
     slots = math.comb(n, k)
-    if slots > MAX_CLIMB_SLOTS:
+    if slots > MAX_TUPLE_SLOTS:
         raise SizeRefusalError(
             f"hill climb over C({n},{k}) = {slots} k-subsets exceeds the cap of "
-            f"{MAX_CLIMB_SLOTS}"
+            f"{MAX_TUPLE_SLOTS}"
         )
     positions = list(combinations(range(n), k))
     rank = {e: i for i, e in enumerate(positions)}

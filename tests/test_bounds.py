@@ -11,6 +11,7 @@ from cliquecert import (
     bound_report,
     chordal_bound,
     kalai_bound,
+    meets_beta_bound,
     meets_theorem1_bound,
     theorem1_bound,
 )
@@ -192,3 +193,50 @@ class TestExactComparisons:
         assert meets_kalai_bound_with_slack(4, 10, Fraction(3, 4), 1)
         assert not meets_kalai_bound_with_slack(3, 10, Fraction(3, 4), 1)
         assert meets_kalai_bound_with_slack(0, 10, Fraction(0), 2)
+
+
+def exact_beta(alpha: Fraction, k: int, m: int) -> Fraction:
+    """The recursion of ``beta_recursion`` in rationals."""
+    a = Fraction(alpha)
+    for _ in range(m - 1):
+        a = (a / (12 * k * m)) ** k
+    return a
+
+
+class TestExactBetaBound:
+    @given(
+        size=st.integers(min_value=0, max_value=600),
+        n=st.integers(min_value=0, max_value=10**7),
+        num=st.integers(min_value=0, max_value=12),
+        km=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4)]),
+    )
+    def test_matches_the_exact_recursion(self, size, n, num, km):
+        k, m = km
+        alpha = Fraction(num, 12)
+        assert meets_beta_bound(size, n, alpha, k, m) == (size >= exact_beta(alpha, k, m) * n)
+
+    def test_ties_are_met(self):
+        # k = m = 2: beta = alpha^2 / 48^2, so beta * n = 5 exactly here.
+        n = 5 * 48**2
+        assert meets_beta_bound(5, n, Fraction(1), 2, 2)
+        assert not meets_beta_bound(4, n, Fraction(1), 2, 2)
+        assert meets_beta_bound(5, 4 * n, Fraction(1, 2), 2, 2)
+        assert not meets_beta_bound(4, 4 * n, Fraction(1, 2), 2, 2)
+
+    def test_no_underflow(self):
+        # The float recursion leaves the double range at k = 3, m = 6,
+        # but beta * n is still positive, so the empty clique misses it.
+        assert beta_recursion(1.0, 3, 6) == 0.0
+        assert not meets_beta_bound(0, 1, Fraction(1), 3, 6)
+        assert meets_beta_bound(1, 1, Fraction(1), 3, 6)
+        # beta * n is 0 with no vertex or at alpha = 0.
+        assert meets_beta_bound(0, 0, Fraction(1), 3, 6)
+        assert meets_beta_bound(0, 5, Fraction(0), 3, 6)
+        # A deep recursion stops as soon as beta * n < 1 is certain.
+        assert meets_beta_bound(1, 10**6, Fraction(1, 2), 3, 10**6)
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError):
+            meets_beta_bound(1, 5, Fraction(3, 2), 2, 2)
+        with pytest.raises(ValueError):
+            meets_beta_bound(1, 5, Fraction(1, 2), 3, 2)

@@ -360,6 +360,29 @@ class TestNerveAndHelly:
         assert outcome["point"] == [0, 0]
         assert outcome["colorful_verdict"] == "absent"
 
+    def test_oversize_tuple_search_is_refused_before_listing(self, tmp_path):
+        # These nerves have 160,516 (d=2 n=100) and 91,389 (d=3 n=40)
+        # missing edges, past forbidden.MAX_TUPLE_SLOTS; listing them and
+        # building the search tables would not fit in 1 GiB at n=100.
+        fam = random_box_family(100, 2, 1)
+        boxes = write_json(tmp_path / "boxes.json", box_family_to_dict(fam))
+        nerve = write_json(tmp_path / "nerve.json", hypergraph_to_dict(build_nerve(fam)))
+        boxes3 = write_json(tmp_path / "boxes3.json", box_family_to_dict(random_box_family(40, 3, 1)))
+        for argv in (
+            ["helly", "--input", boxes],
+            ["forbidden", "--input", nerve, "--m", "3"],
+            ["helly", "--input", boxes3],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", MAIN_UNDER_1GIB, *argv],
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+            )
+            assert proc.returncode == 3, (argv, proc.stderr)
+            assert proc.stdout == ""
+            lines = proc.stderr.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("size refusal: tuple search over")
+
     @pytest.mark.parametrize("subcommand", ["nerve", "helly"])
     def test_too_few_boxes_is_input_error(self, capsys, tmp_path, subcommand):
         doc = {"d": 2, "boxes": [{"lo": [0, 0], "hi": [2, 2]}, {"lo": [1, 1], "hi": [3, 3]}]}

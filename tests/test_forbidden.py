@@ -1,5 +1,6 @@
 import functools
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -14,6 +15,7 @@ from cliquecert import (
     random_box_family,
     verify_complete_tuple,
 )
+from cliquecert import forbidden
 from cliquecert.forbidden import TupleIndex
 from helpers import (
     all_graphs,
@@ -26,6 +28,8 @@ from helpers import (
     nine_vertex_example,
     random_hypergraph,
     reference_find_complete_tuple,
+    reference_link_core,
+    reference_vertex_core,
     relabel,
 )
 
@@ -210,14 +214,43 @@ class TestReferenceOracle:
                     reference_find_complete_tuple(H, m, budget)
                 ), (H.n, k, sorted(H.edges), m, budget)
 
-    def test_box_nerves(self):
-        # Deep absence proofs, the shape colorful_check runs on.
-        for n, d, seed in ((30, 1, 1), (11, 2, 2), (12, 2, 3), (10, 3, 4)):
+    def test_box_nerves(self, monkeypatch):
+        # Deep absence proofs, the shape colorful_check runs on; the d=2
+        # n=12 and n=14 nerves are those of the benchmark's helly proofs,
+        # where n=14 exhausts 100,000 nodes.  Bulk charges are counted by
+        # the depth that makes them: the look-ahead charges whole children
+        # from depth m - 3.
+        depths = []
+        charge = forbidden._charge
+
+        def spy(cands, succ, dropped):
+            depths.append(sys._getframe(1).f_locals["depth"])
+            return charge(cands, succ, dropped)
+
+        monkeypatch.setattr(forbidden, "_charge", spy)
+        cases = [
+            (30, 1, 1, (10_000_000, 5_000)), (11, 2, 2, (10_000_000, 5_000)),
+            (12, 2, 3, (10_000_000, 5_000)), (10, 3, 4, (10_000_000, 5_000)),
+            (12, 2, 5, (100_000, 10_000_000)), (14, 2, 6, (100_000, 10_000_000)),
+            (12, 3, 7, (100_000, 10_000_000)), (14, 3, 8, (100_000,)),
+        ]
+        ahead = {}
+        for n, d, seed, budgets in cases:
             H = random_box_family(n, d, seed, spread=40, max_side=30).nerve_hypergraph
-            for budget in (10_000_000, 5_000):
+            for budget in budgets:
+                depths.clear()
                 assert outcome(find_complete_tuple(H, d + 1, budget)) == outcome(
                     reference_find_complete_tuple(H, d + 1, budget)
                 ), (n, d, seed, budget)
+                ahead[n, d, budget] = depths.count(d - 2)
+        # d=1 (k = 2) runs neither rule, and 12 vertices hold no three
+        # disjoint 4-sets past depth 0, so d=3 n=12 is decided by the size
+        # prune before any look-ahead.
+        assert ahead[30, 1, 5_000] == ahead[30, 1, 10_000_000] == 0
+        assert ahead[12, 3, 100_000] == 0
+        for key in ((12, 2, 100_000), (12, 2, 10_000_000), (14, 2, 100_000),
+                    (14, 2, 10_000_000), (14, 3, 100_000)):
+            assert ahead[key] >= 10, (key, ahead[key])
 
 
 class TestVertexCoreFilter:
@@ -260,7 +293,61 @@ class TestVertexCoreFilter:
                 # The hit's own last depth crossed the gate.
                 assert ran[tuple(head)] == core
                 gated[k] += 1
-        assert min(gated.values()) >= 5, gated
+        # The filter runs only at k >= 3; the core check above holds at
+        # every k.
+        assert gated[2] == 0 and gated[3] >= 5 and gated[4] >= 5, gated
+
+
+class TestCoresMemo:
+    """``vertex_core``, whose peel starts inside the memoised ``cores``
+    of its picks, against a plain peel from every free vertex; and every
+    memoised core against a k-core peeled afresh, also after random
+    ``toggle``s."""
+
+    @staticmethod
+    def instances(rng):
+        for k in (3, 4):
+            for _ in range(6):
+                yield random_hypergraph(rng, rng.randint(2 * k, 10), k, rng.random() ** 0.5)
+                m = k if k == 4 else rng.choice([k, k + 1])
+                yield planted_complete_tuple(rng, k * m + rng.randint(0, 1), k, m)
+        for n, d, seed in ((10, 2, 1), (12, 2, 2), (14, 3, 3), (12, 3, 4)):
+            spread = 40 if d == 2 else 20
+            yield random_box_family(n, d, seed, spread=spread, max_side=30).nerve_hypergraph
+
+    def test_against_a_plain_peel(self):
+        rng = random.Random(1931)
+        nonzero = 0
+        for H in self.instances(rng):
+            n, k = H.n, H.k
+            positions = list(combinations(range(n), k))
+            edges = set(H.edges)
+            index = TupleIndex(n, k, positions, dict(H.links))
+            for step in range(12):
+                tuples = rng.sample(positions, n // k)
+                chosen, used = [], set()
+                for e in tuples:
+                    if used.isdisjoint(e) and len(chosen) < rng.randint(k - 2, k):
+                        chosen.append(positions.index(e))
+                        used.update(e)
+                # vertex_core reads the cores that are memoised, so
+                # memoise some of those of its picks.
+                picks = index.picks(chosen)
+                for p in rng.sample(picks, rng.randint(0, len(picks))):
+                    index.cores[p]
+                core = index.vertex_core(chosen, picks)
+                assert core == reference_vertex_core(
+                    n, k, positions, edges.__contains__, chosen
+                ), (sorted(edges), chosen)
+                nonzero += core != 0
+                for p, mask in index.cores.items():
+                    assert mask == reference_link_core(n, k, edges.__contains__, p), (
+                        sorted(edges), p,
+                    )
+                e = rng.choice(positions)
+                index.toggle(sum(1 << v for v in e))
+                edges ^= {e}
+        assert nonzero >= 20, nonzero
 
 
 class TestNarrowedSeedPools:

@@ -68,6 +68,23 @@ def test_frontier_experiment_argument_errors_exit_two(args, error):
     assert proc.stderr.splitlines() == [error]
 
 
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["--n", "0"], "error: need n >= 1 and d >= 1, got n=0, d=1"),
+        (["--d", "0"], "error: need n >= 1 and d >= 1, got n=20, d=0"),
+        (["--n", "2", "--d", "2"], "error: nerve needs more than d+1 = 3 boxes, got 2"),
+        (["--families", "-1"], "error: --families must be >= 1, got -1"),
+        (["--families", "0"], "error: --families must be >= 1, got 0"),
+    ],
+)
+def test_helly_experiment_argument_errors_exit_two(args, error):
+    proc = run_script("helly_experiment.py", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [error]
+
+
 @pytest.mark.parametrize("module", ["cliquecert", "cliquecert.cli"])
 def test_module_entry_point(module):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
