@@ -25,6 +25,21 @@ def _check_km(k: int, m: int) -> None:
         raise ValueError(f"need m >= k >= 2, got k={k}, m={m}")
 
 
+# A report prints the exponent k^(m-1) in decimal, and Python converts no
+# int of more digits than this to a string by default.
+MAX_EXPONENT_DIGITS = 4300
+
+
+def _check_exponent(k: int, m: int) -> None:
+    # k^(m-1) >= 2^((m-1)(bitlen(k)-1)), so the power is built only when it
+    # has fewer than twice the bits of the limit.
+    limit = 10**MAX_EXPONENT_DIGITS
+    if (m - 1) * (k.bit_length() - 1) >= limit.bit_length() or k ** (m - 1) >= limit:
+        raise ValueError(
+            f"exponent k^(m-1) has more than {MAX_EXPONENT_DIGITS} digits, got k={k}, m={m}"
+        )
+
+
 def theorem1_bound(alpha: float) -> float:
     """(1 - sqrt(1 - alpha))^2: guaranteed clique fraction for graphs of
     edge density alpha with no induced K_{2,2}."""
@@ -106,6 +121,7 @@ class BoundReport:
 def bound_report(alpha: Density, k: int, m: int, d: int) -> BoundReport:
     _check_alpha(alpha)  # on the exact value: float() overflows far outside [0, 1]
     _check_km(k, m)
+    _check_exponent(k, m)
     a = float(alpha)
     return BoundReport(
         alpha=Fraction(alpha),

@@ -26,6 +26,10 @@ Edge = tuple[int, ...]
 # the counting layers rely on.
 Density = Fraction
 
+# The loader and the extractors refuse, with SizeRefusalError and before
+# listing any, to list more k-subsets or m-subsets than this.
+DEFAULT_MAX_FAMILY = 2_000_000
+
 
 class InputFormatError(ValueError):
     """An instance document violates the on-disk format."""
@@ -140,6 +144,17 @@ class CliqueWitness:
 def count_m_cliques(H: KUniformHypergraph, m: int) -> int:
     """Exact number of m-vertex cliques; the k-cliques are the edges."""
     return len(H.edges) if m == H.k else len(m_clique_family(H, m))
+
+
+def comb_exceeds(n: int, k: int, bound: int) -> bool:
+    """Whether C(n, k) > ``bound``, for n, k >= 0, without building C(n, k):
+    C(n, j) grows with j up to n/2, so the product stops once it passes."""
+    c = 1 if k <= n else 0
+    for j in range(1, min(k, n - k) + 1):
+        c = c * (n - j + 1) // j
+        if c > bound:
+            return True
+    return c > bound
 
 
 def mask_vertices(mask: int) -> tuple[int, ...]:
@@ -408,7 +423,9 @@ def _parse_edge_list(obj, key: str, n: int, k: int) -> list[Edge]:
 
 
 def hypergraph_from_dict(obj: Mapping) -> KUniformHypergraph:
-    """Parse the instance JSON object, rejecting malformed input precisely."""
+    """Parse the instance JSON object, rejecting malformed input precisely.
+    A "missing" document whose complement has more than
+    ``DEFAULT_MAX_FAMILY`` edges is refused before they are listed."""
     if not isinstance(obj, Mapping):
         raise InputFormatError("instance document must be a JSON object")
     for field in ("n", "k"):
@@ -429,6 +446,11 @@ def hypergraph_from_dict(obj: Mapping) -> KUniformHypergraph:
         edges = _parse_edge_list(obj, "edges", n, k)
         return KUniformHypergraph(n=n, k=k, edges=frozenset(edges))
     missing = set(_parse_edge_list(obj, "missing", n, k))
+    if comb_exceeds(n, k, DEFAULT_MAX_FAMILY + len(missing)):
+        raise SizeRefusalError(
+            f'complementing "missing" lists C({n},{k}) - {len(missing)} edges, '
+            f"more than the cap of {DEFAULT_MAX_FAMILY}"
+        )
     edges = frozenset(e for e in combinations(range(n), k) if e not in missing)
     return KUniformHypergraph(n=n, k=k, edges=edges)
 

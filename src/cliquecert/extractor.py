@@ -36,12 +36,14 @@ from typing import Iterable, Literal, Optional, Union
 
 from .bounds import beta_recursion, meets_beta_bound, meets_theorem1_bound, theorem1_bound
 from .core import (
+    DEFAULT_MAX_FAMILY,
     CliqueWitness,
     Density,
     Edge,
     InternalConsistencyError,
     KUniformHypergraph,
     SizeRefusalError,
+    comb_exceeds,
     first_missing_edge,
     greedy_extend_clique,
     m_clique_family,
@@ -49,8 +51,6 @@ from .core import (
     maximal_missing_matching,
 )
 from .forbidden import CompleteTupleCertificate, certify, verify_complete_tuple
-
-DEFAULT_MAX_FAMILY = 2_000_000
 
 ScoreTable = tuple[tuple[Edge, int], ...]
 
@@ -247,6 +247,15 @@ def _ordered_scores(scores: dict[Edge, int]) -> ScoreTable:
     return tuple(sorted(scores.items()))
 
 
+def _family_total(n: int, m: int) -> int:
+    """C(n, m); SizeRefusalError when it exceeds ``DEFAULT_MAX_FAMILY``."""
+    if comb_exceeds(n, m, DEFAULT_MAX_FAMILY):
+        raise SizeRefusalError(
+            f"enumerating C({n},{m}) m-subsets exceeds the cap of {DEFAULT_MAX_FAMILY}"
+        )
+    return math.comb(n, m)
+
+
 def extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
     """Graph extraction (k = 2): verified clique or induced-K_{2,2} certificate.
 
@@ -255,11 +264,13 @@ def extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
     alpha = |E| / C(n,2) exactly.  A certificate is returned exactly when
     the common neighborhood of the top-scoring missing edge contains a
     missing edge, which keeps the verdict class aligned with
-    ``extract_hypergraph`` at m = 2.
+    ``extract_hypergraph`` at m = 2.  Refuses, as that does, when C(n, 2)
+    exceeds ``DEFAULT_MAX_FAMILY``.
     """
     if G.k != 2:
         raise ValueError(f"graph extraction requires k = 2, got k = {G.k}")
     n = G.n
+    _family_total(n, 2)
     miss = G.missing
     alpha = G.edge_density()
 
@@ -322,12 +333,7 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
     if m < H.k:
         raise ValueError(f"m must be >= k = {H.k}, got {m}")
     n, k = H.n, H.k
-    total = math.comb(n, m)
-    if total > DEFAULT_MAX_FAMILY:
-        raise SizeRefusalError(
-            f"enumerating C({n},{m}) = {total} m-subsets exceeds the cap of "
-            f"{DEFAULT_MAX_FAMILY}"
-        )
+    total = _family_total(n, m)
 
     taus: list[Edge] = []
     tables: list[ScoreTable] = []

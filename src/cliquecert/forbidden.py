@@ -152,28 +152,12 @@ class _Memo(dict):
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _charge(cands: int, succ: Sequence[int], dropped: int) -> int:
-    """The sum of |cands & succ[i]| over the bits i of ``dropped``, in one
-    C-level pass: ``succ`` compressed by the bits of ``dropped``, lowest
+def _charge(cands: int, succ: Sequence[int], among: int) -> int:
+    """The sum of |cands & succ[i]| over the bits i of ``among``, in one
+    C-level pass: ``succ`` compressed by the bits of ``among``, lowest
     first, as bytes 0 and 1."""
-    rows = compress(succ, bin(dropped)[:1:-1].encode().translate(_BITS))
+    rows = compress(succ, bin(among)[:1:-1].encode().translate(_BITS))
     return sum(map(int.bit_count, map(cands.__and__, rows)))
-
-
-def _core(nbrs: list[tuple[int, int]], core: int, k: int, least: int) -> int:
-    """The vertex mask of the k-core of the graph given by ``nbrs``, its
-    (vertex bit, neighbour mask) pairs, whose vertex bits make up the mask
-    ``core``: the vertices left once those with fewer than k neighbours
-    left are peeled, round by round.  0 as soon as fewer than ``least``
-    vertices are left."""
-    while True:
-        kept = [(t, mask) for t, mask in nbrs if (mask & core).bit_count() >= k]
-        if len(kept) < least:
-            return 0
-        if len(kept) == len(nbrs):
-            return core
-        nbrs = kept
-        core = sum(t for t, _ in kept)
 
 
 class TupleIndex:
@@ -186,10 +170,13 @@ class TupleIndex:
     for a (k-1)-set s given as a vertex mask.  ``cores[p]``, for a
     (k-2)-set p given as a vertex mask, is the vertex mask of the k-core
     of p's link graph, in which t ~ u when p + t + u is an edge.  Both
-    memos read ``links`` on first use.  The global search indexes the
-    missing edges of one instance.  The hill climb indexes every
-    k-subset, passes the missing ones as a mask, and flips its edges with
-    ``toggle``, which keeps ``links``, ``inside`` and ``cores`` in step.
+    memos read ``links`` on first use.  The last two tuples of a complete
+    tuple lie inside ``cores[p]`` for each pick p of the tuples before
+    them, which lets ``search`` skip last depths that hold no hit.  The
+    global search indexes the missing edges of one instance.  The hill
+    climb indexes every k-subset, passes the missing ones as a mask, and
+    flips its edges with ``toggle``, which keeps ``links``, ``inside`` and
+    ``cores`` in step.
     """
 
     __slots__ = ("k", "ksets", "full", "without", "apart", "later", "links", "inside", "cores")
@@ -215,18 +202,25 @@ class TupleIndex:
             return self.avoiding(vertices & ~links.get(s, 0))
 
         def link_core(p: int) -> int:
-            # The link graph lives on the vertices off p, and the peel
-            # starts from those with k neighbours; a k-core that has a
-            # vertex has at least k + 1.
-            nbrs, start, rest = [], 0, vertices & ~p
+            # The link graph lives on the vertices off p.  The peel starts
+            # from those with k neighbours and drops, round by round, those
+            # with fewer than k left; a k-core that has a vertex has at
+            # least k + 1.
+            nbrs, rest = [], vertices & ~p
             while rest:
                 t = rest & -rest
                 rest ^= t
                 mask = links.get(p | t, 0)
                 if mask.bit_count() >= k:
                     nbrs.append((t, mask))
-                    start |= t
-            return _core(nbrs, start, k, k + 1)
+            while True:
+                core = sum(t for t, _ in nbrs)
+                kept = [(t, mask) for t, mask in nbrs if (mask & core).bit_count() >= k]
+                if len(kept) <= k:
+                    return 0
+                if len(kept) == len(nbrs):
+                    return core
+                nbrs = kept
 
         self.k, self.ksets, self.full = k, ksets, full
         self.without, self.apart, self.later = without, apart, later
@@ -255,48 +249,6 @@ class TupleIndex:
                     mask |= 1 << v
                 out.append(mask)
         return out
-
-    def vertex_core(self, chosen: Sequence[int], pick_masks: list[int]) -> int:
-        """A mask of the k-sets that can hold either of the last two tuples
-        of a complete tuple extending the tuples ``chosen``, among the
-        k-sets that avoid them; ``pick_masks`` is ``picks(chosen)``.
-
-        Call u a core neighbour of t, both vertices off ``chosen``, when
-        p + t + u is an edge for every pick p, that is when u lies in the
-        AND of link(p + t) over the picks.  The relation is symmetric, and
-        each vertex of either last tuple has the k vertices of the other
-        among its core neighbours.  So both tuples lie in the largest
-        vertex set X in which every vertex keeps k core neighbours, which
-        peeling finds as for a k-core.  X has minimum degree k in the
-        link graph of every pick p, so it lies inside ``cores[p]``, and
-        the peel starts from the free vertices inside those of them that
-        are memoised.  The search's look-ahead memoises them all before
-        it enters a last depth from a free depth.  Below a seeded depth,
-        as in a climb whose toggles keep dropping cores, the ones left
-        are used and the rest are not recomputed.  Returns 0 when X has
-        fewer than 2k vertices, at once when that start has, else the
-        k-sets avoiding the free vertices outside X.
-        """
-        k, links, ksets, cores = self.k, self.links, self.ksets, self.cores
-        free = (1 << len(self.without)) - 1
-        for i in chosen:
-            for v in ksets[i]:
-                free &= ~(1 << v)
-        start = free
-        for p in pick_masks:
-            start &= cores.get(p, -1)
-        if start.bit_count() < 2 * k:
-            return 0
-        nbrs, rest = [], start
-        while rest:
-            t = rest & -rest
-            rest ^= t
-            mask = start
-            for p in pick_masks:
-                mask &= links.get(p | t, 0)
-            nbrs.append((t, mask))
-        core = _core(nbrs, start, k, 2 * k)
-        return self.avoiding(free ^ core) if core else 0
 
     def toggle(self, em: int) -> None:
         """Flip the k-set with vertex mask ``em`` between edge and non-edge
@@ -359,26 +311,24 @@ class TupleIndex:
         passes ``budget``.
 
         The last depth, m - 2, pairs each candidate with its successors
-        in one loop step.  At k >= 3 two rules skip such steps, and each
-        charges the skipped ones what they would have cost, the count of
-        a candidate's successors, in one bulk pass (``_charge``), so
-        verdicts, hits and node counts are the same as without them.
-        Both rest on ``vertex_core``: the last two tuples of a hit lie in
-        its vertex set X, which lies inside ``cores[p]`` for each pick p.
-        A free depth m - 3 ANDs the cores of the picks of each
-        candidate's child: the depth's own picks, and those through the
-        candidate.  When fewer than 2k vertices are left, the child can
-        hold no hit, so it is not called: the parent charges what the
-        child would charge, its candidates and the successors of its
-        admissible ones.  A last depth whose candidates outnumber the
-        vertices keeps only those inside ``vertex_core`` and charges the
-        dropped ones (up to the hit, if there is one).  At k = 2 the one
-        pick is empty and X lies in the 2-core of the graph, which keeps
-        nearly every vertex, so neither rule runs.
+        in one loop step.  One rule skips last depths that hold no hit.
+        Let p be a pick of the tuples before the last two.  Each vertex of
+        either last tuple has the k vertices of the other tuple as
+        neighbours in p's link graph, so both tuples lie inside
+        ``cores[p]``.  At k >= 3 a free depth m - 3 ANDs, for each
+        candidate, the cores of the picks of the child it would call: the
+        depth's own picks, and those through the candidate.  When fewer
+        than 2k vertices are left, the child can hold no hit, so it is not
+        called.  The parent charges what the child would have cost, its
+        candidates and the successors of its admissible ones, in one bulk
+        pass (``_charge``), so verdicts, hits and node counts are the same
+        as without the rule.  At k = 2 the one pick is empty and its core,
+        the 2-core of the graph, keeps nearly every vertex, so the rule
+        does not run.
         """
         ksets, inside, cores = self.ksets, self.inside, self.cores
-        k, full, n = self.k, self.full, len(self.without)
-        vertices = (1 << n) - 1
+        k, full = self.k, self.full
+        vertices = (1 << len(self.without)) - 1
         chosen: list[int] = []
         nodes = 0
 
@@ -420,13 +370,7 @@ class TupleIndex:
                 # is clamped either way.
                 if depth + 1 < len(pools):
                     allowed &= pools[depth + 1]
-                dropped = after = 0
-                if k > 2 and hits.bit_count() > n:
-                    # Worth its cost only when the candidates outnumber
-                    # the vertices.  A dropped candidate is charged what
-                    # the loop would charge it, its successors in cands.
-                    kept = hits & self.vertex_core(chosen, pick_masks)
-                    dropped, hits = hits ^ kept, kept
+                after = 0
                 while hits:
                     low = hits & -hits
                     hits ^= low
@@ -441,21 +385,18 @@ class TupleIndex:
                         last = final & -final
                         nodes += (cands & (2 * low - 1)).bit_count() + after
                         nodes += (nxt & (2 * last - 1)).bit_count()
-                        if dropped:
-                            nodes += _charge(cands, succ, dropped & (low - 1))
                         if nodes > budget:
                             return False
                         chosen.extend((i, last.bit_length() - 1))
                         return True
                     after += nxt.bit_count()
-                if dropped:
-                    after += _charge(cands, succ, dropped)
                 nodes += cands.bit_count() + after
                 return False
             # The look-ahead: the children of a free depth m - 3 are last
-            # depths, and each child's X lies inside `base`, the cores of
-            # this depth's picks, and the cores of the picks through its
-            # own tuple, each a prefix of k - 3 vertices plus one of it.
+            # depths, and the last two tuples of a hit in a child lie inside
+            # the core of each of its picks: `base`, the cores of this
+            # depth's picks, and the cores of the picks through the child's
+            # tuple, each a prefix of k - 3 vertices plus one of it.
             ahead = k > 2 and depth == m - 3 and depth >= len(pools)
             if ahead:
                 base = vertices

@@ -7,8 +7,8 @@ values frozen in the test modules were computed with these.
 ``reference_find_complete_tuple`` is the one-candidate-at-a-time
 backtracking that the bitset ``find_complete_tuple`` replaced, kept
 unchanged so that verdicts, certificates and node counts can be compared;
-``reference_vertex_core`` and ``reference_link_core`` peel one vertex at a
-time from every vertex, against the search's memoised cores.
+``reference_link_core`` peels one vertex at a time from every vertex,
+against the search's memoised cores.
 The other ``reference_*`` functions are the subset-scanning kernels that
 the link-index kernels replaced (m-clique family, tau scores, shrink step,
 greedy and maximum clique, graph extraction), the all-subsets nerve
@@ -209,51 +209,23 @@ def reference_find_complete_tuple(
     return TupleSearchResult(Verdict.ABSENT, None, nodes)
 
 
-def _peel(vertices: set[int], k: int, linked) -> set[int]:
-    # Drop the lowest vertex with fewer than k neighbours left, one at a
-    # time, until every vertex left has k.
-    left = set(vertices)
-    while True:
-        weak = [t for t in sorted(left) if sum(linked(t, u) for u in left if u != t) < k]
-        if not weak:
-            return left
-        left.remove(weak[0])
-
-
 def reference_link_core(n: int, k: int, is_edge, p: int) -> int:
     """The vertex mask of the k-core of the link graph of the (k-2)-set
     with vertex mask ``p``: the vertices off p, t ~ u when p + t + u is an
     edge, ``is_edge`` asked about sorted k-tuples."""
     pick = {v for v in range(n) if p >> v & 1}
-    core = _peel(
-        set(range(n)) - pick, k, lambda t, u: is_edge(tuple(sorted(pick | {t, u})))
-    )
-    return sum(1 << v for v in core)
+    left = set(range(n)) - pick
 
+    def degree(t: int) -> int:
+        return sum(is_edge(tuple(sorted(pick | {t, u}))) for u in left if u != t)
 
-def reference_vertex_core(
-    n: int, k: int, ksets: list[Edge], is_edge, chosen: list[int]
-) -> int:
-    """``TupleIndex.vertex_core`` as a plain peel from every free vertex:
-    u and t, both off the tuples ``chosen``, are linked when p + t + u is
-    an edge for every pick p (one vertex from each of k - 2 of the
-    tuples).  X is what peeling to k linked vertices leaves.  The mask,
-    over ``ksets``, of the k-sets that avoid the free vertices outside X,
-    or 0 when X has fewer than 2k vertices."""
-    used = {v for i in chosen for v in ksets[i]}
-    free = set(range(n)) - used
-    picks = [
-        set(pick)
-        for idxs in combinations(chosen, k - 2)
-        for pick in product(*(ksets[i] for i in idxs))
-    ]
-    core = _peel(
-        free, k, lambda t, u: all(is_edge(tuple(sorted(p | {t, u}))) for p in picks)
-    )
-    if len(core) < 2 * k:
-        return 0
-    outside = free - core
-    return sum(1 << i for i, e in enumerate(ksets) if outside.isdisjoint(e))
+    # Drop the lowest vertex with fewer than k neighbours left, one at a
+    # time, until every vertex left has k.
+    while True:
+        weak = [t for t in sorted(left) if degree(t) < k]
+        if not weak:
+            return sum(1 << v for v in left)
+        left.remove(weak[0])
 
 
 def reference_m_clique_family(H: KUniformHypergraph, m: int) -> tuple[Edge, ...]:

@@ -164,6 +164,17 @@ class TestBoundReport:
         rep = bound_report(Fraction(0), 2, 2, 1)
         assert rep.to_dict()["notes"]
 
+    # 10^4299 and 2^14284 have 4300 digits, 10^4300 and 2^14285 have 4301.
+    @pytest.mark.parametrize("k, m", [(10, 4300), (2, 14285)])
+    def test_exponent_of_4300_digits_is_reported(self, k, m):
+        rep = bound_report(Fraction(1, 2), k, m, 1)
+        assert len(str(rep.to_dict()["exponent"])) == 4300
+
+    @pytest.mark.parametrize("k, m", [(10, 4301), (2, 14286)])
+    def test_exponent_past_4300_digits_is_refused(self, k, m):
+        with pytest.raises(ValueError, match=f"k={k}, m={m}"):
+            bound_report(Fraction(1, 2), k, m, 1)
+
 
 class TestExactComparisons:
     @given(

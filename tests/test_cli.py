@@ -52,6 +52,20 @@ def write_json(path, doc):
     return str(path)
 
 
+def assert_refused_under_1gib(*argv):
+    """``main(argv)`` under MAIN_UNDER_1GIB exits 3 with one size-refusal
+    line on stderr and nothing on stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_UNDER_1GIB, *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 3, (argv, proc.stderr)
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("size refusal: "), lines
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -103,6 +117,18 @@ class TestExtract:
         assert doc["detail"] == "search produced an invalid certificate: forced"
         assert doc["certificate"]["tuples"] == [[0, 2], [1, 3]]
         assert err.splitlines() == [f"internal-consistency failure: {doc['detail']}"]
+
+    def test_oversize_graph_extraction_is_refused(self, tmp_path):
+        # Edgeless graphs with C(n, 2) missing edges, past
+        # core.DEFAULT_MAX_FAMILY: at n=3000 the graph extraction would
+        # print a 69 MB report, and at n=6000 run out of 1 GiB.
+        for n in (3000, 6000):
+            path = write_json(tmp_path / f"e{n}.json", {"n": n, "k": 2, "edges": []})
+            assert_refused_under_1gib("extract", "--input", path, "--algorithm", "graph")
+        assert_refused_under_1gib("extract", "--input", path)
+        # C(200000, 100000) m-subsets, a count of 60,204 digits.
+        wide = write_json(tmp_path / "wide.json", {"n": 200000, "k": 100000, "edges": []})
+        assert_refused_under_1gib("extract", "--input", wide)
 
     def test_graph_algorithm_rejects_hypergraphs(self, capsys, tmp_path):
         path = write_json(tmp_path / "h3.json", {"n": 4, "k": 3, "edges": [[0, 1, 2]]})
@@ -230,6 +256,11 @@ class TestArgumentErrors:
                 ["search", "--n", "4", "--k", "1", "--m", "2", "--omega-cap", "2", "--exhaustive"],
                 "edge arity k must be >= 2, got 1",
             ),
+            (
+                ["bounds", "--alpha", "0", "--k", "2", "--m", "1000000000000", "--d", "1"],
+                "k=2, m=1000000000000",
+            ),
+            (["bounds", "--alpha", "1/2", "--k", "2", "--m", "100000000", "--d", "1"], "4300 digits"),
         ],
     )
     def test_exit_two_with_one_line_error(self, capsys, c4_file, argv, message):
@@ -364,24 +395,23 @@ class TestNerveAndHelly:
         # These nerves have 160,516 (d=2 n=100) and 91,389 (d=3 n=40)
         # missing edges, past forbidden.MAX_TUPLE_SLOTS; listing them and
         # building the search tables would not fit in 1 GiB at n=100.
+        # The 34-byte "missing" document complements to C(3000, 3) edges,
+        # past core.DEFAULT_MAX_FAMILY, which the loader refuses to list;
+        # it never builds C(200000, 100000), which has 60,204 digits.
         fam = random_box_family(100, 2, 1)
         boxes = write_json(tmp_path / "boxes.json", box_family_to_dict(fam))
         nerve = write_json(tmp_path / "nerve.json", hypergraph_to_dict(build_nerve(fam)))
         boxes3 = write_json(tmp_path / "boxes3.json", box_family_to_dict(random_box_family(40, 3, 1)))
+        dense = write_json(tmp_path / "dense.json", {"n": 3000, "k": 3, "missing": []})
+        wide = write_json(tmp_path / "wide.json", {"n": 200000, "k": 100000, "missing": []})
         for argv in (
             ["helly", "--input", boxes],
             ["forbidden", "--input", nerve, "--m", "3"],
             ["helly", "--input", boxes3],
+            ["analyze", "--input", dense],
+            ["analyze", "--input", wide],
         ):
-            proc = subprocess.run(
-                [sys.executable, "-c", MAIN_UNDER_1GIB, *argv],
-                capture_output=True, text=True, timeout=120,
-                env=dict(os.environ, PYTHONPATH=str(SRC)),
-            )
-            assert proc.returncode == 3, (argv, proc.stderr)
-            assert proc.stdout == ""
-            lines = proc.stderr.strip().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("size refusal: tuple search over")
+            assert_refused_under_1gib(*argv)
 
     @pytest.mark.parametrize("subcommand", ["nerve", "helly"])
     def test_too_few_boxes_is_input_error(self, capsys, tmp_path, subcommand):
@@ -495,15 +525,7 @@ class TestSearch:
         ],
     )
     def test_size_refusal_comes_before_allocation(self, argv):
-        proc = subprocess.run(
-            [sys.executable, "-c", MAIN_UNDER_1GIB, "search", *argv],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-        )
-        assert proc.returncode == 3, proc.stderr
-        assert proc.stdout == ""
-        lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("size refusal: ")
+        assert_refused_under_1gib("search", *argv)
 
 
 class TestGenBoxes:

@@ -18,7 +18,7 @@ from cliquecert import (
     max_clique,
     maximal_missing_matching,
 )
-from cliquecert.core import mask_vertices
+from cliquecert.core import SizeRefusalError, comb_exceeds, mask_vertices
 from cliquecert.extractor import _columns
 from helpers import (
     all_graphs,
@@ -301,6 +301,19 @@ class TestSerialization:
         doc_edges = hypergraph_to_dict(cycle_graph(4))
         doc_missing = {"n": 4, "k": 2, "missing": [[0, 2], [1, 3]]}
         assert hypergraph_from_dict(doc_missing) == hypergraph_from_dict(doc_edges)
+
+    def test_missing_key_refuses_a_complement_past_the_cap(self):
+        # C(2001, 2) - 1 = 2,000,999 edges; C(2 * 10^6, 10^6) is never built.
+        for doc in ({"n": 2001, "k": 2, "missing": [[0, 1]]}, {"n": 2 * 10**6, "k": 10**6, "missing": []}):
+            with pytest.raises(SizeRefusalError, match="more than the cap of 2000000"):
+                hypergraph_from_dict(doc)
+
+    def test_comb_exceeds(self):
+        for n in range(14):
+            for k in range(n + 3):
+                c = math.comb(n, k)
+                for bound in {0, 1, n, max(c - 1, 0), c, 2_000}:
+                    assert comb_exceeds(n, k, bound) == (c > bound), (n, k, bound)
 
     def test_rejects_duplicate_with_position(self):
         doc = {"n": 4, "k": 2, "edges": [[0, 1], [2, 3], [0, 1]]}

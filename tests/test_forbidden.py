@@ -29,7 +29,6 @@ from helpers import (
     random_hypergraph,
     reference_find_complete_tuple,
     reference_link_core,
-    reference_vertex_core,
     relabel,
 )
 
@@ -253,56 +252,43 @@ class TestReferenceOracle:
             assert ahead[key] >= 10, (key, ahead[key])
 
 
-class TestVertexCoreFilter:
-    """The last-depth filter never drops a tuple of a hit: the last two
-    tuples of every hit lie inside ``vertex_core`` of the tuples before
-    them, whether or not the search ran the filter on the way there."""
+class TestLookAheadPremise:
+    """The look-ahead never skips a hit: the last two tuples of every hit
+    lie inside the AND of ``cores[p]`` over the picks p of the tuples
+    before them, whether or not the search ran the look-ahead on the way
+    there."""
 
-    def test_hits_lie_inside_the_core(self, monkeypatch):
-        ran = {}
-        core_of = TupleIndex.vertex_core
-
-        def spy(index, chosen, pick_masks):
-            ran[tuple(chosen)] = mask = core_of(index, chosen, pick_masks)
-            return mask
-
-        monkeypatch.setattr(TupleIndex, "vertex_core", spy)
+    def test_hits_lie_inside_the_pick_cores(self):
         rng = random.Random(1913)
-        gated = dict.fromkeys((2, 3, 4), 0)
+        hits = dict.fromkeys((2, 3, 4), 0)
         for _ in range(400):
             k = rng.choice([2, 3, 4])
             m = rng.choice([k, k + 1])
             if rng.random() < 0.5 and k * m <= 16:
                 # A sparse background leaves many candidates at the hit's
-                # last depth, which is what crosses the gate.  At k = m = 4
-                # it makes the search long, and a dense one crosses too.
+                # last depth.  At k = m = 4 it makes the search long, so
+                # the background there is dense.
                 n = rng.randint(k * m, k * m + 2)
                 p = rng.random() if k * m <= 12 else None
                 H = planted_complete_tuple(rng, n, k, m, p)
             else:
                 H = random_hypergraph(rng, rng.randint(2 * k, 10), k, rng.random() ** 0.5)
             index = TupleIndex(H.n, k, H.missing, H.links)
-            ran.clear()
             chosen, _ = index.search(m, 10**7, index.full)
             if chosen is None:
                 continue
-            head = chosen[:-2]
-            core = core_of(index, head, index.picks(head))
-            assert all(core >> i & 1 for i in chosen[-2:]), (sorted(H.edges), m)
-            if tuple(head) in ran:
-                # The hit's own last depth crossed the gate.
-                assert ran[tuple(head)] == core
-                gated[k] += 1
-        # The filter runs only at k >= 3; the core check above holds at
-        # every k.
-        assert gated[2] == 0 and gated[3] >= 5 and gated[4] >= 5, gated
+            core = (1 << H.n) - 1
+            for p in index.picks(chosen[:-2]):
+                core &= index.cores[p]
+            last = [v for i in chosen[-2:] for v in index.ksets[i]]
+            assert all(core >> v & 1 for v in last), (sorted(H.edges), m)
+            hits[k] += 1
+        assert min(hits.values()) >= 20, hits
 
 
 class TestCoresMemo:
-    """``vertex_core``, whose peel starts inside the memoised ``cores``
-    of its picks, against a plain peel from every free vertex; and every
-    memoised core against a k-core peeled afresh, also after random
-    ``toggle``s."""
+    """Every memoised core against a k-core peeled afresh, also after
+    random ``toggle``s."""
 
     @staticmethod
     def instances(rng):
@@ -330,31 +316,26 @@ class TestCoresMemo:
                     if used.isdisjoint(e) and len(chosen) < rng.randint(k - 2, k):
                         chosen.append(positions.index(e))
                         used.update(e)
-                # vertex_core reads the cores that are memoised, so
-                # memoise some of those of its picks.
                 picks = index.picks(chosen)
                 for p in rng.sample(picks, rng.randint(0, len(picks))):
                     index.cores[p]
-                core = index.vertex_core(chosen, picks)
-                assert core == reference_vertex_core(
-                    n, k, positions, edges.__contains__, chosen
-                ), (sorted(edges), chosen)
-                nonzero += core != 0
                 for p, mask in index.cores.items():
                     assert mask == reference_link_core(n, k, edges.__contains__, p), (
                         sorted(edges), p,
                     )
+                    nonzero += mask != 0
                 e = rng.choice(positions)
                 index.toggle(sum(1 << v for v in e))
                 edges ^= {e}
-        assert nonzero >= 20, nonzero
+        assert nonzero >= 1000, nonzero
 
 
 class TestNarrowedSeedPools:
     """The seeded search on the pools of ``TupleIndex.through`` against the
-    brute force, not against ``find_complete_tuple``: from an instance with
-    no complete m-tuple, every toggle of every k-set hits exactly when the
-    toggled instance has one, and every hit verifies."""
+    brute force, or the old search where that is too slow, not against
+    ``find_complete_tuple``: from an instance with no complete m-tuple,
+    every toggle of every k-set hits exactly when the toggled instance has
+    one, and every hit verifies."""
 
     @staticmethod
     def toggle_each(H, m, has_tuple):
@@ -413,6 +394,42 @@ class TestNarrowedSeedPools:
             tried += 1
             directions |= self.toggle_each(H, 3, brute_force_has_complete_tuple)
         assert directions == {True, False}
+
+    def test_look_ahead_below_a_seeded_depth(self, monkeypatch):
+        # Planted complete 4-tuples of 3-sets on 12 vertices, broken as
+        # above.  A removed k-set seeds depth 0 only, so the free depth
+        # m - 3 = 1 below it runs the look-ahead on cores that earlier
+        # toggles dropped.  The first instance has a sparse background,
+        # on which the look-ahead skips children.
+        # The brute force over 4-subsets of missing edges is too slow
+        # here, so the old search is the oracle.
+        skipped = []
+        charge = forbidden._charge
+
+        def spy(cands, succ, among):
+            skipped.append(among)
+            return charge(cands, succ, among)
+
+        def has_tuple(H, m):
+            return reference_find_complete_tuple(H, m).verdict is Verdict.FOUND
+
+        monkeypatch.setattr(forbidden, "_charge", spy)
+        rng = random.Random(1949)
+        directions, tried = set(), 0
+        while tried < 2:
+            H = planted_complete_tuple(rng, 12, 3, 4, None if tried else 0.45)
+            tuples = reference_find_complete_tuple(H, 4).certificate.tuples
+            if tried:
+                flip = tuple(sorted(rng.sample([rng.choice(t) for t in tuples], 3)))
+            else:
+                flip = rng.choice(tuples)
+            H = KUniformHypergraph(n=12, k=3, edges=H.edges ^ {flip})
+            if has_tuple(H, 4):
+                continue
+            tried += 1
+            directions |= self.toggle_each(H, 4, has_tuple)
+        assert directions == {True, False}
+        assert len(skipped) >= 100, len(skipped)
 
 
 class TestInducedBiclique:
