@@ -16,7 +16,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping, Optional
 
 Edge = tuple[int, ...]
@@ -74,6 +75,8 @@ class KUniformHypergraph:
             raise InputFormatError(f"edge arity k must be >= 2, got {self.k}")
         if self.n < 0:
             raise InputFormatError(f"vertex count must be >= 0, got {self.n}")
+        if _edges_valid(self.edges, self.n, self.k):
+            return
         for e in self.edges:
             if len(e) != self.k:
                 raise InputFormatError(f"edge {e} has {len(e)} vertices, expected {self.k}")
@@ -396,11 +399,39 @@ def maximal_missing_matching(H: KUniformHypergraph, within: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _edges_valid(edges, n: int, k: int) -> bool:
+    """Whether every edge is k vertices of type int (so no bool), strictly
+    increasing and in [0, n), checked by C-level passes (``map``,
+    ``itemgetter``, ``set``, ``min``, ``max``) instead of a Python loop per
+    edge.  False only sends the caller to its per-edge loop, which words
+    the error, or accepts what this check is stricter about (an int
+    subclass, an edge that is not a sequence)."""
+    if not edges:
+        return True
+    try:
+        if set(map(len, edges)) != {k} or set(map(type, chain.from_iterable(edges))) != {int}:
+            return False
+        cols = [list(map(itemgetter(i), edges)) for i in range(k)]
+    except (TypeError, LookupError):
+        return False
+    return (
+        min(cols[0]) >= 0
+        and max(cols[-1]) < n
+        and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
+    )
+
+
 def _parse_edge_list(obj, key: str, n: int, k: int) -> list[Edge]:
     raw = obj[key]
     if not isinstance(raw, list):
         raise InputFormatError(f'"{key}" must be a list of edges')
-    edges: list[Edge] = []
+    if set(map(type, raw)) <= {list}:
+        edges = list(map(tuple, raw))
+        if _edges_valid(edges, n, k) and len(set(edges)) == len(edges):
+            return edges
+    # The first malformed entry in document order words the error; an entry
+    # the bulk check is stricter about (a list or int subclass) passes here.
+    edges = []
     seen: dict[Edge, int] = {}
     for pos, entry in enumerate(raw):
         if not isinstance(entry, list):
@@ -424,8 +455,9 @@ def _parse_edge_list(obj, key: str, n: int, k: int) -> list[Edge]:
 
 def hypergraph_from_dict(obj: Mapping) -> KUniformHypergraph:
     """Parse the instance JSON object, rejecting malformed input precisely.
-    A "missing" document whose complement has more than
-    ``DEFAULT_MAX_FAMILY`` edges is refused before they are listed."""
+    More than ``DEFAULT_MAX_FAMILY`` vertices, or a "missing" document
+    whose complement has more edges than that, is refused before any edge
+    is read or listed."""
     if not isinstance(obj, Mapping):
         raise InputFormatError("instance document must be a JSON object")
     for field in ("n", "k"):
@@ -442,6 +474,9 @@ def hypergraph_from_dict(obj: Mapping) -> KUniformHypergraph:
     has_missing = "missing" in obj
     if has_edges == has_missing:
         raise InputFormatError('exactly one of "edges" or "missing" must be present')
+    if n > DEFAULT_MAX_FAMILY:
+        # n itself is not printed: it may have more digits than str() allows.
+        raise SizeRefusalError(f'"n" exceeds the vertex cap of {DEFAULT_MAX_FAMILY}')
     if has_edges:
         edges = _parse_edge_list(obj, "edges", n, k)
         return KUniformHypergraph(n=n, k=k, edges=frozenset(edges))

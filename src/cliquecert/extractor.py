@@ -277,8 +277,9 @@ def extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
     adj = [G.links.get(1 << v, 0) for v in range(n)]
     mu: list[int] = []
     m_counts: list[int] = []
-    # The empty clique stands only when there is no vertex.
-    candidates: list[tuple[int, ...]] = [()]
+    # Candidate cliques as vertex masks; the empty clique stands only when
+    # there is no vertex.
+    candidates = [0]
     for v in range(n):
         nv = adj[v]
         matching = maximal_missing_matching(G, nv)
@@ -287,28 +288,33 @@ def extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
         twice_inside = sum((adj[u] & nv).bit_count() for u in mask_vertices(nv))
         m_counts.append(math.comb(nv.bit_count(), 2) - twice_inside // 2)
         # The matched edges are disjoint, so their sum is their union.
-        candidates.append(mask_vertices(nv & ~sum(matching) | 1 << v))
+        candidates.append(nv & ~sum(matching) | 1 << v)
 
     common = {tau: adj[tau[0]] & adj[tau[1]] for tau in miss}
+    scores = {tau: s.bit_count() for tau, s in common.items()}
     tau_star = cert = witness = None
     if miss:
-        top = max(s.bit_count() for s in common.values())
-        tau_star = next(t for t in miss if common[t].bit_count() == top)
+        top = max(scores.values())
+        tau_star = next(t for t in miss if scores[t] == top)
         ebar = first_missing_edge(G, common[tau_star])
         if ebar is not None:
             cert = CompleteTupleCertificate((tau_star, ebar))
             certify(cert, verify_complete_tuple(G, cert))
     if cert is None:
-        for s in common.values():
-            if first_missing_edge(G, s) is None:
-                candidates.append(mask_vertices(s))
-        best_size = max(len(c) for c in candidates)
-        best = min(c for c in candidates if len(c) == best_size)
+        best_size = max(c.bit_count() for c in candidates)
+        # S_tau* holds no missing edge, so no S_tau that is a clique is
+        # larger than it: only the distinct S_tau of its size can win, and
+        # only if no per-vertex candidate is larger.
+        if miss and top >= best_size:
+            best_size = top
+            tied = {common[t] for t, c in scores.items() if c == top}
+            candidates += [s for s in tied if first_missing_edge(G, s) is None]
+        best = min(mask_vertices(c) for c in candidates if c.bit_count() == best_size)
         witness = CliqueWitness(greedy_extend_clique(G, best))
     trace = GraphTrace(
         mu_by_vertex=tuple(mu),
         missing_in_neighborhood=tuple(m_counts),
-        tau_scores=_ordered_scores({t: s.bit_count() for t, s in common.items()}),
+        tau_scores=_ordered_scores(scores),
         chosen_tau=tau_star,
         alpha=alpha,
         bound=theorem1_bound(float(alpha)),

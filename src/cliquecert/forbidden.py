@@ -11,7 +11,6 @@ oracle for the general search.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from itertools import combinations, compress, product
 from typing import Callable, Mapping, Optional, Sequence
@@ -22,6 +21,7 @@ from .core import (
     InternalConsistencyError,
     KUniformHypergraph,
     SizeRefusalError,
+    comb_exceeds,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -467,10 +467,9 @@ def find_complete_tuple(
         raise ValueError(f"m must be >= k = {k}, got {m}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    slots = math.comb(H.n, k) - len(H.edges)
-    if slots > MAX_TUPLE_SLOTS:
+    if comb_exceeds(H.n, k, MAX_TUPLE_SLOTS + len(H.edges)):
         raise SizeRefusalError(
-            f"tuple search over C({H.n},{k}) - {len(H.edges)} = {slots} missing edges "
+            f"tuple search over C({H.n},{k}) - {len(H.edges)} missing edges "
             f"exceeds the cap of {MAX_TUPLE_SLOTS}"
         )
     index = TupleIndex(H.n, k, H.missing, H.links)

@@ -19,10 +19,12 @@ from typing import Mapping, Optional, Sequence
 
 from .bounds import kalai_bound
 from .core import (
+    DEFAULT_MAX_FAMILY,
     Density,
     InputFormatError,
     InternalConsistencyError,
     KUniformHypergraph,
+    SizeRefusalError,
     m_clique_family,
     mask_vertices,
 )
@@ -80,10 +82,16 @@ class BoxFamily:
         its boxes meet pairwise, since in each coordinate the largest lo is
         at most the smallest hi exactly when every lo is at most every hi.
         So the nerve is the (d+1)-clique family of G, and the largest
-        subfamily with a common point is ``max_clique(G)``.
+        subfamily with a common point is ``max_clique(G)``.  More than
+        ``DEFAULT_MAX_FAMILY`` edges, counted from the pair masks, is
+        refused before any is listed.
         """
         n = len(self.boxes)
         pairs = _pairwise_intersections(self.boxes, self.d)
+        if sum(p.bit_count() for p in pairs) // 2 > DEFAULT_MAX_FAMILY:
+            raise SizeRefusalError(
+                f"the intersection graph of {n} boxes has more than {DEFAULT_MAX_FAMILY} edges"
+            )
         edges = [(i, j) for i in range(n) for j in mask_vertices(pairs[i] >> (i + 1) << (i + 1))]
         return KUniformHypergraph(n=n, k=2, edges=frozenset(edges))
 

@@ -27,6 +27,7 @@ from .core import (
     KUniformHypergraph,
     SizeRefusalError,
     clique_through_exceeds,
+    comb_exceeds,
     count_cliques_through,
     count_m_cliques,
     hypergraph_to_dict,
@@ -141,14 +142,13 @@ def exhaustive_frontier(
     _check_search(n, k, m, omega_cap)
     # Compare exponents: 2^C(n, k) is not built, and nothing is listed,
     # before the refusal.
-    slots = math.comb(n, k)
-    if slots > MAX_ENUMERATION_BITS:
+    if comb_exceeds(n, k, MAX_ENUMERATION_BITS):
         raise SizeRefusalError(
-            f"exhaustive search over 2^C({n},{k}) = 2^{slots} instances exceeds "
+            f"exhaustive search over 2^C({n},{k}) instances exceeds "
             f"the cap of 2^{MAX_ENUMERATION_BITS} = {1 << MAX_ENUMERATION_BITS}"
         )
     positions = list(combinations(range(n), k))
-    total = 1 << slots
+    total = 1 << len(positions)
     best = None
     best_cm = -1
     exhausted_cm = -1
@@ -228,11 +228,9 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
     if config.iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {config.iterations}")
     _check_search(n, k, m, config.omega_cap)
-    slots = math.comb(n, k)
-    if slots > MAX_TUPLE_SLOTS:
+    if comb_exceeds(n, k, MAX_TUPLE_SLOTS):
         raise SizeRefusalError(
-            f"hill climb over C({n},{k}) = {slots} k-subsets exceeds the cap of "
-            f"{MAX_TUPLE_SLOTS}"
+            f"hill climb over C({n},{k}) k-subsets exceeds the cap of {MAX_TUPLE_SLOTS}"
         )
     positions = list(combinations(range(n), k))
     rank = {e: i for i, e in enumerate(positions)}

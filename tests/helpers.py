@@ -15,7 +15,9 @@ greedy and maximum clique, graph extraction), the all-subsets nerve
 construction that the pairwise one replaced, the set-based missing-edge
 matching and tuple neighbourhood that the mask-based ones replaced, and
 the lo-corner grid sweep that ``max_clique`` on the pairwise-intersection
-graph replaced, kept unchanged for the same purpose.  The instance
+graph replaced, kept unchanged for the same purpose.  ``reference_check_edges`` and ``reference_load_edges`` are the per-edge
+loops that the constructor and the loader ran before their bulk edge
+check, kept unchanged to compare edge sets and error messages.  The instance
 builders ``from_edges`` and ``all_graphs``, the Lemma 3.1 floor and the
 exact chordal and Kalai checks serve only the tests, so they live here.
 """
@@ -418,6 +420,47 @@ def reference_extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
         bound_met=meets_theorem1_bound(len(witness), n, alpha),
     )
     return ExtractionOutcome("clique", witness, None, trace)
+
+
+def reference_check_edges(n: int, k: int, edges: frozenset) -> None:
+    """``KUniformHypergraph``'s edge checks, one Python loop step per edge."""
+    for e in edges:
+        if len(e) != k:
+            raise InputFormatError(f"edge {e} has {len(e)} vertices, expected {k}")
+        if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
+            raise InputFormatError(f"edge {e} is not strictly increasing")
+        if e[0] < 0 or e[-1] >= n:
+            raise InputFormatError(f"edge {e} has a vertex outside [0, {n})")
+
+
+def reference_load_edges(obj: dict) -> frozenset[Edge]:
+    """The edge set of an instance document with valid "n" and "k" and one
+    list under "edges" or "missing", read one entry at a time."""
+    n, k = obj["n"], obj["k"]
+    key = "edges" if "edges" in obj else "missing"
+    edges: list[Edge] = []
+    seen: dict[Edge, int] = {}
+    for pos, entry in enumerate(obj[key]):
+        if not isinstance(entry, list):
+            raise InputFormatError(f"{key}[{pos}] is not a list")
+        for j, v in enumerate(entry):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise InputFormatError(f"{key}[{pos}][{j}] is not an integer")
+            if v < 0 or v >= n:
+                raise InputFormatError(f"{key}[{pos}][{j}]: vertex {v} out of range [0, {n})")
+        if len(entry) != k:
+            raise InputFormatError(f"{key}[{pos}] has {len(entry)} vertices, expected k = {k}")
+        e = tuple(entry)
+        if any(e[i] >= e[i + 1] for i in range(k - 1)):
+            raise InputFormatError(f"{key}[{pos}]: vertices must be sorted ascending, got {entry}")
+        if e in seen:
+            raise InputFormatError(f"{key}[{pos}] duplicates {key}[{seen[e]}]")
+        seen[e] = pos
+        edges.append(e)
+    if key == "edges":
+        return frozenset(edges)
+    missing = set(edges)
+    return frozenset(e for e in combinations(range(n), k) if e not in missing)
 
 
 def reference_nerve_edges(family: BoxFamily) -> frozenset[Edge]:

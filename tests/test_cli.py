@@ -52,9 +52,76 @@ def write_json(path, doc):
     return str(path)
 
 
-def assert_refused_under_1gib(*argv):
+# The documents the size-refusal table reads, built on demand.
+REFUSAL_DOCS = {
+    "edgeless3000": lambda: {"n": 3000, "k": 2, "edges": []},
+    "edgeless6000": lambda: {"n": 6000, "k": 2, "edges": []},
+    "wide": lambda: {"n": 200000, "k": 100000, "edges": []},
+    "wide-missing": lambda: {"n": 200000, "k": 100000, "missing": []},
+    "dense-missing": lambda: {"n": 3000, "k": 3, "missing": []},
+    "huge-n": lambda: {"n": 10**30, "k": 2, "edges": []},
+    "boxes2": lambda: box_family_to_dict(random_box_family(100, 2, 1)),
+    "nerve2": lambda: hypergraph_to_dict(build_nerve(random_box_family(100, 2, 1))),
+    "boxes3": lambda: box_family_to_dict(random_box_family(40, 3, 1)),
+    # What `gen-boxes --n 20000 --d 1 --seed 1` prints.
+    "boxes20000": lambda: box_family_to_dict(random_box_family(20000, 1, 1)),
+}
+
+WIDE_SEARCH = ["search", "--n", "200000", "--k", "100000", "--m", "100000", "--omega-cap", "99999"]
+
+
+# Each row is an argv whose "@name" entries stand for the path of
+# REFUSAL_DOCS[name], written out first.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Edgeless graphs with C(n, 2) missing edges, past
+        # core.DEFAULT_MAX_FAMILY: at n=3000 the graph extraction would
+        # print a 69 MB report, and at n=6000 run out of 1 GiB.
+        pytest.param(["extract", "--input", "@edgeless3000", "--algorithm", "graph"],
+                     id="extract-graph-n3000"),
+        pytest.param(["extract", "--input", "@edgeless6000", "--algorithm", "graph"],
+                     id="extract-graph-n6000"),
+        pytest.param(["extract", "--input", "@edgeless6000"], id="extract-n6000"),
+        # C(200000, 100000) m-subsets, a count of 60,204 digits.
+        pytest.param(["extract", "--input", "@wide"], id="extract-wide"),
+        # These nerves have 160,516 (d=2 n=100) and 91,389 (d=3 n=40)
+        # missing edges, past forbidden.MAX_TUPLE_SLOTS; listing them and
+        # building the search tables would not fit in 1 GiB at n=100.
+        pytest.param(["helly", "--input", "@boxes2"], id="helly-d2-n100"),
+        pytest.param(["forbidden", "--input", "@nerve2", "--m", "3"], id="forbidden-d2-n100"),
+        pytest.param(["helly", "--input", "@boxes3"], id="helly-d3-n40"),
+        # The 34-byte "missing" document complements to C(3000, 3) edges,
+        # past core.DEFAULT_MAX_FAMILY, which the loader refuses to list;
+        # it never builds C(200000, 100000).
+        pytest.param(["analyze", "--input", "@dense-missing"], id="analyze-missing-n3000"),
+        pytest.param(["analyze", "--input", "@wide-missing"], id="analyze-missing-wide"),
+        # More vertices than the loader's cap; max_clique would build 1 << n.
+        pytest.param(["analyze", "--input", "@huge-n"], id="analyze-n1e30"),
+        # The tuple search and both searches name C(n, k) in the refusal
+        # without printing its 60,204 digits.
+        pytest.param(["forbidden", "--input", "@wide", "--m", "100000"], id="forbidden-wide"),
+        pytest.param([*WIDE_SEARCH, "--seed", "1"], id="search-wide"),
+        pytest.param([*WIDE_SEARCH, "--seed", "1", "--exhaustive"], id="search-exhaustive-wide"),
+        # 2^C(100, 5) instances; C(100, 5) k-subsets would not fit.
+        pytest.param(["search", "--exhaustive", "--n", "100", "--k", "5", "--m", "5",
+                      "--omega-cap", "6"], id="search-exhaustive-n100-k5"),
+        # C(1000, 2) k-subsets: two C(1000, 2)-square bit tables.
+        pytest.param(["search", "--n", "1000", "--k", "2", "--m", "2", "--omega-cap", "3",
+                      "--iters", "1", "--seed", "1"], id="search-n1000"),
+        # 70.5M pairwise intersections, counted from the pair masks before
+        # any is listed.
+        pytest.param(["nerve", "--input", "@boxes20000"], id="nerve-d1-n20000"),
+        pytest.param(["helly", "--input", "@boxes20000"], id="helly-d1-n20000"),
+    ],
+)
+def test_size_refusal_under_1gib(tmp_path, argv):
     """``main(argv)`` under MAIN_UNDER_1GIB exits 3 with one size-refusal
     line on stderr and nothing on stdout."""
+    argv = [
+        write_json(tmp_path / f"{a[1:]}.json", REFUSAL_DOCS[a[1:]]()) if a.startswith("@") else a
+        for a in argv
+    ]
     proc = subprocess.run(
         [sys.executable, "-c", MAIN_UNDER_1GIB, *argv],
         capture_output=True, text=True, timeout=120,
@@ -117,18 +184,6 @@ class TestExtract:
         assert doc["detail"] == "search produced an invalid certificate: forced"
         assert doc["certificate"]["tuples"] == [[0, 2], [1, 3]]
         assert err.splitlines() == [f"internal-consistency failure: {doc['detail']}"]
-
-    def test_oversize_graph_extraction_is_refused(self, tmp_path):
-        # Edgeless graphs with C(n, 2) missing edges, past
-        # core.DEFAULT_MAX_FAMILY: at n=3000 the graph extraction would
-        # print a 69 MB report, and at n=6000 run out of 1 GiB.
-        for n in (3000, 6000):
-            path = write_json(tmp_path / f"e{n}.json", {"n": n, "k": 2, "edges": []})
-            assert_refused_under_1gib("extract", "--input", path, "--algorithm", "graph")
-        assert_refused_under_1gib("extract", "--input", path)
-        # C(200000, 100000) m-subsets, a count of 60,204 digits.
-        wide = write_json(tmp_path / "wide.json", {"n": 200000, "k": 100000, "edges": []})
-        assert_refused_under_1gib("extract", "--input", wide)
 
     def test_graph_algorithm_rejects_hypergraphs(self, capsys, tmp_path):
         path = write_json(tmp_path / "h3.json", {"n": 4, "k": 3, "edges": [[0, 1, 2]]})
@@ -391,28 +446,6 @@ class TestNerveAndHelly:
         assert outcome["point"] == [0, 0]
         assert outcome["colorful_verdict"] == "absent"
 
-    def test_oversize_tuple_search_is_refused_before_listing(self, tmp_path):
-        # These nerves have 160,516 (d=2 n=100) and 91,389 (d=3 n=40)
-        # missing edges, past forbidden.MAX_TUPLE_SLOTS; listing them and
-        # building the search tables would not fit in 1 GiB at n=100.
-        # The 34-byte "missing" document complements to C(3000, 3) edges,
-        # past core.DEFAULT_MAX_FAMILY, which the loader refuses to list;
-        # it never builds C(200000, 100000), which has 60,204 digits.
-        fam = random_box_family(100, 2, 1)
-        boxes = write_json(tmp_path / "boxes.json", box_family_to_dict(fam))
-        nerve = write_json(tmp_path / "nerve.json", hypergraph_to_dict(build_nerve(fam)))
-        boxes3 = write_json(tmp_path / "boxes3.json", box_family_to_dict(random_box_family(40, 3, 1)))
-        dense = write_json(tmp_path / "dense.json", {"n": 3000, "k": 3, "missing": []})
-        wide = write_json(tmp_path / "wide.json", {"n": 200000, "k": 100000, "missing": []})
-        for argv in (
-            ["helly", "--input", boxes],
-            ["forbidden", "--input", nerve, "--m", "3"],
-            ["helly", "--input", boxes3],
-            ["analyze", "--input", dense],
-            ["analyze", "--input", wide],
-        ):
-            assert_refused_under_1gib(*argv)
-
     @pytest.mark.parametrize("subcommand", ["nerve", "helly"])
     def test_too_few_boxes_is_input_error(self, capsys, tmp_path, subcommand):
         doc = {"d": 2, "boxes": [{"lo": [0, 0], "hi": [2, 2]}, {"lo": [1, 1], "hi": [3, 3]}]}
@@ -513,19 +546,6 @@ class TestSearch:
         )
         assert code == 3
         assert "refusal" in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            # 2^C(100, 5) instances; C(100, 5) k-subsets would not fit.
-            ["--exhaustive", "--n", "100", "--k", "5", "--m", "5", "--omega-cap", "6"],
-            # C(1000, 2) k-subsets: two C(1000, 2)-square bit tables.
-            ["--n", "1000", "--k", "2", "--m", "2", "--omega-cap", "3", "--iters", "1",
-             "--seed", "1"],
-        ],
-    )
-    def test_size_refusal_comes_before_allocation(self, argv):
-        assert_refused_under_1gib("search", *argv)
 
 
 class TestGenBoxes:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquecert import (
@@ -31,6 +31,8 @@ from helpers import (
     from_edges,
     nine_vertex_example,
     random_hypergraph,
+    reference_check_edges,
+    reference_load_edges,
     reference_maximal_missing_matching,
     reference_neighborhood_of_tuple,
 )
@@ -308,6 +310,13 @@ class TestSerialization:
             with pytest.raises(SizeRefusalError, match="more than the cap of 2000000"):
                 hypergraph_from_dict(doc)
 
+    def test_vertex_count_past_the_cap_is_refused(self):
+        # max_clique builds 1 << n, so n = 10**30 used to overflow there.
+        assert hypergraph_from_dict({"n": 2_000_000, "k": 2, "edges": [[0, 1]]}).n == 2_000_000
+        for n in (2_000_001, 10**30):
+            with pytest.raises(SizeRefusalError, match="vertex cap of 2000000"):
+                hypergraph_from_dict({"n": n, "k": 2, "edges": []})
+
     def test_comb_exceeds(self):
         for n in range(14):
             for k in range(n + 3):
@@ -363,6 +372,86 @@ class TestSerialization:
             from_edges(4, 2, [(0, 1), (2, 2)])
         with pytest.raises(InputFormatError, match=r"edges\[1\]: duplicate of edges\[0\]"):
             from_edges(4, 2, [(0, 1), (1, 0)])
+
+
+class IntSub(int):
+    pass
+
+
+class ListSub(list):
+    pass
+
+
+class TupleSub(tuple):
+    pass
+
+
+# One corruption each; ListSub and IntSub entries are accepted.
+CORRUPTIONS = {
+    "bool": lambda e, n: [True, *e[1:]],
+    "float": lambda e, n: [float(e[0]), *e[1:]],
+    "str": lambda e, n: [*e[:-1], str(e[-1])],
+    "int-subclass": lambda e, n: [IntSub(v) for v in e],
+    "negative": lambda e, n: [-1, *e[1:]],
+    "too-large": lambda e, n: [*e[:-1], n],
+    "unsorted": lambda e, n: e[::-1],
+    "repeated": lambda e, n: [e[0], *e[:-1]],
+    "short": lambda e, n: e[:-1],
+    "long": lambda e, n: [*e, n + 1],
+    "tuple": lambda e, n: tuple(e),
+    "int": lambda e, n: e[0],
+    "list-subclass": lambda e, n: ListSub(e),
+}
+
+
+def outcome(f):
+    """What f() returns, or the type and message of what it raises."""
+    try:
+        return f()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+@st.composite
+def instance_documents(draw):
+    """An instance document of valid "n" and "k" with sorted, distinct
+    entries under "edges" or "missing", at most one of them corrupted or
+    duplicated."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(2, 4))
+    pool = [list(e) for e in combinations(range(n), k)]
+    entries = draw(st.lists(st.sampled_from(pool), unique_by=tuple)) if pool else []
+    kind = draw(st.sampled_from([None, "duplicate", *CORRUPTIONS]))
+    if kind is not None:
+        base = draw(st.sampled_from(entries or pool)) if pool else list(range(k))
+        bad = base if kind == "duplicate" else CORRUPTIONS[kind](base, n)
+        entries.insert(draw(st.integers(0, len(entries))), bad)
+    return {"n": n, "k": k, draw(st.sampled_from(["edges", "missing"])): entries}
+
+
+def constructor_edges(entries) -> frozenset:
+    # The document's entries as constructor edges: a list as a tuple, a
+    # list subclass as a tuple subclass, anything else as it is.
+    return frozenset(
+        TupleSub(e) if type(e) is ListSub else tuple(e) if isinstance(e, list) else e
+        for e in entries
+    )
+
+
+class TestBulkEdgeCheck:
+    @settings(max_examples=800, derandomize=True, deadline=None)
+    @given(instance_documents())
+    def test_loader_matches_the_per_entry_loop(self, doc):
+        got = outcome(lambda: hypergraph_from_dict(doc).edges)
+        assert got == outcome(lambda: reference_load_edges(doc))
+
+    @settings(max_examples=800, derandomize=True, deadline=None)
+    @given(instance_documents())
+    def test_constructor_matches_the_per_edge_loop(self, doc):
+        n, k = doc["n"], doc["k"]
+        edges = constructor_edges(doc.get("edges", doc.get("missing")))
+        got = outcome(lambda: KUniformHypergraph(n=n, k=k, edges=edges).edges)
+        assert got == outcome(lambda: reference_check_edges(n, k, edges) or edges)
 
 
 class TestDensity:

@@ -6,14 +6,17 @@ objects (which hold everything a report is made of) and, on a sample, as
 the report dictionaries the CLI prints.
 """
 
+import importlib
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 import cliquecert.extractor as extractor
 from cliquecert import (
     KUniformHypergraph,
+    box_family_from_dict,
     build_nerve,
     count_m_cliques,
     extract_graph,
@@ -41,6 +44,8 @@ from helpers import (
     reference_shrink_step,
     relabel,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def reference_extraction(H, m):
@@ -201,6 +206,7 @@ class TestExtractionOracle:
     def test_all_graphs_up_to_six_vertices(self):
         for n in range(2, 7):
             for G in all_graphs(n):
+                assert extract_graph(G) == reference_extract_graph(G), sorted(G.edges)
                 for m in (2, 3):
                     assert same_extraction(G, m), (sorted(G.edges), m)
 
@@ -212,13 +218,25 @@ class TestExtractionOracle:
                 ) == _hypergraph_outcome_dict(reference_extraction(G, m))
 
     def test_graph_extraction(self):
-        graphs = [G for n in range(2, 6) for G in all_graphs(n)]
+        # Seeded G(n, p): the outcome, and on a sample the report dictionary.
         rng = random.Random(17)
-        graphs += [random_hypergraph(rng, rng.randint(6, 12), 2, rng.random()) for _ in range(500)]
-        for G in graphs:
-            assert _graph_outcome_dict(extract_graph(G)) == _graph_outcome_dict(
-                reference_extract_graph(G)
-            ), sorted(G.edges)
+        for i in range(500):
+            G = random_hypergraph(rng, rng.randint(6, 12), 2, rng.random())
+            got, want = extract_graph(G), reference_extract_graph(G)
+            assert got == want, sorted(G.edges)
+            if i % 10 == 0:
+                assert _graph_outcome_dict(got) == _graph_outcome_dict(want)
+
+    def test_graph_extraction_on_benchmark_nerves(self, monkeypatch, tmp_path):
+        # The d=1 nerves of the seed-1 nerve-extract cases, the inputs of
+        # the benchmark's `extract --algorithm graph` operations.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        pool = workloads.make_pool("nerve-extract", 1, str(tmp_path))
+        nerves = [box_family_from_dict(c).nerve_hypergraph for c in pool.cases if c["d"] == 1]
+        assert len(nerves) == 42
+        for i, G in enumerate(nerves):
+            assert extract_graph(G) == reference_extract_graph(G), i
 
     def test_graph_extraction_on_interval_nerves(self):
         # Interval graphs are chordal, so every common neighbourhood of a

@@ -85,6 +85,19 @@ def test_helly_experiment_argument_errors_exit_two(args, error):
     assert proc.stderr.splitlines() == [error]
 
 
+def test_report_digest_is_stable():
+    # Two runs of the same cases print one digest; wall_time_s, the one
+    # field of a report that varies between runs, is zeroed.
+    args = ["--workload", "nerve-extract", "--seed", "1", "--cases", "2", "--toy"]
+    digests = []
+    for _ in range(2):
+        proc = run_script("report_digest.py", *args)
+        assert proc.returncode == 0, proc.stderr
+        digests += proc.stdout.split()
+    assert len(digests) == 2 and len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
 @pytest.mark.parametrize("module", ["cliquecert", "cliquecert.cli"])
 def test_module_entry_point(module):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
