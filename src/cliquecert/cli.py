@@ -8,7 +8,7 @@ stderr only.
 Exit codes:
   0  success
   2  invalid input file or arguments
-  3  size refusal (enumeration above the configured cap)
+  3  size refusal (enumeration above a fixed cap)
   4  search budget exhausted (inconclusive)
   5  internal-consistency failure (theorem-violating state; certificate
      attached to the report)

@@ -27,8 +27,8 @@ Edge = tuple[int, ...]
 # the counting layers rely on.
 Density = Fraction
 
-# The loader and the extractors refuse, with SizeRefusalError and before
-# listing any, to list more k-subsets or m-subsets than this.
+# The cap on the vertices, edges, vertex pairs, m-clique search steps or tau
+# scores that the loader, extractors and intersection graph list.
 DEFAULT_MAX_FAMILY = 2_000_000
 
 
@@ -37,7 +37,7 @@ class InputFormatError(ValueError):
 
 
 class SizeRefusalError(RuntimeError):
-    """An enumeration would exceed its configured cap; refused up front."""
+    """An enumeration would exceed its fixed cap; raised by ``refuse_over_cap``."""
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -160,6 +160,15 @@ def comb_exceeds(n: int, k: int, bound: int) -> bool:
     return c > bound
 
 
+def refuse_over_cap(what: str, cap: int, n: int, k: int = 1, less: int = 0) -> None:
+    """The one size gate: SizeRefusalError when C(n, k) - ``less`` > ``cap``,
+    decided by ``comb_exceeds``; a running count c is C(c, 1).  The message
+    names the enumeration ``what`` and the cap, never C(n, k)'s value,
+    which may have more digits than str() converts."""
+    if comb_exceeds(n, k, cap + less):
+        raise SizeRefusalError(f"{what} exceeds the cap of {cap}")
+
+
 def mask_vertices(mask: int) -> tuple[int, ...]:
     """The vertices of a bitmask, ascending."""
     out = []
@@ -184,47 +193,55 @@ def m_clique_family(H: KUniformHypergraph, m: int) -> tuple[Edge, ...]:
     Depth-first in ascending vertex order.  The candidate mask holds the
     vertices above the partial clique C that complete every (k-1)-subset
     of C to an edge; adding v narrows it by the links of the new
-    (k-1)-subsets, T + {v} for each (k-2)-subset T of C.  The search
-    recurses once per clique vertex; an m it cannot reach under the
-    interpreter's recursion limit is refused with ``SizeRefusalError``.
+    (k-1)-subsets, T + {v} for each (k-2)-subset T of C.  It refuses past
+    ``DEFAULT_MAX_FAMILY`` steps, one per vertex tried or clique listed (an
+    empty family can take C(n, k-2) to rule out), and past the recursion
+    limit, as it recurses once per clique vertex.
     """
     k = H.k
     if m < k:
         raise ValueError(f"m must be >= k = {k}, got {m}")
     family: list[Edge] = []
+    left = cap = DEFAULT_MAX_FAMILY
     if m <= H.n:
         try:
-            _grow_cliques(H.links, k, m, [], [], (1 << H.n) - 1, family)
+            left = _grow_cliques(H.links, k, m, [], [], (1 << H.n) - 1, family, left)
         except RecursionError:
             raise SizeRefusalError(
                 f"an m-clique of {m} vertices nests deeper than the interpreter's "
                 f"recursion limit of {sys.getrecursionlimit()}"
             ) from None
+    refuse_over_cap(f"the {m}-clique search's step count", cap, cap - left)
     return tuple(family)
 
 
 def _grow_cliques(
     links: dict[int, int], k: int, m: int, clique: list[int], bits: list[int], cands: int,
-    family: list[Edge],
-) -> None:
-    # Appends every m-clique made of `clique` and vertices of `cands`.
+    family: list[Edge], budget: int,
+) -> int:
+    # Appends every m-clique made of `clique` and vertices of `cands`.  Each
+    # vertex tried and each clique appended spends one step of `budget`; the
+    # search stops once it is spent, and returns what is left (< 0 if spent).
     if len(clique) == m - 1:
+        budget -= cands.bit_count()
         while cands:
             low = cands & -cands
             cands ^= low
             family.append((*clique, low.bit_length() - 1))
-        return
+        return budget
     need = m - len(clique)
-    while cands.bit_count() >= need:
+    while cands.bit_count() >= need and budget >= 0:
+        budget -= 1
         low = cands & -cands
         cands ^= low
         nxt = _narrow(links, bits, low, cands, k)
         if nxt.bit_count() >= need - 1:
             clique.append(low.bit_length() - 1)
             bits.append(low)
-            _grow_cliques(links, k, m, clique, bits, nxt, family)
+            budget = _grow_cliques(links, k, m, clique, bits, nxt, family, budget)
             clique.pop()
             bits.pop()
+    return budget
 
 
 def _seed_clique(links: dict[int, int], em: int) -> tuple[list[int], int]:
@@ -251,7 +268,7 @@ def count_cliques_through(links: dict[int, int], k: int, m: int, em: int) -> int
         return 1
     bits, cands = _seed_clique(links, em)
     family: list[Edge] = []
-    _grow_cliques(links, k, m, list(mask_vertices(em)), bits, cands, family)
+    _grow_cliques(links, k, m, list(mask_vertices(em)), bits, cands, family, sys.maxsize)
     return len(family)
 
 
@@ -453,6 +470,13 @@ def _parse_edge_list(obj, key: str, n: int, k: int) -> list[Edge]:
     return edges
 
 
+def _checked_hypergraph(n: int, k: int, edges: frozenset[Edge]) -> KUniformHypergraph:
+    # The loader has checked every edge once: __post_init__ would again.
+    H = object.__new__(KUniformHypergraph)
+    H.__dict__.update(n=n, k=k, edges=edges)
+    return H
+
+
 def hypergraph_from_dict(obj: Mapping) -> KUniformHypergraph:
     """Parse the instance JSON object, rejecting malformed input precisely.
     More than ``DEFAULT_MAX_FAMILY`` vertices, or a "missing" document
@@ -474,20 +498,14 @@ def hypergraph_from_dict(obj: Mapping) -> KUniformHypergraph:
     has_missing = "missing" in obj
     if has_edges == has_missing:
         raise InputFormatError('exactly one of "edges" or "missing" must be present')
-    if n > DEFAULT_MAX_FAMILY:
-        # n itself is not printed: it may have more digits than str() allows.
-        raise SizeRefusalError(f'"n" exceeds the vertex cap of {DEFAULT_MAX_FAMILY}')
+    refuse_over_cap('the vertex count "n"', DEFAULT_MAX_FAMILY, n)
     if has_edges:
-        edges = _parse_edge_list(obj, "edges", n, k)
-        return KUniformHypergraph(n=n, k=k, edges=frozenset(edges))
+        return _checked_hypergraph(n, k, frozenset(_parse_edge_list(obj, "edges", n, k)))
     missing = set(_parse_edge_list(obj, "missing", n, k))
-    if comb_exceeds(n, k, DEFAULT_MAX_FAMILY + len(missing)):
-        raise SizeRefusalError(
-            f'complementing "missing" lists C({n},{k}) - {len(missing)} edges, '
-            f"more than the cap of {DEFAULT_MAX_FAMILY}"
-        )
+    what = f'the complement C({n},{k}) - {len(missing)} of "missing"'
+    refuse_over_cap(what, DEFAULT_MAX_FAMILY, n, k, len(missing))
     edges = frozenset(e for e in combinations(range(n), k) if e not in missing)
-    return KUniformHypergraph(n=n, k=k, edges=edges)
+    return _checked_hypergraph(n, k, edges)
 
 
 def hypergraph_to_dict(H: KUniformHypergraph) -> dict:

@@ -42,13 +42,13 @@ from .core import (
     Edge,
     InternalConsistencyError,
     KUniformHypergraph,
-    SizeRefusalError,
     comb_exceeds,
     first_missing_edge,
     greedy_extend_clique,
     m_clique_family,
     mask_vertices,
     maximal_missing_matching,
+    refuse_over_cap,
 )
 from .forbidden import CompleteTupleCertificate, certify, verify_complete_tuple
 
@@ -172,21 +172,23 @@ def _columns(H: KUniformHypergraph, family: Iterable[Edge]) -> tuple[list[int], 
 
 def _scores(H: KUniformHypergraph, col: list[int]) -> dict[Edge, int]:
     # The tau scores from the columns: one AND per missing k-set whose
-    # (k-1)-prefix lies inside some N_sigma.
+    # (k-1)-prefix lies inside some N_sigma.  A table of more than
+    # DEFAULT_MAX_FAMILY scores is refused as it grows.
     scores: dict[Edge, int] = {}
     support = sum(1 << x for x, c in enumerate(col) if c)
-    _score_prefixes(H.links, col, (), 0, -1, support, H.k - 1, scores)
+    _score_prefixes(H.links, col, (), 0, -1, support, H.k - 1, scores, DEFAULT_MAX_FAMILY)
+    refuse_over_cap("the tau score table of a shrink round", DEFAULT_MAX_FAMILY, len(scores))
     return scores
 
 
 def _score_prefixes(
     links: dict[int, int], col: list[int], prefix: Edge, s: int, acc: int, rest: int,
-    depth: int, scores: dict[Edge, int],
+    depth: int, scores: dict[Edge, int], limit: int,
 ) -> None:
     # Extends the prefix s (vertex mask; ``prefix`` its vertices, ``acc``
     # the AND of their columns) by depth vertices of rest above it, and
-    # scores every missing completion of a full (k-1)-prefix.
-    while rest:
+    # scores every missing completion of a full (k-1)-prefix; stops past limit.
+    while rest and len(scores) <= limit:
         low = rest & -rest
         rest ^= low
         v = low.bit_length() - 1
@@ -204,7 +206,7 @@ def _score_prefixes(
                 if c:
                     scores[(*prefix, v, w)] = c
         elif rest.bit_count() >= depth:
-            _score_prefixes(links, col, (*prefix, v), t, a, rest, depth - 1, scores)
+            _score_prefixes(links, col, (*prefix, v), t, a, rest, depth - 1, scores, limit)
 
 
 def shrink_step(
@@ -247,15 +249,6 @@ def _ordered_scores(scores: dict[Edge, int]) -> ScoreTable:
     return tuple(sorted(scores.items()))
 
 
-def _family_total(n: int, m: int) -> int:
-    """C(n, m); SizeRefusalError when it exceeds ``DEFAULT_MAX_FAMILY``."""
-    if comb_exceeds(n, m, DEFAULT_MAX_FAMILY):
-        raise SizeRefusalError(
-            f"enumerating C({n},{m}) m-subsets exceeds the cap of {DEFAULT_MAX_FAMILY}"
-        )
-    return math.comb(n, m)
-
-
 def extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
     """Graph extraction (k = 2): verified clique or induced-K_{2,2} certificate.
 
@@ -264,13 +257,13 @@ def extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
     alpha = |E| / C(n,2) exactly.  A certificate is returned exactly when
     the common neighborhood of the top-scoring missing edge contains a
     missing edge, which keeps the verdict class aligned with
-    ``extract_hypergraph`` at m = 2.  Refuses, as that does, when C(n, 2)
-    exceeds ``DEFAULT_MAX_FAMILY``.
+    ``extract_hypergraph`` at m = 2.  Refuses when C(n, 2) exceeds
+    ``DEFAULT_MAX_FAMILY``: a common neighbourhood is kept per missing edge.
     """
     if G.k != 2:
         raise ValueError(f"graph extraction requires k = 2, got k = {G.k}")
     n = G.n
-    _family_total(n, 2)
+    refuse_over_cap(f"the vertex-pair count C({n},2)", DEFAULT_MAX_FAMILY, n, 2)
     miss = G.missing
     alpha = G.edge_density()
 
@@ -333,26 +326,26 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
     (no scoring missing edge, or an empty family) returns the best greedy
     clique seen so far with the fallback flag set; small instances stall
     legitimately since the shrink guarantee is asymptotic.  A complete
-    instance is its own clique, with no family listed.  Refuses when
-    C(n, m) exceeds ``DEFAULT_MAX_FAMILY``.
+    instance is its own clique, with no family listed.  Otherwise
+    ``m_clique_family`` refuses a search of more than ``DEFAULT_MAX_FAMILY``
+    steps, and a shrink round a score table of more than that many taus.
     """
     if m < H.k:
         raise ValueError(f"m must be >= k = {H.k}, got {m}")
     n, k = H.n, H.k
-    total = _family_total(n, m)
 
     taus: list[Edge] = []
     tables: list[ScoreTable] = []
     cert = None
     fallback = False
-    if len(H.edges) == math.comb(n, k):
-        sizes = [total]
+    if not comb_exceeds(n, k, len(H.edges)):  # |E| = C(n, k): complete
+        sizes = [math.comb(n, m)]
         alpha = Fraction(1)
         clique = tuple(range(n))
     else:
         fam = m_clique_family(H, m)
         sizes = [len(fam)]
-        alpha = Fraction(len(fam), total) if total else Fraction(0)
+        alpha = Fraction(len(fam), math.comb(n, m)) if fam else Fraction(0)
         clique = greedy_extend_clique(H, ())
         for _ in range(m - 1):
             if fam:

@@ -20,8 +20,7 @@ from .core import (
     InputFormatError,
     InternalConsistencyError,
     KUniformHypergraph,
-    SizeRefusalError,
-    comb_exceeds,
+    refuse_over_cap,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -467,11 +466,8 @@ def find_complete_tuple(
         raise ValueError(f"m must be >= k = {k}, got {m}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    if comb_exceeds(H.n, k, MAX_TUPLE_SLOTS + len(H.edges)):
-        raise SizeRefusalError(
-            f"tuple search over C({H.n},{k}) - {len(H.edges)} missing edges "
-            f"exceeds the cap of {MAX_TUPLE_SLOTS}"
-        )
+    what = f"the missing-edge count C({H.n},{k}) - {len(H.edges)} of a tuple search"
+    refuse_over_cap(what, MAX_TUPLE_SLOTS, H.n, k, len(H.edges))
     index = TupleIndex(H.n, k, H.missing, H.links)
     chosen, nodes = index.search(m, budget, index.full)
     if chosen is not None:

@@ -24,9 +24,9 @@ from .core import (
     InputFormatError,
     InternalConsistencyError,
     KUniformHypergraph,
-    SizeRefusalError,
     m_clique_family,
     mask_vertices,
+    refuse_over_cap,
 )
 from .extractor import ExtractionOutcome, extract_hypergraph
 from .forbidden import DEFAULT_BUDGET, TupleSearchResult, Verdict, find_complete_tuple
@@ -88,10 +88,8 @@ class BoxFamily:
         """
         n = len(self.boxes)
         pairs = _pairwise_intersections(self.boxes, self.d)
-        if sum(p.bit_count() for p in pairs) // 2 > DEFAULT_MAX_FAMILY:
-            raise SizeRefusalError(
-                f"the intersection graph of {n} boxes has more than {DEFAULT_MAX_FAMILY} edges"
-            )
+        what = f"the edge count of the intersection graph of {n} boxes"
+        refuse_over_cap(what, DEFAULT_MAX_FAMILY, sum(p.bit_count() for p in pairs) // 2)
         edges = [(i, j) for i in range(n) for j in mask_vertices(pairs[i] >> (i + 1) << (i + 1))]
         return KUniformHypergraph(n=n, k=2, edges=frozenset(edges))
 

@@ -25,14 +25,13 @@ from .core import (
     BudgetExhaustedError,
     Density,
     KUniformHypergraph,
-    SizeRefusalError,
     clique_through_exceeds,
-    comb_exceeds,
     count_cliques_through,
     count_m_cliques,
     hypergraph_to_dict,
     mask_vertices,
     max_clique,
+    refuse_over_cap,
 )
 from .forbidden import (
     DEFAULT_BUDGET,
@@ -142,11 +141,8 @@ def exhaustive_frontier(
     _check_search(n, k, m, omega_cap)
     # Compare exponents: 2^C(n, k) is not built, and nothing is listed,
     # before the refusal.
-    if comb_exceeds(n, k, MAX_ENUMERATION_BITS):
-        raise SizeRefusalError(
-            f"exhaustive search over 2^C({n},{k}) instances exceeds "
-            f"the cap of 2^{MAX_ENUMERATION_BITS} = {1 << MAX_ENUMERATION_BITS}"
-        )
+    what = f"the exponent C({n},{k}) of an exhaustive search over 2^C({n},{k}) instances"
+    refuse_over_cap(what, MAX_ENUMERATION_BITS, n, k)
     positions = list(combinations(range(n), k))
     total = 1 << len(positions)
     best = None
@@ -228,10 +224,7 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
     if config.iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {config.iterations}")
     _check_search(n, k, m, config.omega_cap)
-    if comb_exceeds(n, k, MAX_TUPLE_SLOTS):
-        raise SizeRefusalError(
-            f"hill climb over C({n},{k}) k-subsets exceeds the cap of {MAX_TUPLE_SLOTS}"
-        )
+    refuse_over_cap(f"the k-subset count C({n},{k}) of a hill climb", MAX_TUPLE_SLOTS, n, k)
     positions = list(combinations(range(n), k))
     rank = {e: i for i, e in enumerate(positions)}
     vertex_masks = [sum(1 << v for v in e) for e in positions]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -63,8 +64,18 @@ REFUSAL_DOCS = {
     "boxes2": lambda: box_family_to_dict(random_box_family(100, 2, 1)),
     "nerve2": lambda: hypergraph_to_dict(build_nerve(random_box_family(100, 2, 1))),
     "boxes3": lambda: box_family_to_dict(random_box_family(40, 3, 1)),
+    # What `gen-boxes --n 600 --d 3 --seed 1 --spread 40 --max-side 30` prints.
+    "boxes600": lambda: box_family_to_dict(random_box_family(600, 3, 1, spread=40, max_side=30)),
     # What `gen-boxes --n 20000 --d 1 --seed 1` prints.
     "boxes20000": lambda: box_family_to_dict(random_box_family(20000, 1, 1)),
+    "edgeless-n60-k30": lambda: {"n": 60, "k": 30, "edges": []},
+    "edgeless-n40-k10": lambda: {"n": 40, "k": 10, "edges": []},
+    "star10001": lambda: {"n": 10001, "k": 2, "edges": [[0, i] for i in range(1, 10001)]},
+    # The Turan graph T(200, 10): ten parts of 20 vertices, no 11-clique.
+    "turan200": lambda: {
+        "n": 200, "k": 2,
+        "edges": [[u, v] for u, v in combinations(range(200), 2) if u % 10 != v % 10],
+    },
 }
 
 WIDE_SEARCH = ["search", "--n", "200000", "--k", "100000", "--m", "100000", "--omega-cap", "99999"]
@@ -82,8 +93,7 @@ WIDE_SEARCH = ["search", "--n", "200000", "--k", "100000", "--m", "100000", "--o
                      id="extract-graph-n3000"),
         pytest.param(["extract", "--input", "@edgeless6000", "--algorithm", "graph"],
                      id="extract-graph-n6000"),
-        pytest.param(["extract", "--input", "@edgeless6000"], id="extract-n6000"),
-        # C(200000, 100000) m-subsets, a count of 60,204 digits.
+        # An m-clique of 100,000 vertices, deeper than the recursion limit.
         pytest.param(["extract", "--input", "@wide"], id="extract-wide"),
         # These nerves have 160,516 (d=2 n=100) and 91,389 (d=3 n=40)
         # missing edges, past forbidden.MAX_TUPLE_SLOTS; listing them and
@@ -113,6 +123,20 @@ WIDE_SEARCH = ["search", "--n", "200000", "--k", "100000", "--m", "100000", "--o
         # any is listed.
         pytest.param(["nerve", "--input", "@boxes20000"], id="nerve-d1-n20000"),
         pytest.param(["helly", "--input", "@boxes20000"], id="helly-d1-n20000"),
+        # The nerve is the 4-clique family of the intersection graph, and
+        # m_clique_family stops once its search passes
+        # core.DEFAULT_MAX_FAMILY steps.
+        pytest.param(["nerve", "--input", "@boxes600"], id="nerve-d3-n600"),
+        pytest.param(["helly", "--input", "@boxes600"], id="helly-d3-n600"),
+        # Empty m-clique families that take many more steps to rule out:
+        # about C(60, 28) vertex sets (k=30) and C(40, 8) (k=10) are cliques
+        # vacuously, and T(200, 10) has 20^10 ten-cliques, none extending.
+        pytest.param(["extract", "--input", "@edgeless-n60-k30"], id="extract-n60-k30"),
+        pytest.param(["extract", "--input", "@edgeless-n40-k10"], id="extract-n40-k10"),
+        pytest.param(["extract", "--input", "@turan200", "--m", "11"], id="extract-turan200-m11"),
+        # 10,000 edges that share N_{0}: each of the C(10000, 2) missing
+        # edges between leaves would get a score-table entry.
+        pytest.param(["extract", "--input", "@star10001"], id="extract-star10001"),
     ],
 )
 def test_size_refusal_under_1gib(tmp_path, argv):
@@ -124,7 +148,7 @@ def test_size_refusal_under_1gib(tmp_path, argv):
     ]
     proc = subprocess.run(
         [sys.executable, "-c", MAIN_UNDER_1GIB, *argv],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=30,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 3, (argv, proc.stderr)
@@ -189,6 +213,28 @@ class TestExtract:
         path = write_json(tmp_path / "h3.json", {"n": 4, "k": 3, "edges": [[0, 1, 2]]})
         code, _, err = run(capsys, "extract", "--input", path, "--algorithm", "graph")
         assert code == 2
+
+    def test_edgeless_graph_falls_back(self, capsys, tmp_path):
+        # C(6000, 2) m-subsets, but the 2-clique family of an edgeless
+        # graph is empty, so nothing passes the size cap.
+        path = write_json(tmp_path / "edgeless.json", {"n": 6000, "k": 2, "edges": []})
+        code, out, _ = run(capsys, "extract", "--input", path)
+        assert code == 0
+        outcome = last_json(out)["outcome"]
+        assert outcome["fallback"] is True
+        assert outcome["vertices"] == [0]
+
+    # Seed-1 nerves with more than DEFAULT_MAX_FAMILY m-subsets, C(230, 3)
+    # and C(100, 4), but m-clique families far below it.
+    @pytest.mark.parametrize("n, d", [(230, 2), (100, 3)])
+    def test_large_nerve_is_extracted(self, capsys, tmp_path, n, d):
+        nerve = build_nerve(random_box_family(n, d, 1))
+        path = write_json(tmp_path / "nerve.json", hypergraph_to_dict(nerve))
+        code, out, _ = run(capsys, "extract", "--input", path)
+        assert code == 0
+        outcome = last_json(out)["outcome"]
+        assert outcome["kind"] == "clique"
+        assert nerve.is_clique(outcome["vertices"])
 
     def test_clique_deeper_than_the_recursion_limit_is_refused(self, capsys, tmp_path):
         # The m-clique search recurses once per clique vertex.  C(260, 259)
@@ -695,6 +741,16 @@ class TestArgvFuzz:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue() + out.getvalue(), argv
+        lines = err.getvalue().splitlines()
+        if code == 2:
+            # One line of our own, or argparse's usage block and its error line.
+            own = len(lines) == 1 and lines[0].startswith("error: ")
+            usage = bool(lines) and lines[0].startswith("usage: ")
+            usage = usage and lines[-1].startswith(f"cliquecert {sub}: error: ")
+            assert own or usage, (argv, lines)
+        if code == 3:
+            assert len(lines) == 1 and lines[0].startswith("size refusal: "), (argv, lines)
         if code != 0:
             return
         report = last_json(out.getvalue())

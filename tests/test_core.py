@@ -18,7 +18,9 @@ from cliquecert import (
     max_clique,
     maximal_missing_matching,
 )
+from cliquecert import core
 from cliquecert.core import SizeRefusalError, comb_exceeds, mask_vertices
+from cliquecert.core import _edges_valid as edges_valid
 from cliquecert.extractor import _columns
 from helpers import (
     all_graphs,
@@ -129,6 +131,23 @@ class TestCountMCliques:
     @given(hypergraphs())
     def test_m_equals_k_counts_edges(self, H):
         assert count_m_cliques(H, H.k) == len(H.edges)
+
+    # K_8 has C(8, 4) = 70 four-cliques; the edgeless 4-uniform instance
+    # on 12 vertices has none, but its search tries every vertex pair
+    # before the first link rules a vertex out.
+    @pytest.mark.parametrize("H, size", [(complete_graph(8), 70), (edgeless(12, 4), 0)])
+    def test_search_past_the_cap_is_refused(self, monkeypatch, H, size):
+        # The steps the search takes, without a cap: a cap of exactly that
+        # many lists the family, one fewer refuses.
+        cands = (1 << H.n) - 1
+        steps = sys.maxsize - core._grow_cliques(H.links, H.k, 4, [], [], cands, [], sys.maxsize)
+        assert steps > max(size, H.n)
+        monkeypatch.setattr(core, "DEFAULT_MAX_FAMILY", steps)
+        assert len(m_clique_family(H, 4)) == size
+        monkeypatch.setattr(core, "DEFAULT_MAX_FAMILY", steps - 1)
+        message = f"the 4-clique search's step count exceeds the cap of {steps - 1}$"
+        with pytest.raises(SizeRefusalError, match=message):
+            m_clique_family(H, 4)
 
 
 class TestMaxClique:
@@ -307,14 +326,14 @@ class TestSerialization:
     def test_missing_key_refuses_a_complement_past_the_cap(self):
         # C(2001, 2) - 1 = 2,000,999 edges; C(2 * 10^6, 10^6) is never built.
         for doc in ({"n": 2001, "k": 2, "missing": [[0, 1]]}, {"n": 2 * 10**6, "k": 10**6, "missing": []}):
-            with pytest.raises(SizeRefusalError, match="more than the cap of 2000000"):
+            with pytest.raises(SizeRefusalError, match='of "missing" exceeds the cap of 2000000'):
                 hypergraph_from_dict(doc)
 
     def test_vertex_count_past_the_cap_is_refused(self):
         # max_clique builds 1 << n, so n = 10**30 used to overflow there.
         assert hypergraph_from_dict({"n": 2_000_000, "k": 2, "edges": [[0, 1]]}).n == 2_000_000
         for n in (2_000_001, 10**30):
-            with pytest.raises(SizeRefusalError, match="vertex cap of 2000000"):
+            with pytest.raises(SizeRefusalError, match='count "n" exceeds the cap of 2000000'):
                 hypergraph_from_dict({"n": n, "k": 2, "edges": []})
 
     def test_comb_exceeds(self):
@@ -452,6 +471,19 @@ class TestBulkEdgeCheck:
         edges = constructor_edges(doc.get("edges", doc.get("missing")))
         got = outcome(lambda: KUniformHypergraph(n=n, k=k, edges=edges).edges)
         assert got == outcome(lambda: reference_check_edges(n, k, edges) or edges)
+
+    @pytest.mark.parametrize("key", ["edges", "missing"])
+    def test_one_bulk_check_per_load(self, monkeypatch, key):
+        calls = []
+
+        def spy(edges, n, k):
+            calls.append(len(edges))
+            return edges_valid(edges, n, k)
+
+        monkeypatch.setattr(core, "_edges_valid", spy)
+        H = hypergraph_from_dict({"n": 6, "k": 3, key: [[0, 1, 2], [1, 3, 5], [2, 4, 5]]})
+        assert len(H.edges) == (3 if key == "edges" else 17)
+        assert calls == [3]
 
 
 class TestDensity:

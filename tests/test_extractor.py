@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import cliquecert.core as core
 import cliquecert.extractor as extractor_module
 from cliquecert import (
     InternalConsistencyError,
@@ -234,10 +235,23 @@ class TestExtractHypergraph:
         with pytest.raises(ValueError):
             extract_hypergraph(complete_kuniform(5, 3), 2)
 
-    def test_size_refusal(self):
-        with pytest.raises(SizeRefusalError):
-            # C(30, 10) = 30,045,015 m-subsets, above the 2,000,000 cap
-            extract_hypergraph(edgeless(30, 2), 10)
+    def test_size_refusal(self, monkeypatch):
+        # K_12 minus the edge 01 has C(12, 4) - C(10, 2) = 450 four-cliques,
+        # past a cap lowered to 449 in place of listing 2,000,000.
+        monkeypatch.setattr(core, "DEFAULT_MAX_FAMILY", 449)
+        H = graph(12, [e for e in combinations(range(12), 2) if e != (0, 1)])
+        with pytest.raises(SizeRefusalError, match="step count exceeds the cap of 449$"):
+            extract_hypergraph(H, 4)
+
+    def test_score_table_past_the_cap_is_refused(self, monkeypatch):
+        # The star on 11 vertices has 10 edges, and N_{0} holds all the
+        # leaves, so each of its C(10, 2) = 45 missing edges scores 1.
+        H = graph(11, [(0, i) for i in range(1, 11)])
+        monkeypatch.setattr(extractor_module, "DEFAULT_MAX_FAMILY", 45)
+        assert len(extract_hypergraph(H, 2).trace.round_scores[0]) == 45
+        monkeypatch.setattr(extractor_module, "DEFAULT_MAX_FAMILY", 44)
+        with pytest.raises(SizeRefusalError, match="the tau score table .* cap of 44$"):
+            extract_hypergraph(H, 2)
 
     def test_fallback_on_stalled_instance(self):
         two_k2 = graph(4, [(0, 1), (2, 3)])
