@@ -187,6 +187,21 @@ def _narrow(links: dict[int, int], bits: list[int], low: int, cands: int, k: int
     return cands
 
 
+def clique_extensions(links: dict[int, int], k: int, bits: list[int], within: int = -1) -> int:
+    """The vertices of the mask ``within`` that complete every (k-1)-subset
+    of the vertex bits ``bits`` to an edge: the AND of their links.  For a
+    clique of at least k-1 vertices, the vertices that extend it to a
+    larger clique (none of its own vertices passes)."""
+    if len(bits) == k:  # each (k-1)-subset drops one vertex
+        em = sum(bits)
+        for low in bits:
+            within &= links.get(em ^ low, 0)
+        return within
+    for s in combinations(bits, k - 1):
+        within &= links.get(sum(s), 0)
+    return within
+
+
 def m_clique_family(H: KUniformHypergraph, m: int) -> tuple[Edge, ...]:
     """All m-subsets forming cliques, in lexicographic order.
 
@@ -251,13 +266,12 @@ def _seed_clique(links: dict[int, int], em: int) -> tuple[list[int], int]:
     Only links of (k-1)-sets that hold a vertex outside em are read from
     here on, so the answer is the same whether or not em is an edge.
     """
-    bits, cands, rest = [], -1, em
+    bits, rest = [], em
     while rest:
         low = rest & -rest
         rest ^= low
         bits.append(low)
-        cands &= links.get(em ^ low, 0)
-    return bits, cands
+    return bits, clique_extensions(links, len(bits), bits)
 
 
 def count_cliques_through(links: dict[int, int], k: int, m: int, em: int) -> int:
@@ -340,11 +354,7 @@ def greedy_extend_clique(H: KUniformHypergraph, base: Iterable[int] = ()) -> tup
     k, links = H.k, H.links
     clique = sorted(set(base))
     bits = [1 << v for v in clique]
-    # allowed: the vertices outside the clique whose addition keeps every
-    # (k-1)-subset of the clique linked to them.
-    allowed = ((1 << H.n) - 1) & ~sum(bits)
-    for s in combinations(bits, k - 1):
-        allowed &= links.get(sum(s), 0)
+    allowed = clique_extensions(links, k, bits, ((1 << H.n) - 1) & ~sum(bits))
     while allowed:
         low = allowed & -allowed
         allowed = _narrow(links, bits, low, allowed ^ low, k)

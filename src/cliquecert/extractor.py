@@ -24,7 +24,11 @@ clique solvers do (San Segundo et al. 2011): each sigma of the round gets a
 position j, and col[x] is the mask of the positions whose N_sigma holds x.
 The score of tau is then popcount(AND of col[t] for t in tau), one big-int
 AND per candidate missing k-set, and the surviving sigma are the positions
-in that AND for the chosen tau.
+in that AND for the chosen tau.  Rounds 2 to m-1 fill the columns from the
+family the round before returned.  Round 1 at m > k never lists the m-clique
+family F_m: its sigma are the (m-1)-cliques with a nonempty N_sigma, which
+is the AND of the links of sigma's (k-1)-subsets, and these rows N_sigma
+become the columns in one bulk transpose.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Union
 
+from . import core
 from .bounds import beta_recursion, meets_beta_bound, meets_theorem1_bound, theorem1_bound
 from .core import (
     DEFAULT_MAX_FAMILY,
@@ -42,6 +47,7 @@ from .core import (
     Edge,
     InternalConsistencyError,
     KUniformHypergraph,
+    clique_extensions,
     comb_exceeds,
     first_missing_edge,
     greedy_extend_clique,
@@ -53,6 +59,10 @@ from .core import (
 from .forbidden import CompleteTupleCertificate, certify, verify_complete_tuple
 
 ScoreTable = tuple[tuple[Edge, int], ...]
+
+# Round 1 turns its rows into columns this many binary digits at a time,
+# which bounds the strings ``_transpose`` makes.
+TRANSPOSE_CELLS = 1 << 20
 
 
 class NoProgressError(Exception):
@@ -170,14 +180,16 @@ def _columns(H: KUniformHypergraph, family: Iterable[Edge]) -> tuple[list[int], 
     return list(pos), col
 
 
-def _scores(H: KUniformHypergraph, col: list[int]) -> dict[Edge, int]:
+def _scores(H: KUniformHypergraph, col: list[int], held: int = 0) -> dict[Edge, int]:
     # The tau scores from the columns: one AND per missing k-set whose
-    # (k-1)-prefix lies inside some N_sigma.  A table of more than
-    # DEFAULT_MAX_FAMILY scores is refused as it grows.
+    # (k-1)-prefix lies inside some N_sigma.  Once the table and the
+    # ``held`` scores of earlier rounds pass DEFAULT_MAX_FAMILY entries, it
+    # is refused as it grows.
     scores: dict[Edge, int] = {}
     support = sum(1 << x for x, c in enumerate(col) if c)
-    _score_prefixes(H.links, col, (), 0, -1, support, H.k - 1, scores, DEFAULT_MAX_FAMILY)
-    refuse_over_cap("the tau score table of a shrink round", DEFAULT_MAX_FAMILY, len(scores))
+    cap = DEFAULT_MAX_FAMILY
+    _score_prefixes(H.links, col, (), 0, -1, support, H.k - 1, scores, cap - held)
+    refuse_over_cap("the tau score table of the shrink rounds", cap, held + len(scores))
     return scores
 
 
@@ -210,7 +222,8 @@ def _score_prefixes(
 
 
 def shrink_step(
-    H: KUniformHypergraph, family: Iterable[Edge], forbidden_taus: Iterable[Edge] = ()
+    H: KUniformHypergraph, family: Iterable[Edge], forbidden_taus: Iterable[Edge] = (),
+    held: int = 0,
 ) -> ShrinkResult:
     """One round of the iterated extraction.
 
@@ -220,15 +233,25 @@ def shrink_step(
     sigma + {t} in family for all t in tau.  The chosen tau is necessarily
     disjoint from all previously chosen ones; a violation means the family
     invariant was broken upstream and raises.  Both the scores and the
-    survivors are read from one set of columns (see ``score_tau``).
+    survivors are read from one set of columns (see ``score_tau``).  The
+    round refuses once its score table and the ``held`` scores of earlier
+    rounds pass ``DEFAULT_MAX_FAMILY`` entries.
 
     Raises NoProgressError when the family is empty or no neighborhood
     contains a missing edge.
     """
-    sigmas, col = _columns(H, family)
+    return _shrink(H, *_columns(H, family), forbidden_taus, held)
+
+
+def _shrink(
+    H: KUniformHypergraph, sigmas: list[int], col: list[int], forbidden_taus: Iterable[Edge],
+    held: int,
+) -> ShrinkResult:
+    # shrink_step on a round's sigma (vertex masks) and columns, whichever
+    # way they were built.
     if not sigmas:
         raise NoProgressError("family is empty")
-    scores = _scores(H, col)
+    scores = _scores(H, col, held)
     if not scores:
         raise NoProgressError("no tuple neighborhood contains a missing edge")
     top = max(scores.values())
@@ -243,6 +266,61 @@ def shrink_step(
         keep &= col[t]
     shrunk = sorted(mask_vertices(sigmas[j]) for j in mask_vertices(keep))
     return ShrinkResult(tau=tau, family=tuple(shrunk), scores=scores)
+
+
+def _first_round(
+    H: KUniformHypergraph, m: int
+) -> tuple[list[int], list[int], int, Optional[Edge]]:
+    # Round 1's sigma (vertex masks) and columns for m > k, read off the
+    # (m-1)-cliques instead of F_m: N_sigma is the AND of the links of
+    # sigma's (k-1)-subsets, and the sigma with a nonempty N_sigma are
+    # round 1's.  Also returns |F_m| = sum |N_sigma| / m, refused as the
+    # sum grows, and F_m's lexicographically first member (None if F_m is
+    # empty): the first such sigma, as they come in lexicographic order,
+    # plus the lowest vertex of its N_sigma.  That vertex lies above
+    # max(sigma), or swapping the two would give an earlier sigma.
+    n, k, links = H.n, H.k, H.links
+    # F_m is held to core's cap, as the m-clique search it replaces is.
+    what = f"the {m}-clique family"
+    sigmas: list[int] = []
+    rows: list[int] = []
+    col = [0] * n
+    total = 0
+    first = None
+    chunk = max(1, TRANSPOSE_CELLS // (n + 1))
+    for sigma in H.sorted_edges if m - 1 == k else m_clique_family(H, m - 1):
+        bits = [1 << v for v in sigma]
+        row = clique_extensions(links, k, bits)
+        if not row:
+            continue
+        if first is None:
+            first = (*sigma, (row & -row).bit_length() - 1)
+        sigmas.append(sum(bits))
+        rows.append(row)
+        total += row.bit_count()
+        if len(rows) == chunk:
+            # |F_m| > cap exactly when total > m * cap.
+            refuse_over_cap(what, core.DEFAULT_MAX_FAMILY, -(-total // m))
+            _transpose(rows, col, len(sigmas) - chunk)
+            rows.clear()
+    refuse_over_cap(what, core.DEFAULT_MAX_FAMILY, total // m)
+    _transpose(rows, col, len(sigmas) - len(rows))
+    return sigmas, col, total // m, first
+
+
+def _transpose(rows: list[int], col: list[int], offset: int) -> None:
+    # Sets bit offset + j of col[x] for every x in rows[j], for all x at
+    # once: the rows, last first, as binary strings of one width w make
+    # one string, and every w-th digit of it from x's is x's column.  The
+    # caller bounds the rows so that it holds about TRANSPOSE_CELLS digits.
+    if not rows:
+        return
+    w = max(rows).bit_length()
+    block = "".join([format(r, f"0{w}b") for r in reversed(rows)])
+    for x in range(w):
+        c = int(block[w - 1 - x::w], 2)
+        if c:
+            col[x] |= c << offset
 
 
 def _ordered_scores(scores: dict[Edge, int]) -> ScoreTable:
@@ -319,16 +397,23 @@ def extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
 def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
     """Iterated extraction: verified clique or complete-m-tuple certificate.
 
-    Builds the family of all m-cliques, applies ``shrink_step`` m-1 times
+    Starts from the family F_m of all m-cliques, applies m-1 shrink rounds
     collecting one missing edge per round, and inspects the surviving
     vertex set F_1: a missing edge inside it completes a certificate,
     otherwise F_1 is a clique and is greedily extended.  A stalled round
     (no scoring missing edge, or an empty family) returns the best greedy
     clique seen so far with the fallback flag set; small instances stall
     legitimately since the shrink guarantee is asymptotic.  A complete
-    instance is its own clique, with no family listed.  Otherwise
-    ``m_clique_family`` refuses a search of more than ``DEFAULT_MAX_FAMILY``
-    steps, and a shrink round a score table of more than that many taus.
+    instance is its own clique, with no family listed.
+
+    For m > k, F_m is never listed: round 1 reads its sigma off the
+    (m-1)-cliques (the edges when m - 1 = k), with N_sigma the AND of the
+    links of sigma's (k-1)-subsets, and |F_m| = sum |N_sigma| / m.  Rounds
+    2 to m-1, and every round at m = k, run ``shrink_step`` on the family
+    the round before returned.  ``m_clique_family`` refuses a search of
+    more than ``DEFAULT_MAX_FAMILY`` steps, round 1 an F_m of more than
+    that many members, and the rounds together more than that many tau
+    scores.
     """
     if m < H.k:
         raise ValueError(f"m must be >= k = {H.k}, got {m}")
@@ -343,22 +428,32 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
         alpha = Fraction(1)
         clique = tuple(range(n))
     else:
-        fam = m_clique_family(H, m)
-        sizes = [len(fam)]
-        alpha = Fraction(len(fam), math.comb(n, m)) if fam else Fraction(0)
+        if m > k:
+            fam = None
+            sigmas, col, size, first = _first_round(H, m)
+        else:
+            fam = m_clique_family(H, m)
+            size, first = len(fam), fam[0] if fam else None
+        sizes = [size]
+        alpha = Fraction(size, math.comb(n, m)) if size else Fraction(0)
         clique = greedy_extend_clique(H, ())
         for _ in range(m - 1):
-            if fam:
-                cand = greedy_extend_clique(H, fam[0])
+            if first is not None:
+                cand = greedy_extend_clique(H, first)
                 if len(cand) > len(clique):
                     clique = cand
+            held = sum(map(len, tables))  # one tau score budget for all rounds
             try:
-                step = shrink_step(H, fam, taus)
+                if fam is None:  # round 1 at m > k
+                    step = _shrink(H, sigmas, col, taus, held)
+                else:
+                    step = shrink_step(H, fam, taus, held)
             except NoProgressError:
                 fallback = True
                 break
             taus.append(step.tau)
             fam = step.family
+            first = fam[0]
             sizes.append(len(fam))
             tables.append(_ordered_scores(step.scores))
         else:  # no round stalled: inspect the surviving vertex set F_1

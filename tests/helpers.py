@@ -11,7 +11,8 @@ unchanged so that verdicts, certificates and node counts can be compared;
 against the search's memoised cores.
 The other ``reference_*`` functions are the subset-scanning kernels that
 the link-index kernels replaced (m-clique family, tau scores, shrink step,
-greedy and maximum clique, graph extraction), the all-subsets nerve
+greedy and maximum clique, graph extraction, and the iterated extraction
+that listed F_m for its first round), the all-subsets nerve
 construction that the pairwise one replaced, the set-based missing-edge
 matching and tuple neighbourhood that the mask-based ones replaced, and
 the lo-corner grid sweep that ``max_clique`` on the pairwise-intersection
@@ -47,8 +48,9 @@ from cliquecert import (
     theorem1_bound,
     verify_complete_tuple,
 )
+from cliquecert.bounds import beta_recursion, meets_beta_bound
 from cliquecert.core import Edge
-from cliquecert.extractor import ExtractionOutcome, GraphTrace, _ordered_scores
+from cliquecert.extractor import ExtractionOutcome, GraphTrace, HypergraphTrace, _ordered_scores
 from cliquecert.forbidden import DEFAULT_BUDGET
 
 
@@ -420,6 +422,64 @@ def reference_extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
         bound_met=meets_theorem1_bound(len(witness), n, alpha),
     )
     return ExtractionOutcome("clique", witness, None, trace)
+
+
+def reference_extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
+    """The iterated extraction as it ran when every round listed its
+    family: F_m in full, then m - 1 subset-scanning shrink rounds."""
+    if m < H.k:
+        raise ValueError(f"m must be >= k = {H.k}, got {m}")
+    n, k = H.n, H.k
+    taus: list[Edge] = []
+    tables = []
+    cert = None
+    fallback = False
+    if len(H.edges) == math.comb(n, k):
+        sizes = [math.comb(n, m)]
+        alpha = Fraction(1)
+        clique = tuple(range(n))
+    else:
+        fam = reference_m_clique_family(H, m)
+        sizes = [len(fam)]
+        alpha = Fraction(len(fam), math.comb(n, m)) if fam else Fraction(0)
+        clique = reference_greedy_extend_clique(H, ())
+        for _ in range(m - 1):
+            if fam:
+                cand = reference_greedy_extend_clique(H, fam[0])
+                if len(cand) > len(clique):
+                    clique = cand
+            try:
+                step = reference_shrink_step(H, fam, taus)
+            except NoProgressError:
+                fallback = True
+                break
+            taus.append(step.tau)
+            fam = step.family
+            sizes.append(len(fam))
+            tables.append(_ordered_scores(step.scores))
+        else:
+            f1 = sorted(s[0] for s in fam)
+            tau_m = next((e for e in combinations(f1, k) if e not in H.edges), None)
+            if tau_m is None:
+                clique = reference_greedy_extend_clique(H, f1)
+            else:
+                cert = CompleteTupleCertificate((*taus, tau_m))
+                ok, reason = verify_complete_tuple(H, cert)
+                assert ok, reason
+    beta = beta_recursion(float(alpha), k, m) if alpha else 0.0
+    trace = HypergraphTrace(
+        chosen_taus=tuple(taus),
+        family_sizes=tuple(sizes),
+        round_scores=tuple(tables),
+        alpha=alpha,
+        beta=beta,
+        expected_bound=beta * n,
+        bound_met=cert is not None or meets_beta_bound(len(clique), n, alpha, k, m),
+        fallback=fallback,
+    )
+    if cert is None:
+        return ExtractionOutcome("clique", CliqueWitness(clique), None, trace)
+    return ExtractionOutcome("certificate", None, cert, trace)
 
 
 def reference_check_edges(n: int, k: int, edges: frozenset) -> None:

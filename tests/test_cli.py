@@ -71,6 +71,7 @@ REFUSAL_DOCS = {
     "edgeless-n60-k30": lambda: {"n": 60, "k": 30, "edges": []},
     "edgeless-n40-k10": lambda: {"n": 40, "k": 10, "edges": []},
     "star10001": lambda: {"n": 10001, "k": 2, "edges": [[0, i] for i in range(1, 10001)]},
+    "k300-minus-edge": lambda: {"n": 300, "k": 2, "missing": [[0, 1]]},
     # The Turan graph T(200, 10): ten parts of 20 vertices, no 11-clique.
     "turan200": lambda: {
         "n": 200, "k": 2,
@@ -130,13 +131,18 @@ WIDE_SEARCH = ["search", "--n", "200000", "--k", "100000", "--m", "100000", "--o
         pytest.param(["helly", "--input", "@boxes600"], id="helly-d3-n600"),
         # Empty m-clique families that take many more steps to rule out:
         # about C(60, 28) vertex sets (k=30) and C(40, 8) (k=10) are cliques
-        # vacuously, and T(200, 10) has 20^10 ten-cliques, none extending.
+        # vacuously.  T(200, 10) has no 11-clique, but round 1 at m = 11
+        # reads its sigma off the 20^10 ten-cliques, and that search refuses.
         pytest.param(["extract", "--input", "@edgeless-n60-k30"], id="extract-n60-k30"),
         pytest.param(["extract", "--input", "@edgeless-n40-k10"], id="extract-n40-k10"),
         pytest.param(["extract", "--input", "@turan200", "--m", "11"], id="extract-turan200-m11"),
         # 10,000 edges that share N_{0}: each of the C(10000, 2) missing
         # edges between leaves would get a score-table entry.
         pytest.param(["extract", "--input", "@star10001"], id="extract-star10001"),
+        # K_300 minus an edge has C(300, 3) - 298 triangles, past the cap;
+        # round 1 counts them from the edges' extension masks as it goes.
+        pytest.param(["extract", "--input", "@k300-minus-edge", "--m", "3"],
+                     id="extract-k300-minus-edge-m3"),
     ],
 )
 def test_size_refusal_under_1gib(tmp_path, argv):

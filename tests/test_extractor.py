@@ -240,7 +240,7 @@ class TestExtractHypergraph:
         # past a cap lowered to 449 in place of listing 2,000,000.
         monkeypatch.setattr(core, "DEFAULT_MAX_FAMILY", 449)
         H = graph(12, [e for e in combinations(range(12), 2) if e != (0, 1)])
-        with pytest.raises(SizeRefusalError, match="step count exceeds the cap of 449$"):
+        with pytest.raises(SizeRefusalError, match="the 4-clique family exceeds the cap of 449$"):
             extract_hypergraph(H, 4)
 
     def test_score_table_past_the_cap_is_refused(self, monkeypatch):
@@ -252,6 +252,16 @@ class TestExtractHypergraph:
         monkeypatch.setattr(extractor_module, "DEFAULT_MAX_FAMILY", 44)
         with pytest.raises(SizeRefusalError, match="the tau score table .* cap of 44$"):
             extract_hypergraph(H, 2)
+
+    def test_score_tables_share_one_cap(self, monkeypatch):
+        # The two rounds of the nine-vertex example at m = 3 score 3 and 2
+        # taus: each table fits under a cap of 4, but not both together.
+        H = nine_vertex_example()
+        monkeypatch.setattr(extractor_module, "DEFAULT_MAX_FAMILY", 5)
+        assert [len(t) for t in extract_hypergraph(H, 3).trace.round_scores] == [3, 2]
+        monkeypatch.setattr(extractor_module, "DEFAULT_MAX_FAMILY", 4)
+        with pytest.raises(SizeRefusalError, match="the tau score table .* cap of 4$"):
+            extract_hypergraph(H, 3)
 
     def test_fallback_on_stalled_instance(self):
         two_k2 = graph(4, [(0, 1), (2, 3)])

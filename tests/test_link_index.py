@@ -36,6 +36,7 @@ from helpers import (
     graph,
     random_hypergraph,
     reference_extract_graph,
+    reference_extract_hypergraph,
     reference_greedy_extend_clique,
     reference_m_clique_family,
     reference_max_clique,
@@ -48,19 +49,10 @@ from helpers import (
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def reference_extraction(H, m):
-    """extract_hypergraph run on the subset-scanning kernels."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(extractor, "m_clique_family", reference_m_clique_family)
-        mp.setattr(extractor, "shrink_step", reference_shrink_step)
-        mp.setattr(extractor, "greedy_extend_clique", reference_greedy_extend_clique)
-        return extractor.extract_hypergraph(H, m)
-
-
 def same_extraction(H, m) -> bool:
     # The outcome dataclasses hold everything the report dictionary is
     # made of, so equal outcomes print equal reports.
-    return extract_hypergraph(H, m) == reference_extraction(H, m)
+    return extract_hypergraph(H, m) == reference_extract_hypergraph(H, m)
 
 
 def same_rounds(H, fam, rounds: int) -> bool:
@@ -174,6 +166,28 @@ class TestCliqueKernels:
             H = random_box_family(n, d, 1, spread=spread, max_side=side).nerve_hypergraph
             assert same_rounds(H, m_clique_family(H, H.k + 1), H.k), (n, d)
 
+    def test_first_round_from_extension_masks(self, monkeypatch):
+        # Round 1 at m > k reads its sigma off the (m-1)-cliques, not F_m:
+        # the same round, |F_m| and first member as shrink_step on F_m.
+        # A few rows per transpose, so that most rounds take several.
+        monkeypatch.setattr(extractor, "TRANSPOSE_CELLS", 40)
+        cases = [(G, m) for n in range(7) for G in all_graphs(n) for m in (3, 4)]
+        rng = random.Random(20)
+        for _ in range(200):
+            H = random_hypergraph(rng, rng.randint(3, 10), 3, rng.random() ** 0.5)
+            cases += [(H, 4), (H, 5)]
+        for H, m in cases:
+            fam = m_clique_family(H, m)
+            sigmas, col, size, first = extractor._first_round(H, m)
+            assert (size, first) == (len(fam), fam[0] if fam else None)
+            try:
+                want = shrink_step(H, fam)
+            except extractor.NoProgressError:
+                with pytest.raises(extractor.NoProgressError):
+                    extractor._shrink(H, sigmas, col, (), 0)
+                continue
+            assert extractor._shrink(H, sigmas, col, (), 0) == want, (sorted(H.edges), m)
+
     def test_one_pass_over_the_family(self):
         # A shrink round reads its family once, so a one-shot iterator
         # gives what the tuple gives; a second pass would see it empty.
@@ -215,7 +229,7 @@ class TestExtractionOracle:
             for m in (G.k, G.k + 1):
                 assert _hypergraph_outcome_dict(
                     extract_hypergraph(G, m)
-                ) == _hypergraph_outcome_dict(reference_extraction(G, m))
+                ) == _hypergraph_outcome_dict(reference_extract_hypergraph(G, m))
 
     def test_graph_extraction(self):
         # Seeded G(n, p): the outcome, and on a sample the report dictionary.
