@@ -16,9 +16,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from operator import itemgetter, lt
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 Edge = tuple[int, ...]
 
@@ -101,8 +101,14 @@ class KUniformHypergraph:
         Both sides are vertex bitmasks (bit v stands for vertex v).  Only
         (k-1)-sets with a nonempty link are keys; look up with
         ``links.get(s, 0)``.  For k = 2 the key 1 << v maps to the
-        neighbourhood of v.
+        neighbourhood of v, built as one adjacency row per vertex.
         """
+        if self.k == 2:
+            adj = [0] * self.n
+            for u, v in self.edges:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            return {1 << v: row for v, row in enumerate(adj) if row}
         links: dict[int, int] = {}
         for e in self.edges:
             em = 0
@@ -169,6 +175,40 @@ def refuse_over_cap(what: str, cap: int, n: int, k: int = 1, less: int = 0) -> N
         raise SizeRefusalError(f"{what} exceeds the cap of {cap}")
 
 
+def _nesting_refusal(size: int) -> SizeRefusalError:
+    # The refusal of a search nested once per vertex of a ``size``-clique,
+    # raised by refuse_deep_clique up front or by m_clique_family on
+    # RecursionError.
+    return SizeRefusalError(
+        f"an m-clique of {size} vertices nests deeper than the interpreter's "
+        f"recursion limit of {sys.getrecursionlimit()}"
+    )
+
+
+# The recursion depth that refuse_deep_clique keeps in reserve for the
+# helpers the deepest level calls and for calls that count against the
+# recursion limit without a Python frame (a test runner's stack holds about
+# seven, from calls of objects with a Python __call__).
+NESTING_RESERVE = 50
+
+
+def refuse_deep_clique(size: int) -> None:
+    """The nesting gate: SizeRefusalError, with the line ``m_clique_family``
+    prints on RecursionError, when a search that recurses once per vertex
+    of a clique of ``size`` vertices, called from the caller, would come
+    within ``NESTING_RESERVE`` of the interpreter's recursion limit.  The
+    iterated extraction checks it at k, since its walks over (k-1)-sets
+    recurse once per vertex and an edgeless instance with a huge k would
+    otherwise grow a vacuous (k-1)-clique."""
+    limit = sys.getrecursionlimit()
+    depth, frame = size + NESTING_RESERVE, sys._getframe(1)
+    while frame is not None and depth < limit:
+        depth += 1
+        frame = frame.f_back
+    if depth >= limit:
+        raise _nesting_refusal(size)
+
+
 def mask_vertices(mask: int) -> tuple[int, ...]:
     """The vertices of a bitmask, ascending."""
     out = []
@@ -177,6 +217,17 @@ def mask_vertices(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def popcount_sum(cands: int, rows: Sequence[int], among: int) -> int:
+    """The sum of |cands & rows[i]| over the bits i of ``among``, in one
+    C-level pass: ``rows`` compressed by the bits of ``among``, lowest
+    first, as bytes 0 and 1."""
+    picked = compress(rows, bin(among)[:1:-1].encode().translate(_BITS))
+    return sum(map(int.bit_count, map(cands.__and__, picked)))
 
 
 def _narrow(links: dict[int, int], bits: list[int], low: int, cands: int, k: int) -> int:
@@ -222,10 +273,7 @@ def m_clique_family(H: KUniformHypergraph, m: int) -> tuple[Edge, ...]:
         try:
             left = _grow_cliques(H.links, k, m, [], [], (1 << H.n) - 1, family, left)
         except RecursionError:
-            raise SizeRefusalError(
-                f"an m-clique of {m} vertices nests deeper than the interpreter's "
-                f"recursion limit of {sys.getrecursionlimit()}"
-            ) from None
+            raise _nesting_refusal(m) from None
     refuse_over_cap(f"the {m}-clique search's step count", cap, cap - left)
     return tuple(family)
 
@@ -480,10 +528,14 @@ def _parse_edge_list(obj, key: str, n: int, k: int) -> list[Edge]:
     return edges
 
 
-def _checked_hypergraph(n: int, k: int, edges: frozenset[Edge]) -> KUniformHypergraph:
+def _checked_hypergraph(n: int, k: int, edges: list[Edge]) -> KUniformHypergraph:
     # The loader has checked every edge once: __post_init__ would again.
+    # An edge list already in strictly ascending order (one C-level pass
+    # decides it) is kept as ``sorted_edges``, which then needs no sort.
     H = object.__new__(KUniformHypergraph)
-    H.__dict__.update(n=n, k=k, edges=edges)
+    H.__dict__.update(n=n, k=k, edges=frozenset(edges))
+    if all(map(lt, edges, edges[1:])):
+        H.__dict__["sorted_edges"] = tuple(edges)
     return H
 
 
@@ -510,11 +562,11 @@ def hypergraph_from_dict(obj: Mapping) -> KUniformHypergraph:
         raise InputFormatError('exactly one of "edges" or "missing" must be present')
     refuse_over_cap('the vertex count "n"', DEFAULT_MAX_FAMILY, n)
     if has_edges:
-        return _checked_hypergraph(n, k, frozenset(_parse_edge_list(obj, "edges", n, k)))
+        return _checked_hypergraph(n, k, _parse_edge_list(obj, "edges", n, k))
     missing = set(_parse_edge_list(obj, "missing", n, k))
     what = f'the complement C({n},{k}) - {len(missing)} of "missing"'
     refuse_over_cap(what, DEFAULT_MAX_FAMILY, n, k, len(missing))
-    edges = frozenset(e for e in combinations(range(n), k) if e not in missing)
+    edges = [e for e in combinations(range(n), k) if e not in missing]
     return _checked_hypergraph(n, k, edges)
 
 

@@ -25,10 +25,12 @@ position j, and col[x] is the mask of the positions whose N_sigma holds x.
 The score of tau is then popcount(AND of col[t] for t in tau), one big-int
 AND per candidate missing k-set, and the surviving sigma are the positions
 in that AND for the chosen tau.  Rounds 2 to m-1 fill the columns from the
-family the round before returned.  Round 1 at m > k never lists the m-clique
-family F_m: its sigma are the (m-1)-cliques with a nonempty N_sigma, which
-is the AND of the links of sigma's (k-1)-subsets, and these rows N_sigma
-become the columns in one bulk transpose.
+family the round before returned.  Round 1 never lists the m-clique family
+F_m.  At m = k it reads the link index: N_sigma is the link of the
+(k-1)-set sigma, so at k = 2 the columns are the adjacency rows, and at
+k >= 3 the links are rows to transpose.  At m > k its sigma are the
+(m-1)-cliques with a nonempty N_sigma, which is the AND of the links of
+sigma's (k-1)-subsets.  Rows N_sigma become the columns in bulk transposes.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ from .core import (
     m_clique_family,
     mask_vertices,
     maximal_missing_matching,
+    popcount_sum,
+    refuse_deep_clique,
     refuse_over_cap,
 )
 from .forbidden import CompleteTupleCertificate, certify, verify_complete_tuple
@@ -243,12 +247,15 @@ def shrink_step(
     return _shrink(H, *_columns(H, family), forbidden_taus, held)
 
 
+Sigmas = Union[list[int], dict[int, int]]
+
+
 def _shrink(
-    H: KUniformHypergraph, sigmas: list[int], col: list[int], forbidden_taus: Iterable[Edge],
+    H: KUniformHypergraph, sigmas: Sigmas, col: list[int], forbidden_taus: Iterable[Edge],
     held: int,
 ) -> ShrinkResult:
-    # shrink_step on a round's sigma (vertex masks) and columns, whichever
-    # way they were built.
+    # shrink_step on a round's sigma (sigmas[j] is position j's, as a
+    # vertex mask) and columns, whichever way they were built.
     if not sigmas:
         raise NoProgressError("family is empty")
     scores = _scores(H, col, held)
@@ -270,16 +277,37 @@ def _shrink(
 
 def _first_round(
     H: KUniformHypergraph, m: int
-) -> tuple[list[int], list[int], int, Optional[Edge]]:
-    # Round 1's sigma (vertex masks) and columns for m > k, read off the
-    # (m-1)-cliques instead of F_m: N_sigma is the AND of the links of
-    # sigma's (k-1)-subsets, and the sigma with a nonempty N_sigma are
-    # round 1's.  Also returns |F_m| = sum |N_sigma| / m, refused as the
-    # sum grows, and F_m's lexicographically first member (None if F_m is
-    # empty): the first such sigma, as they come in lexicographic order,
-    # plus the lowest vertex of its N_sigma.  That vertex lies above
-    # max(sigma), or swapping the two would give an earlier sigma.
+) -> tuple[Sigmas, list[int], int, Optional[Edge]]:
+    # Round 1's sigma (vertex masks) and columns, without listing F_m, and
+    # |F_m| and F_m's lexicographically first member (None if F_m is
+    # empty).  The order of the sigma reaches no report: scores are
+    # popcounts and _shrink sorts the survivors.
     n, k, links = H.n, H.k, H.links
+    chunk = max(1, TRANSPOSE_CELLS // (n + 1))
+    if m == k:
+        # F_k is the edge set and N_sigma the link of sigma.  At k = 2
+        # sigma j is vertex j, and the sigma whose N_sigma holds x are the
+        # neighbours of x, so the columns are the adjacency rows.  Only
+        # vertices with a neighbour are keyed, so no mask is built per
+        # isolated vertex.
+        edges = H.sorted_edges
+        first = edges[0] if edges else None
+        if k == 2:
+            sigmas, col = {}, [0] * n
+            for s, row in links.items():
+                j = s.bit_length() - 1
+                sigmas[j], col[j] = s, row
+        else:
+            sigmas, rows, col = list(links), list(links.values()), [0] * n
+            for i in range(0, len(rows), chunk):
+                _transpose(rows[i:i + chunk], col, i)
+        return sigmas, col, len(edges), first
+    # For m > k the sigma are the (m-1)-cliques with a nonempty N_sigma,
+    # the AND of the links of sigma's (k-1)-subsets, and |F_m| =
+    # sum |N_sigma| / m, refused as the sum grows.  F_m's first member is
+    # the first such sigma, as they come in lexicographic order, plus the
+    # lowest vertex of its N_sigma.  That vertex lies above max(sigma), or
+    # swapping the two would give an earlier sigma.
     # F_m is held to core's cap, as the m-clique search it replaces is.
     what = f"the {m}-clique family"
     sigmas: list[int] = []
@@ -287,7 +315,6 @@ def _first_round(
     col = [0] * n
     total = 0
     first = None
-    chunk = max(1, TRANSPOSE_CELLS // (n + 1))
     for sigma in H.sorted_edges if m - 1 == k else m_clique_family(H, m - 1):
         bits = [1 << v for v in sigma]
         row = clique_extensions(links, k, bits)
@@ -356,8 +383,7 @@ def extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
         matching = maximal_missing_matching(G, nv)
         mu.append(len(matching))
         # C(|N_v|, 2) minus the edges inside N_v, each counted from both ends.
-        twice_inside = sum((adj[u] & nv).bit_count() for u in mask_vertices(nv))
-        m_counts.append(math.comb(nv.bit_count(), 2) - twice_inside // 2)
+        m_counts.append(math.comb(nv.bit_count(), 2) - popcount_sum(nv, adj, nv) // 2)
         # The matched edges are disjoint, so their sum is their union.
         candidates.append(nv & ~sum(matching) | 1 << v)
 
@@ -406,14 +432,16 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
     legitimately since the shrink guarantee is asymptotic.  A complete
     instance is its own clique, with no family listed.
 
-    For m > k, F_m is never listed: round 1 reads its sigma off the
-    (m-1)-cliques (the edges when m - 1 = k), with N_sigma the AND of the
-    links of sigma's (k-1)-subsets, and |F_m| = sum |N_sigma| / m.  Rounds
-    2 to m-1, and every round at m = k, run ``shrink_step`` on the family
-    the round before returned.  ``m_clique_family`` refuses a search of
-    more than ``DEFAULT_MAX_FAMILY`` steps, round 1 an F_m of more than
-    that many members, and the rounds together more than that many tau
-    scores.
+    F_m is never listed.  At m = k round 1 reads the link index: F_k is
+    the edge set and N_sigma the link of the (k-1)-set sigma.  At m > k
+    round 1 reads its sigma off the (m-1)-cliques (the edges when
+    m - 1 = k), with N_sigma the AND of the links of sigma's (k-1)-subsets,
+    and |F_m| = sum |N_sigma| / m.  Rounds 2 to m-1 run ``shrink_step`` on
+    the family the round before returned.  ``m_clique_family`` refuses a
+    search of more than ``DEFAULT_MAX_FAMILY`` steps, round 1 an F_m of
+    more than that many members, and the rounds together more than that
+    many tau scores; a k past the recursion limit is refused up front
+    (``refuse_deep_clique``).
     """
     if m < H.k:
         raise ValueError(f"m must be >= k = {H.k}, got {m}")
@@ -428,12 +456,9 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
         alpha = Fraction(1)
         clique = tuple(range(n))
     else:
-        if m > k:
-            fam = None
-            sigmas, col, size, first = _first_round(H, m)
-        else:
-            fam = m_clique_family(H, m)
-            size, first = len(fam), fam[0] if fam else None
+        refuse_deep_clique(k)
+        fam = None
+        sigmas, col, size, first = _first_round(H, m)
         sizes = [size]
         alpha = Fraction(size, math.comb(n, m)) if size else Fraction(0)
         clique = greedy_extend_clique(H, ())
@@ -444,7 +469,7 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
                     clique = cand
             held = sum(map(len, tables))  # one tau score budget for all rounds
             try:
-                if fam is None:  # round 1 at m > k
+                if fam is None:  # round 1
                     step = _shrink(H, sigmas, col, taus, held)
                 else:
                     step = shrink_step(H, fam, taus, held)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations, compress, product
+from itertools import combinations, product
 from typing import Callable, Mapping, Optional, Sequence
 
 from .core import (
@@ -20,6 +20,7 @@ from .core import (
     InputFormatError,
     InternalConsistencyError,
     KUniformHypergraph,
+    popcount_sum,
     refuse_over_cap,
 )
 
@@ -146,17 +147,6 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fill(key)
         return value
-
-
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _charge(cands: int, succ: Sequence[int], among: int) -> int:
-    """The sum of |cands & succ[i]| over the bits i of ``among``, in one
-    C-level pass: ``succ`` compressed by the bits of ``among``, lowest
-    first, as bytes 0 and 1."""
-    rows = compress(succ, bin(among)[:1:-1].encode().translate(_BITS))
-    return sum(map(int.bit_count, map(cands.__and__, rows)))
 
 
 class TupleIndex:
@@ -320,8 +310,8 @@ class TupleIndex:
         than 2k vertices are left, the child can hold no hit, so it is not
         called.  The parent charges what the child would have cost, its
         candidates and the successors of its admissible ones, in one bulk
-        pass (``_charge``), so verdicts, hits and node counts are the same
-        as without the rule.  At k = 2 the one pick is empty and its core,
+        pass (``core.popcount_sum``), so verdicts, hits and node counts are
+        the same as without the rule.  At k = 2 the one pick is empty and its core,
         the 2-core of the graph, keeps nearly every vertex, so the rule
         does not run.
         """
@@ -426,7 +416,7 @@ class TupleIndex:
                     if bound.bit_count() < 2 * k:
                         # The child's charge: its candidates, and the
                         # successors of its admissible ones.
-                        nodes += nxt.bit_count() + _charge(nxt, succ, nxt & narrowed)
+                        nodes += nxt.bit_count() + popcount_sum(nxt, succ, nxt & narrowed)
                         if nodes > budget:
                             return False
                         continue

@@ -16,7 +16,8 @@ that listed F_m for its first round), the all-subsets nerve
 construction that the pairwise one replaced, the set-based missing-edge
 matching and tuple neighbourhood that the mask-based ones replaced, and
 the lo-corner grid sweep that ``max_clique`` on the pairwise-intersection
-graph replaced, kept unchanged for the same purpose.  ``reference_check_edges`` and ``reference_load_edges`` are the per-edge
+graph replaced, and the per-edge link index build that the k = 2 index
+from adjacency rows replaced, kept unchanged for the same purpose.  ``reference_check_edges`` and ``reference_load_edges`` are the per-edge
 loops that the constructor and the loader ran before their bulk edge
 check, kept unchanged to compare edge sets and error messages.  The instance
 builders ``from_edges`` and ``all_graphs``, the Lemma 3.1 floor and the
@@ -116,6 +117,20 @@ def random_hypergraph(rng: random.Random, n: int, k: int, p: float) -> KUniformH
 def relabel(H: KUniformHypergraph, perm: list[int]) -> KUniformHypergraph:
     edges = frozenset(tuple(sorted(perm[v] for v in e)) for e in H.edges)
     return KUniformHypergraph(n=H.n, k=H.k, edges=edges)
+
+
+def reference_links(H: KUniformHypergraph) -> dict[int, int]:
+    """The link index as ``KUniformHypergraph.links`` built it for every k
+    before it built the k = 2 index from adjacency rows: one pass per edge."""
+    links: dict[int, int] = {}
+    for e in H.edges:
+        em = 0
+        for v in e:
+            em |= 1 << v
+        for v in e:
+            s = em ^ 1 << v
+            links[s] = links.get(s, 0) | 1 << v
+    return links
 
 
 def brute_force_max_clique(H: KUniformHypergraph) -> int:

@@ -131,10 +131,15 @@ WIDE_SEARCH = ["search", "--n", "200000", "--k", "100000", "--m", "100000", "--o
         pytest.param(["helly", "--input", "@boxes600"], id="helly-d3-n600"),
         # Empty m-clique families that take many more steps to rule out:
         # about C(60, 28) vertex sets (k=30) and C(40, 8) (k=10) are cliques
-        # vacuously.  T(200, 10) has no 11-clique, but round 1 at m = 11
-        # reads its sigma off the 20^10 ten-cliques, and that search refuses.
-        pytest.param(["extract", "--input", "@edgeless-n60-k30"], id="extract-n60-k30"),
-        pytest.param(["extract", "--input", "@edgeless-n40-k10"], id="extract-n40-k10"),
+        # vacuously.  Round 1 at m = k + 2 reads its sigma off the
+        # (k+1)-cliques, and that search refuses (at m = k round 1 reads
+        # the links, so no search runs; see test_extract_edgeless_wide_k).
+        # T(200, 10) has no 11-clique, but round 1 at m = 11 reads its
+        # sigma off the 20^10 ten-cliques, and that search refuses.
+        pytest.param(["extract", "--input", "@edgeless-n60-k30", "--m", "32"],
+                     id="extract-n60-k30"),
+        pytest.param(["extract", "--input", "@edgeless-n40-k10", "--m", "12"],
+                     id="extract-n40-k10"),
         pytest.param(["extract", "--input", "@turan200", "--m", "11"], id="extract-turan200-m11"),
         # 10,000 edges that share N_{0}: each of the C(10000, 2) missing
         # edges between leaves would get a score-table entry.
@@ -161,6 +166,20 @@ def test_size_refusal_under_1gib(tmp_path, argv):
     assert proc.stdout == ""
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("size refusal: "), lines
+
+
+@pytest.mark.parametrize("name", ["edgeless-n60-k30", "edgeless-n40-k10"])
+def test_extract_edgeless_wide_k(tmp_path, capsys, name):
+    # At m = k round 1 reads the (empty) link index, so the edgeless
+    # documents of the refusal table extract at once: a fallback to the
+    # vacuous clique of the first k - 1 vertices.
+    doc = REFUSAL_DOCS[name]()
+    code, out, err = run(capsys, "extract", "--input", write_json(tmp_path / "doc.json", doc))
+    assert (code, err) == (0, "")
+    outcome = last_json(out)["outcome"]
+    assert outcome["kind"] == "clique" and outcome["fallback"] is True
+    assert outcome["vertices"] == list(range(doc["k"] - 1))
+    assert outcome["trace"]["family_sizes"] == [0]
 
 
 def run(capsys, *argv):

@@ -150,6 +150,32 @@ class TestCountMCliques:
             m_clique_family(H, 4)
 
 
+    def test_nesting_gate_refuses_before_the_search_would_overflow(self):
+        # The edgeless m-uniform instance on m vertices is one vacuous
+        # descent of m levels, which m_clique_family refuses on
+        # RecursionError.  From the same stack depth, the gate refuses up
+        # front, at most NESTING_RESERVE levels before that.
+        def overflows(m):
+            try:
+                m_clique_family(edgeless(m, m), m)
+            except SizeRefusalError as exc:
+                assert isinstance(exc.__context__, RecursionError)
+                return True
+            return False
+
+        def gated(m):
+            try:
+                core.refuse_deep_clique(m)
+            except SizeRefusalError as exc:
+                assert str(exc).endswith(f"recursion limit of {sys.getrecursionlimit()}")
+                return True
+            return False
+
+        limit = sys.getrecursionlimit()
+        first = [next(m for m in range(limit // 2, limit + 1) if f(m)) for f in (gated, overflows)]
+        assert 0 < first[1] - first[0] <= core.NESTING_RESERVE
+
+
 class TestMaxClique:
     def test_complete_graph(self):
         assert len(max_clique(complete_graph(6)).vertices) == 6

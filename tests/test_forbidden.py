@@ -220,13 +220,13 @@ class TestReferenceOracle:
         # the depth that makes them: the look-ahead charges whole children
         # from depth m - 3.
         depths = []
-        charge = forbidden._charge
+        charge = forbidden.popcount_sum
 
         def spy(cands, succ, dropped):
             depths.append(sys._getframe(1).f_locals["depth"])
             return charge(cands, succ, dropped)
 
-        monkeypatch.setattr(forbidden, "_charge", spy)
+        monkeypatch.setattr(forbidden, "popcount_sum", spy)
         cases = [
             (30, 1, 1, (10_000_000, 5_000)), (11, 2, 2, (10_000_000, 5_000)),
             (12, 2, 3, (10_000_000, 5_000)), (10, 3, 4, (10_000_000, 5_000)),
@@ -404,7 +404,7 @@ class TestNarrowedSeedPools:
         # The brute force over 4-subsets of missing edges is too slow
         # here, so the old search is the oracle.
         skipped = []
-        charge = forbidden._charge
+        charge = forbidden.popcount_sum
 
         def spy(cands, succ, among):
             skipped.append(among)
@@ -413,7 +413,7 @@ class TestNarrowedSeedPools:
         def has_tuple(H, m):
             return reference_find_complete_tuple(H, m).verdict is Verdict.FOUND
 
-        monkeypatch.setattr(forbidden, "_charge", spy)
+        monkeypatch.setattr(forbidden, "popcount_sum", spy)
         rng = random.Random(1949)
         directions, tried = set(), 0
         while tried < 2:

@@ -22,6 +22,7 @@ from cliquecert import (
     extract_graph,
     extract_hypergraph,
     greedy_extend_clique,
+    hypergraph_from_dict,
     m_clique_family,
     max_clique,
     random_box_family,
@@ -38,6 +39,7 @@ from helpers import (
     reference_extract_graph,
     reference_extract_hypergraph,
     reference_greedy_extend_clique,
+    reference_links,
     reference_m_clique_family,
     reference_max_clique,
     reference_nerve_edges,
@@ -100,6 +102,38 @@ class TestLinks:
             for v in range(4):
                 nbrs = {u for e in G.edges if v in e for u in e if u != v}
                 assert G.links.get(1 << v, 0) == sum(1 << u for u in nbrs)
+
+    def test_graph_index_from_adjacency_rows(self):
+        # At k = 2 the index is built from one adjacency row per vertex;
+        # the per-edge build it replaced is the oracle, keys included:
+        # only nonempty links are keys, so isolated vertices have none.
+        cases = [G for n in range(7) for G in all_graphs(n)]
+        rng = random.Random(21)
+        for n in (0, 1, 0, 1, *(rng.randint(2, 60) for _ in range(80))):
+            cases.append(random_hypergraph(rng, n, 2, rng.random() ** 3))
+        isolated = 0
+        for G in cases:
+            assert G.links == reference_links(G), (G.n, sorted(G.edges))
+            isolated += 0 < len(G.links) < G.n
+        assert isolated > 40
+
+    def test_loader_keeps_sorted_edges(self):
+        # The loader keeps an edge list given in ascending order as
+        # sorted_edges; any other order is sorted on first use.
+        rng = random.Random(22)
+        for k in (2, 3, 4):
+            for _ in range(30):
+                H = random_hypergraph(rng, rng.randint(0, 10), k, rng.random())
+                ascending = [list(e) for e in H.sorted_edges]
+                shuffled = rng.sample(ascending, len(ascending))
+                missing = {"n": H.n, "k": k, "missing": [list(e) for e in H.missing]}
+                docs = [{"n": H.n, "k": k, "edges": order}
+                        for order in (ascending, shuffled, ascending[::-1])]
+                for doc in (*docs, missing):
+                    L = hypergraph_from_dict(doc)
+                    assert L.edges == H.edges
+                    assert L.sorted_edges == tuple(sorted(H.edges))
+                    assert L.links == reference_links(H)
 
 
 class TestCliqueKernels:
@@ -187,6 +221,32 @@ class TestCliqueKernels:
                     extractor._shrink(H, sigmas, col, (), 0)
                 continue
             assert extractor._shrink(H, sigmas, col, (), 0) == want, (sorted(H.edges), m)
+
+    def test_first_round_from_links(self, monkeypatch):
+        # Round 1 at m = k reads the link index, not F_k: the same round,
+        # |F_k| and first member, and so the same first greedy candidate,
+        # as shrink_step on F_k.  A few rows per transpose at k >= 3, so
+        # that most rounds take several.
+        monkeypatch.setattr(extractor, "TRANSPOSE_CELLS", 40)
+        cases = [G for n in range(6) for G in all_graphs(n)]
+        rng = random.Random(23)
+        for k in (2, 3, 4):
+            for _ in range(120):
+                cases.append(random_hypergraph(rng, rng.randint(0, 11), k, rng.random() ** 0.5))
+        for H in cases:
+            fam = m_clique_family(H, H.k)
+            sigmas, col, size, first = extractor._first_round(H, H.k)
+            assert (size, first) == (len(fam), fam[0] if fam else None)
+            if fam:
+                want = reference_greedy_extend_clique(H, fam[0])
+                assert greedy_extend_clique(H, first) == want
+            try:
+                want = shrink_step(H, fam)
+            except extractor.NoProgressError:
+                with pytest.raises(extractor.NoProgressError):
+                    extractor._shrink(H, sigmas, col, (), 0)
+                continue
+            assert extractor._shrink(H, sigmas, col, (), 0) == want, (sorted(H.edges), H.k)
 
     def test_one_pass_over_the_family(self):
         # A shrink round reads its family once, so a one-shot iterator
