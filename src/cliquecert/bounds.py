@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Density
+from .core import MAX_PRINTED_DIGITS, Density
 
 
 def _check_alpha(alpha: float | Density) -> None:
@@ -25,18 +25,14 @@ def _check_km(k: int, m: int) -> None:
         raise ValueError(f"need m >= k >= 2, got k={k}, m={m}")
 
 
-# A report prints the exponent k^(m-1) in decimal, and Python converts no
-# int of more digits than this to a string by default.
-MAX_EXPONENT_DIGITS = 4300
-
-
 def _check_exponent(k: int, m: int) -> None:
-    # k^(m-1) >= 2^((m-1)(bitlen(k)-1)), so the power is built only when it
-    # has fewer than twice the bits of the limit.
-    limit = 10**MAX_EXPONENT_DIGITS
+    # A report prints the exponent k^(m-1) in decimal.  k^(m-1) >=
+    # 2^((m-1)(bitlen(k)-1)), so the power is built only when it has fewer
+    # than twice the bits of the limit.
+    limit = 10**MAX_PRINTED_DIGITS
     if (m - 1) * (k.bit_length() - 1) >= limit.bit_length() or k ** (m - 1) >= limit:
         raise ValueError(
-            f"exponent k^(m-1) has more than {MAX_EXPONENT_DIGITS} digits, got k={k}, m={m}"
+            f"exponent k^(m-1) has more than {MAX_PRINTED_DIGITS} digits, got k={k}, m={m}"
         )
 
 

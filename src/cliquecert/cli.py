@@ -8,7 +8,8 @@ stderr only.
 Exit codes:
   0  success
   2  invalid input file or arguments
-  3  size refusal (enumeration above a fixed cap)
+  3  size refusal (enumeration above a fixed cap, or a count in the report
+     with more decimal digits than Python prints)
   4  search budget exhausted (inconclusive)
   5  internal-consistency failure (theorem-violating state; certificate
      attached to the report)
@@ -34,11 +35,13 @@ from functools import cache
 from . import __version__
 from .bounds import bound_report
 from .core import (
+    MAX_PRINTED_DIGITS,
     BudgetExhaustedError,
     InputFormatError,
     InternalConsistencyError,
     KUniformHypergraph,
     SizeRefusalError,
+    comb_exceeds,
     hypergraph_from_dict,
     hypergraph_to_dict,
     max_clique,
@@ -67,8 +70,9 @@ def _frac(f: Fraction) -> str:
 
 
 def _canonical_digest(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    return "sha256:" + hashlib.sha256(blob).hexdigest()
+    # The payload is a fresh tree, so json's cycle check is skipped.
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)
+    return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _load_json(path: str):
@@ -106,9 +110,11 @@ def _budget(text: str) -> int:
 
 
 def _dumps(doc: dict) -> str:
-    # No space after item commas: edge lists and score tables are most of a
-    # report, and this makes it about a fifth smaller.
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "))
+    """The report as one JSON line.  No space after item commas: edge lists
+    and score tables are most of a report, and this makes it about a fifth
+    smaller.  Reports are fresh trees, so json's cycle check is skipped: a
+    cyclic document would end in RecursionError, not ValueError."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "), check_circular=False)
 
 
 def _edge_list(edges) -> list:
@@ -165,6 +171,13 @@ def _hypergraph_outcome_dict(out: ExtractionOutcome) -> dict:
 
 def _cmd_analyze(args) -> tuple:
     H, digest = _load_instance(args.input)
+    # The report prints C(n, k) - |E| and the density, whose denominator
+    # divides C(n, k); refused before the search when C(n, k) is too long.
+    if comb_exceeds(H.n, H.k, 10**MAX_PRINTED_DIGITS - 1):
+        raise SizeRefusalError(
+            f"C({H.n},{H.k}), the k-subset count the report prints, "
+            f"has more than {MAX_PRINTED_DIGITS} digits"
+        )
     omega = max_clique(H)
     alpha = H.edge_density()
     outcome = {

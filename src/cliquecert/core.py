@@ -15,9 +15,9 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, combinations, compress
-from operator import itemgetter, lt
+from operator import itemgetter, lt, or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 Edge = tuple[int, ...]
@@ -30,6 +30,10 @@ Density = Fraction
 # The cap on the vertices, edges, vertex pairs, m-clique search steps or tau
 # scores that the loader, extractors and intersection graph list.
 DEFAULT_MAX_FAMILY = 2_000_000
+
+# Python converts no int of more decimal digits than this to a string by
+# default, so no report prints a number that long.
+MAX_PRINTED_DIGITS = 4300
 
 
 class InputFormatError(ValueError):
@@ -341,11 +345,44 @@ def max_clique(H: KUniformHypergraph) -> CliqueWitness:
     lexicographically first maximum clique; a vertex v may join the
     current clique C only if every k-subset of C + {v} containing v is an
     edge.  Since any set of fewer than k-1 vertices is a clique vacuously,
-    the floor is min(n, k-1) even for an edgeless instance.
+    the floor is min(n, k-1) even for an edgeless instance.  Two prunes cut
+    the walk (see ``_larger_clique``): the shadow prune keeps a clique of
+    fewer than k-1 vertices inside some edge, so an edgeless instance ends
+    at once, and at k = 2 a greedy colouring bounds each node.  Each cuts
+    only nodes that hold no clique larger than the best so far, so the
+    witness is the one the plain walk finds.
     """
     floor = tuple(range(min(H.n, H.k - 1)))
     best = _larger_clique(H.links, H.k, [], (1 << H.n) - 1, len(floor))
     return CliqueWitness(floor if best is None else mask_vertices(sum(best)))
+
+
+def _colour_tops(links: dict[int, int], cands: int) -> int:
+    """Greedy colouring of the graph on ``cands`` (k = 2), highest vertex
+    first, one colour class at a time; the mask of each class's highest
+    vertex.  The classes with a top at or above a vertex v colour every
+    candidate from v up, so the tops from v up bound any clique there."""
+    tops = 0
+    while cands:
+        q = cands
+        tops |= 1 << (q.bit_length() - 1)
+        while q:
+            high = 1 << (q.bit_length() - 1)
+            cands ^= high
+            q = (q ^ high) & ~links.get(high, 0)
+    return tops
+
+
+def _keys_by_vertex(links: dict[int, int]) -> dict[int, list[int]]:
+    """The keys of ``links`` that hold each vertex bit, by vertex bit."""
+    by_vertex: dict[int, list[int]] = {}
+    for s in links:
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            by_vertex.setdefault(low, []).append(s)
+    return by_vertex
 
 
 def _larger_clique(
@@ -357,19 +394,57 @@ def _larger_clique(
 
     Candidates are a vertex bitmask narrowed by link ANDs, one mask per
     added vertex on an explicit stack, so the depth is not bounded by the
-    interpreter's recursion limit.
+    interpreter's recursion limit.  A node is cut once depth plus a bound
+    on its untried candidates cannot beat ``size``, by two prunes:
+
+    - Shadow (all k, on a walk from the empty clique with ``size`` at
+      least min(n, k-1), as ``max_clique`` runs it).  Every clique of k
+      vertices or more has all its subsets of k-1 vertices in edges, so
+      while the clique C has fewer than k-1 vertices only the vertices w
+      with C + w inside an edge stay candidates: those of the link keys
+      that hold C.
+      At the root these are the vertices of some edge; below it the keys
+      holding C are the keys of C's first vertex (``_keys_by_vertex``,
+      built when the walk first gets there), filtered as C grows.
+    - Colour bound (k = 2).  Each node is coloured once, highest vertex
+      first (``_colour_tops``); as the ascending walk uses up the
+      candidates, the tops of the untried ones still bound the node, with
+      no recolouring.  A node whose candidate count beats ``size`` by one
+      is not coloured: it wins only if all its candidates form a clique,
+      and its first branch decides that.
+
+    Both cut only nodes that hold no clique of more than ``size`` vertices,
+    and ``size`` only grows, so the first clique of the largest size in
+    ascending order, the witness of the walk without them, is still found.
     """
     base = len(bits)
+    if base + cands.bit_count() <= size:
+        return None  # the count cuts the root, as in most of the climb's calls
     bits = list(bits)
     best = bits[:] if base > size else None
     size = max(size, base)
-    # stack[i]: the untried candidates of the clique's first base + i vertices.
+    # Depths below `shallow` read the shadow.  keys[j - 1]: the link keys
+    # holding the clique's first j vertices, kept for 0 < j < shallow - 1,
+    # where a child filters them.
+    shallow = 0 if bits else k - 1
+    keys: list[list[int]] = []
+    by_vertex = None
+    if shallow:
+        cands &= reduce(or_, links, 0)
+    colour = k == 2
+    # stack[i], tops[i]: the untried candidates of the clique's first
+    # base + i vertices, and their colour tops (all bits when uncoloured).
     stack = [cands]
+    colourable = colour and base + cands.bit_count() > size + 1
+    tops = [_colour_tops(links, cands) if colourable else -1]
     depth = base
     while stack:
         cands = stack[-1]
-        if depth + cands.bit_count() <= size:
+        if depth + (cands & tops[-1]).bit_count() <= size:
             stack.pop()
+            tops.pop()
+            if 0 < depth < shallow - 1:
+                keys.pop()
             if depth > base:
                 depth -= 1
                 bits.pop()
@@ -379,12 +454,25 @@ def _larger_clique(
         stack[-1] = cands
         # Candidates were already consistent with the clique; only the
         # k-subsets pairing a later u with the new vertex need checking.
-        stack.append(_narrow(links, bits, low, cands, k))
+        cands = _narrow(links, bits, low, cands, k)
         bits.append(low)
         depth += 1
+        if depth < shallow:
+            if depth == 1:
+                if by_vertex is None:
+                    by_vertex = _keys_by_vertex(links)
+                held = by_vertex[low]
+            else:
+                held = list(filter(low.__and__, keys[-1]))
+            if depth < shallow - 1:
+                keys.append(held)
+            cands &= reduce(or_, held, 0)
         if depth > size:
             best = bits[:]
             size = depth
+        stack.append(cands)
+        colourable = colour and depth + cands.bit_count() > size + 1
+        tops.append(_colour_tops(links, cands) if colourable else -1)
     return best
 
 

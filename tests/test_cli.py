@@ -70,6 +70,8 @@ REFUSAL_DOCS = {
     "boxes20000": lambda: box_family_to_dict(random_box_family(20000, 1, 1)),
     "edgeless-n60-k30": lambda: {"n": 60, "k": 30, "edges": []},
     "edgeless-n40-k10": lambda: {"n": 40, "k": 10, "edges": []},
+    "edgeless-n2000-k1000": lambda: {"n": 2000, "k": 1000, "edges": []},
+    "edgeless-n20000-k10000": lambda: {"n": 20000, "k": 10000, "edges": []},
     "star10001": lambda: {"n": 10001, "k": 2, "edges": [[0, i] for i in range(1, 10001)]},
     "k300-minus-edge": lambda: {"n": 300, "k": 2, "missing": [[0, 1]]},
     # The Turan graph T(200, 10): ten parts of 20 vertices, no 11-clique.
@@ -107,6 +109,11 @@ WIDE_SEARCH = ["search", "--n", "200000", "--k", "100000", "--m", "100000", "--o
         # it never builds C(200000, 100000).
         pytest.param(["analyze", "--input", "@dense-missing"], id="analyze-missing-n3000"),
         pytest.param(["analyze", "--input", "@wide-missing"], id="analyze-missing-wide"),
+        # C(n, k) has 60,204 and 6,018 digits, past the 4,300 that str()
+        # converts, and the report would print C(n, k) - |E|.
+        pytest.param(["analyze", "--input", "@wide"], id="analyze-wide"),
+        pytest.param(["analyze", "--input", "@edgeless-n20000-k10000"],
+                     id="analyze-n20000-k10000"),
         # More vertices than the loader's cap; max_clique would build 1 << n.
         pytest.param(["analyze", "--input", "@huge-n"], id="analyze-n1e30"),
         # The tuple search and both searches name C(n, k) in the refusal
@@ -180,6 +187,25 @@ def test_extract_edgeless_wide_k(tmp_path, capsys, name):
     assert outcome["kind"] == "clique" and outcome["fallback"] is True
     assert outcome["vertices"] == list(range(doc["k"] - 1))
     assert outcome["trace"]["family_sizes"] == [0]
+
+
+@pytest.mark.parametrize("name", ["edgeless-n40-k10", "edgeless-n2000-k1000"])
+def test_analyze_edgeless_wide_k(tmp_path, name):
+    # Every set of k-1 vertices is a clique vacuously; the shadow prune
+    # ends max_clique's walk at the root, since no vertex lies in an edge.
+    # Without it the walk took 2.5 s at n=32 k=8 and did not end n=2000
+    # k=1000 in 300 s.
+    doc = REFUSAL_DOCS[name]()
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_UNDER_1GIB, "analyze", "--input",
+         write_json(tmp_path / "doc.json", doc)],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    outcome = last_json(proc.stdout)["outcome"]
+    assert outcome["omega"] == doc["k"] - 1
+    assert outcome["omega_witness"] == list(range(doc["k"] - 1))
 
 
 def run(capsys, *argv):

@@ -8,6 +8,7 @@ the report dictionaries the CLI prints.
 
 import importlib
 import random
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from cliquecert import (
     shrink_step,
 )
 from cliquecert.cli import _graph_outcome_dict, _hypergraph_outcome_dict
-from cliquecert.core import mask_vertices
+from cliquecert.core import clique_through_exceeds, mask_vertices
 from helpers import (
     all_graphs,
     brute_force_max_clique,
@@ -158,6 +159,69 @@ class TestCliqueKernels:
             got = max_clique(H)
             assert got == reference_max_clique(H)
             assert len(got) == brute_force_max_clique(H)
+
+    def test_max_clique_witness_on_benchmark_nerves(self, monkeypatch, tmp_path):
+        # The nerves and intersection graphs of the first 36 seed-1
+        # nerve-extract cases: four of each slot, d = 1, 2 and 3 at the
+        # benchmark's sizes.  The shadow prune cuts the nerves at d >= 2,
+        # the colour bound the graphs.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        pool = workloads.make_pool("nerve-extract", 1, str(tmp_path))
+        for i, case in enumerate(pool.cases[:36]):
+            fam = box_family_from_dict(case)
+            for H in (fam.nerve_hypergraph, fam.intersection_graph):
+                assert max_clique(H) == reference_max_clique(H), (i, H.k)
+
+    def test_max_clique_witness_on_dense_graphs(self):
+        for n in (20, 30, 40):
+            for seed in range(8):
+                G = random_hypergraph(random.Random(seed), n, 2, 0.8)
+                assert max_clique(G) == reference_max_clique(G), (n, seed)
+
+    def test_max_clique_witness_on_edgeless_instances(self):
+        # Every set of k-1 vertices is a clique vacuously, and the shadow
+        # prune ends the walk at the root: there is no edge to extend one.
+        for k in range(5, 13):
+            for n in (k - 2, k - 1, k, k + 3, 3 * k):
+                H = KUniformHypergraph(n=n, k=k, edges=frozenset())
+                want = tuple(range(min(n, k - 1)))
+                assert max_clique(H).vertices == want, (n, k)
+                if n <= k + 3:
+                    assert reference_max_clique(H).vertices == want
+
+    def test_max_clique_on_dense_graph_in_bounded_time(self):
+        # Seed-1 G(100, 0.8): 5-8 s without the colour bound, about 0.5 s
+        # with it on a 2-core VM; the bound below leaves room for a loaded
+        # host.  The witness is the one the walk without prunes returns.
+        G = random_hypergraph(random.Random(1), 100, 2, 0.8)
+        G.links
+        started = time.perf_counter()
+        got = max_clique(G).vertices
+        assert time.perf_counter() - started < 3.0
+        assert got == (7, 9, 11, 14, 23, 25, 26, 34, 40, 42, 43, 45, 48, 54, 61, 64, 73, 77, 82)
+
+    @pytest.mark.parametrize("k, n, cap", [(2, 12, 4), (2, 10, 3), (3, 9, 3), (3, 7, 4)])
+    def test_clique_through_exceeds_on_climb_walks(self, k, n, cap):
+        # A climb-shaped walk keeps omega <= cap, so adding e raises it past
+        # the cap exactly when a clique of more than cap vertices holds e.
+        rng = random.Random(k * 100 + n)
+        positions = list(combinations(range(n), k))
+        edges: set = set()
+        verdicts = set()
+        for _ in range(150):
+            e = rng.choice(positions)
+            if e in edges:
+                edges.discard(e)
+                continue
+            H = KUniformHypergraph(n=n, k=k, edges=frozenset(edges))
+            trial = KUniformHypergraph(n=n, k=k, edges=H.edges | {e})
+            over = len(reference_max_clique(trial)) > cap
+            assert clique_through_exceeds(H.links, k, sum(1 << v for v in e), cap) == over, e
+            verdicts.add(over)
+            if not over:
+                edges.add(e)
+        assert verdicts == {True, False}
 
     def test_greedy_extend(self):
         for rng, H in random_instances(13, 300):
