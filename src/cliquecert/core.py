@@ -28,7 +28,7 @@ Edge = tuple[int, ...]
 Density = Fraction
 
 # The cap on the vertices, edges, vertex pairs, m-clique search steps or tau
-# scores that the loader, extractors and intersection graph list.
+# score steps that the loader, extractors and intersection graph take.
 DEFAULT_MAX_FAMILY = 2_000_000
 
 # Python converts no int of more decimal digits than this to a string by
@@ -179,6 +179,24 @@ def refuse_over_cap(what: str, cap: int, n: int, k: int = 1, less: int = 0) -> N
         raise SizeRefusalError(f"{what} exceeds the cap of {cap}")
 
 
+class WorkMeter:
+    """A kernel's step count, held to the cap ``DEFAULT_MAX_FAMILY`` had
+    when the meter was built: ``charge`` refuses through ``refuse_over_cap``,
+    naming ``what``, as soon as the total passes it."""
+
+    __slots__ = ("what", "cap", "steps")
+
+    def __init__(self, what: str):
+        self.what = what
+        self.cap = DEFAULT_MAX_FAMILY
+        self.steps = 0
+
+    def charge(self, steps: int) -> None:
+        self.steps += steps
+        if self.steps > self.cap:
+            refuse_over_cap(self.what, self.cap, self.steps)
+
+
 def _nesting_refusal(size: int) -> SizeRefusalError:
     # The refusal of a search nested once per vertex of a ``size``-clique,
     # raised by refuse_deep_clique up front or by m_clique_family on
@@ -265,50 +283,47 @@ def m_clique_family(H: KUniformHypergraph, m: int) -> tuple[Edge, ...]:
     of C to an edge; adding v narrows it by the links of the new
     (k-1)-subsets, T + {v} for each (k-2)-subset T of C.  It refuses past
     ``DEFAULT_MAX_FAMILY`` steps, one per vertex tried or clique listed (an
-    empty family can take C(n, k-2) to rule out), and past the recursion
-    limit, as it recurses once per clique vertex.
+    empty family can take C(n, k-2) to rule out), charged to a ``WorkMeter``,
+    and past the recursion limit, as it recurses once per clique vertex.
     """
     k = H.k
     if m < k:
         raise ValueError(f"m must be >= k = {k}, got {m}")
     family: list[Edge] = []
-    left = cap = DEFAULT_MAX_FAMILY
-    if m <= H.n:
-        try:
-            left = _grow_cliques(H.links, k, m, [], [], (1 << H.n) - 1, family, left)
-        except RecursionError:
-            raise _nesting_refusal(m) from None
-    refuse_over_cap(f"the {m}-clique search's step count", cap, cap - left)
+    meter = WorkMeter(f"the {m}-clique search's step count")
+    try:
+        _grow_cliques(H.links, k, m, [], [], (1 << H.n) - 1, family, meter)
+    except RecursionError:
+        raise _nesting_refusal(m) from None
     return tuple(family)
 
 
 def _grow_cliques(
     links: dict[int, int], k: int, m: int, clique: list[int], bits: list[int], cands: int,
-    family: list[Edge], budget: int,
-) -> int:
-    # Appends every m-clique made of `clique` and vertices of `cands`.  Each
-    # vertex tried and each clique appended spends one step of `budget`; the
-    # search stops once it is spent, and returns what is left (< 0 if spent).
+    family: list[Edge], meter: WorkMeter,
+) -> None:
+    # Appends every m-clique made of `clique` and vertices of `cands`, and
+    # charges `meter` a step per vertex tried and per clique appended, in
+    # bulk: all but need - 1 candidates are tried (none if fewer than need).
     if len(clique) == m - 1:
-        budget -= cands.bit_count()
+        meter.charge(cands.bit_count())
         while cands:
             low = cands & -cands
             cands ^= low
             family.append((*clique, low.bit_length() - 1))
-        return budget
+        return
     need = m - len(clique)
-    while cands.bit_count() >= need and budget >= 0:
-        budget -= 1
+    meter.charge(cands.bit_count() - need + 1)
+    while cands.bit_count() >= need:
         low = cands & -cands
         cands ^= low
         nxt = _narrow(links, bits, low, cands, k)
         if nxt.bit_count() >= need - 1:
             clique.append(low.bit_length() - 1)
             bits.append(low)
-            budget = _grow_cliques(links, k, m, clique, bits, nxt, family, budget)
+            _grow_cliques(links, k, m, clique, bits, nxt, family, meter)
             clique.pop()
             bits.pop()
-    return budget
 
 
 def _seed_clique(links: dict[int, int], em: int) -> tuple[list[int], int]:
@@ -329,12 +344,13 @@ def _seed_clique(links: dict[int, int], em: int) -> tuple[list[int], int]:
 def count_cliques_through(links: dict[int, int], k: int, m: int, em: int) -> int:
     """The number of m-cliques (m >= k) containing the k-set with vertex
     mask ``em``, taken as an edge: the change in ``count_m_cliques`` when
-    it is added or removed.  ``m_clique_family``'s search, grown from em."""
+    it is added or removed: ``m_clique_family``'s capped search from em."""
     if m == k:
         return 1
     bits, cands = _seed_clique(links, em)
     family: list[Edge] = []
-    _grow_cliques(links, k, m, list(mask_vertices(em)), bits, cands, family, sys.maxsize)
+    meter = WorkMeter(f"the {m}-clique search's step count")
+    _grow_cliques(links, k, m, list(mask_vertices(em)), bits, cands, family, meter)
     return len(family)
 
 

@@ -43,12 +43,12 @@ from typing import Iterable, Literal, Optional, Union
 from . import core
 from .bounds import beta_recursion, meets_beta_bound, meets_theorem1_bound, theorem1_bound
 from .core import (
-    DEFAULT_MAX_FAMILY,
     CliqueWitness,
     Density,
     Edge,
     InternalConsistencyError,
     KUniformHypergraph,
+    WorkMeter,
     clique_extensions,
     comb_exceeds,
     first_missing_edge,
@@ -63,6 +63,8 @@ from .core import (
 from .forbidden import CompleteTupleCertificate, certify, verify_complete_tuple
 
 ScoreTable = tuple[tuple[Edge, int], ...]
+
+SCORE_STEPS = "the tau score step count of the shrink rounds"
 
 # Round 1 turns its rows into columns this many binary digits at a time,
 # which bounds the strings ``_transpose`` makes.
@@ -151,7 +153,7 @@ def score_tau(H: KUniformHypergraph, family: Iterable[Edge]) -> dict[Edge, int]:
     whose N_sigma holds x.  Then tau lies inside exactly the N_sigma numbered
     in the AND of col[t] over t in tau, and its score is that AND's popcount.
     """
-    return _scores(H, _columns(H, family)[1])
+    return _scores(H, _columns(H, family)[1], WorkMeter(SCORE_STEPS))
 
 
 def _columns(H: KUniformHypergraph, family: Iterable[Edge]) -> tuple[list[int], list[int]]:
@@ -184,27 +186,26 @@ def _columns(H: KUniformHypergraph, family: Iterable[Edge]) -> tuple[list[int], 
     return list(pos), col
 
 
-def _scores(H: KUniformHypergraph, col: list[int], held: int = 0) -> dict[Edge, int]:
+def _scores(H: KUniformHypergraph, col: list[int], meter: WorkMeter) -> dict[Edge, int]:
     # The tau scores from the columns: one AND per missing k-set whose
-    # (k-1)-prefix lies inside some N_sigma.  Once the table and the
-    # ``held`` scores of earlier rounds pass DEFAULT_MAX_FAMILY entries, it
-    # is refused as it grows.
+    # (k-1)-prefix lies inside some N_sigma, charged to ``meter`` with the
+    # walk's other ANDs (so the table, an entry per AND, stays under the cap).
     scores: dict[Edge, int] = {}
     support = sum(1 << x for x, c in enumerate(col) if c)
-    cap = DEFAULT_MAX_FAMILY
-    _score_prefixes(H.links, col, (), 0, -1, support, H.k - 1, scores, cap - held)
-    refuse_over_cap("the tau score table of the shrink rounds", cap, held + len(scores))
+    _score_prefixes(H.links, col, (), 0, -1, support, H.k - 1, scores, meter)
     return scores
 
 
 def _score_prefixes(
     links: dict[int, int], col: list[int], prefix: Edge, s: int, acc: int, rest: int,
-    depth: int, scores: dict[Edge, int], limit: int,
+    depth: int, scores: dict[Edge, int], meter: WorkMeter,
 ) -> None:
     # Extends the prefix s (vertex mask; ``prefix`` its vertices, ``acc``
     # the AND of their columns) by depth vertices of rest above it, and
-    # scores every missing completion of a full (k-1)-prefix; stops past limit.
-    while rest and len(scores) <= limit:
+    # scores every missing completion of a full (k-1)-prefix, charging the
+    # AND per vertex of rest and per completion in bulk before it is taken.
+    meter.charge(rest.bit_count())
+    while rest:
         low = rest & -rest
         rest ^= low
         v = low.bit_length() - 1
@@ -214,6 +215,7 @@ def _score_prefixes(
         t = s | low
         if depth == 1:
             miss = rest & ~links.get(t, 0)
+            meter.charge(miss.bit_count())
             while miss:
                 b = miss & -miss
                 miss ^= b
@@ -222,12 +224,12 @@ def _score_prefixes(
                 if c:
                     scores[(*prefix, v, w)] = c
         elif rest.bit_count() >= depth:
-            _score_prefixes(links, col, (*prefix, v), t, a, rest, depth - 1, scores, limit)
+            _score_prefixes(links, col, (*prefix, v), t, a, rest, depth - 1, scores, meter)
 
 
 def shrink_step(
     H: KUniformHypergraph, family: Iterable[Edge], forbidden_taus: Iterable[Edge] = (),
-    held: int = 0,
+    meter: Optional[WorkMeter] = None,
 ) -> ShrinkResult:
     """One round of the iterated extraction.
 
@@ -237,14 +239,14 @@ def shrink_step(
     sigma + {t} in family for all t in tau.  The chosen tau is necessarily
     disjoint from all previously chosen ones; a violation means the family
     invariant was broken upstream and raises.  Both the scores and the
-    survivors are read from one set of columns (see ``score_tau``).  The
-    round refuses once its score table and the ``held`` scores of earlier
-    rounds pass ``DEFAULT_MAX_FAMILY`` entries.
+    survivors are read from one set of columns (see ``score_tau``).  Each
+    column AND of the score walk is charged to ``meter`` (a new one if
+    None), which refuses past ``core.DEFAULT_MAX_FAMILY`` in all.
 
     Raises NoProgressError when the family is empty or no neighborhood
     contains a missing edge.
     """
-    return _shrink(H, *_columns(H, family), forbidden_taus, held)
+    return _shrink(H, *_columns(H, family), forbidden_taus, meter or WorkMeter(SCORE_STEPS))
 
 
 Sigmas = Union[list[int], dict[int, int]]
@@ -252,13 +254,13 @@ Sigmas = Union[list[int], dict[int, int]]
 
 def _shrink(
     H: KUniformHypergraph, sigmas: Sigmas, col: list[int], forbidden_taus: Iterable[Edge],
-    held: int,
+    meter: WorkMeter,
 ) -> ShrinkResult:
     # shrink_step on a round's sigma (sigmas[j] is position j's, as a
     # vertex mask) and columns, whichever way they were built.
     if not sigmas:
         raise NoProgressError("family is empty")
-    scores = _scores(H, col, held)
+    scores = _scores(H, col, meter)
     if not scores:
         raise NoProgressError("no tuple neighborhood contains a missing edge")
     top = max(scores.values())
@@ -363,12 +365,12 @@ def extract_graph(G: KUniformHypergraph) -> ExtractionOutcome:
     the common neighborhood of the top-scoring missing edge contains a
     missing edge, which keeps the verdict class aligned with
     ``extract_hypergraph`` at m = 2.  Refuses when C(n, 2) exceeds
-    ``DEFAULT_MAX_FAMILY``: a common neighbourhood is kept per missing edge.
+    ``core.DEFAULT_MAX_FAMILY``: a common neighbourhood is kept per missing edge.
     """
     if G.k != 2:
         raise ValueError(f"graph extraction requires k = 2, got k = {G.k}")
     n = G.n
-    refuse_over_cap(f"the vertex-pair count C({n},2)", DEFAULT_MAX_FAMILY, n, 2)
+    refuse_over_cap(f"the vertex-pair count C({n},2)", core.DEFAULT_MAX_FAMILY, n, 2)
     miss = G.missing
     alpha = G.edge_density()
 
@@ -438,10 +440,10 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
     m - 1 = k), with N_sigma the AND of the links of sigma's (k-1)-subsets,
     and |F_m| = sum |N_sigma| / m.  Rounds 2 to m-1 run ``shrink_step`` on
     the family the round before returned.  ``m_clique_family`` refuses a
-    search of more than ``DEFAULT_MAX_FAMILY`` steps, round 1 an F_m of
-    more than that many members, and the rounds together more than that
-    many tau scores; a k past the recursion limit is refused up front
-    (``refuse_deep_clique``).
+    search of more than ``core.DEFAULT_MAX_FAMILY`` steps, round 1 an F_m
+    of more than that many members, and the score walks of all the rounds,
+    charged to one ``WorkMeter``, more than that many column ANDs; a k past
+    the recursion limit is refused up front (``refuse_deep_clique``).
     """
     if m < H.k:
         raise ValueError(f"m must be >= k = {H.k}, got {m}")
@@ -457,6 +459,7 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
         clique = tuple(range(n))
     else:
         refuse_deep_clique(k)
+        meter = WorkMeter(SCORE_STEPS)  # one for all the rounds
         fam = None
         sigmas, col, size, first = _first_round(H, m)
         sizes = [size]
@@ -467,12 +470,11 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
                 cand = greedy_extend_clique(H, first)
                 if len(cand) > len(clique):
                     clique = cand
-            held = sum(map(len, tables))  # one tau score budget for all rounds
             try:
                 if fam is None:  # round 1
-                    step = _shrink(H, sigmas, col, taus, held)
+                    step = _shrink(H, sigmas, col, taus, meter)
                 else:
-                    step = shrink_step(H, fam, taus, held)
+                    step = shrink_step(H, fam, taus, meter)
             except NoProgressError:
                 fallback = True
                 break

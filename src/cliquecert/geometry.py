@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
+from . import core
 from .bounds import kalai_bound
 from .core import (
-    DEFAULT_MAX_FAMILY,
     Density,
     InputFormatError,
     InternalConsistencyError,
@@ -83,13 +83,13 @@ class BoxFamily:
         at most the smallest hi exactly when every lo is at most every hi.
         So the nerve is the (d+1)-clique family of G, and the largest
         subfamily with a common point is ``max_clique(G)``.  More than
-        ``DEFAULT_MAX_FAMILY`` edges, counted from the pair masks, is
+        ``core.DEFAULT_MAX_FAMILY`` edges, counted from the pair masks, is
         refused before any is listed.
         """
         n = len(self.boxes)
         pairs = _pairwise_intersections(self.boxes, self.d)
         what = f"the edge count of the intersection graph of {n} boxes"
-        refuse_over_cap(what, DEFAULT_MAX_FAMILY, sum(p.bit_count() for p in pairs) // 2)
+        refuse_over_cap(what, core.DEFAULT_MAX_FAMILY, sum(p.bit_count() for p in pairs) // 2)
         edges = [(i, j) for i in range(n) for j in mask_vertices(pairs[i] >> (i + 1) << (i + 1))]
         return KUniformHypergraph(n=n, k=2, edges=frozenset(edges))
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -53,6 +54,19 @@ def write_json(path, doc):
     return str(path)
 
 
+def disjoint_cliques(count, size, k, rng=None):
+    """``count`` disjoint complete k-uniform hypergraphs on ``size``
+    vertices each, with the vertex labels shuffled by ``rng`` if given."""
+    labels = list(range(count * size))
+    if rng is not None:
+        rng.shuffle(labels)
+    edges = [
+        sorted(e) for i in range(0, len(labels), size)
+        for e in combinations(labels[i:i + size], k)
+    ]
+    return {"n": len(labels), "k": k, "edges": sorted(edges)}
+
+
 # The documents the size-refusal table reads, built on demand.
 REFUSAL_DOCS = {
     "edgeless3000": lambda: {"n": 3000, "k": 2, "edges": []},
@@ -74,6 +88,8 @@ REFUSAL_DOCS = {
     "edgeless-n20000-k10000": lambda: {"n": 20000, "k": 10000, "edges": []},
     "star10001": lambda: {"n": 10001, "k": 2, "edges": [[0, i] for i in range(1, 10001)]},
     "k300-minus-edge": lambda: {"n": 300, "k": 2, "missing": [[0, 1]]},
+    "disjoint-k4-3": lambda: disjoint_cliques(2500, 4, 3, random.Random(1)),
+    "disjoint-triangles": lambda: disjoint_cliques(5000, 3, 2),
     # The Turan graph T(200, 10): ten parts of 20 vertices, no 11-clique.
     "turan200": lambda: {
         "n": 200, "k": 2,
@@ -149,12 +165,19 @@ WIDE_SEARCH = ["search", "--n", "200000", "--k", "100000", "--m", "100000", "--o
                      id="extract-n40-k10"),
         pytest.param(["extract", "--input", "@turan200", "--m", "11"], id="extract-turan200-m11"),
         # 10,000 edges that share N_{0}: each of the C(10000, 2) missing
-        # edges between leaves would get a score-table entry.
+        # edges between leaves costs a score-walk step and a table entry.
         pytest.param(["extract", "--input", "@star10001"], id="extract-star10001"),
         # K_300 minus an edge has C(300, 3) - 298 triangles, past the cap;
         # round 1 counts them from the edges' extension masks as it goes.
         pytest.param(["extract", "--input", "@k300-minus-edge", "--m", "3"],
                      id="extract-k300-minus-edge-m3"),
+        # Sparse inputs whose score walk tries every later support vertex
+        # at depth 2 and up, about S^2/2 column ANDs for S support vertices
+        # (n = 10,000 and 15,000), however small the score table.
+        pytest.param(["extract", "--input", "@disjoint-k4-3", "--m", "4"],
+                     id="extract-disjoint-k4-3-m4"),
+        pytest.param(["extract", "--input", "@disjoint-triangles", "--m", "3"],
+                     id="extract-disjoint-triangles-m3"),
     ],
 )
 def test_size_refusal_under_1gib(tmp_path, argv):

@@ -139,8 +139,10 @@ class TestCountMCliques:
     def test_search_past_the_cap_is_refused(self, monkeypatch, H, size):
         # The steps the search takes, without a cap: a cap of exactly that
         # many lists the family, one fewer refuses.
-        cands = (1 << H.n) - 1
-        steps = sys.maxsize - core._grow_cliques(H.links, H.k, 4, [], [], cands, [], sys.maxsize)
+        monkeypatch.setattr(core, "DEFAULT_MAX_FAMILY", sys.maxsize)
+        meter = core.WorkMeter("uncapped")
+        core._grow_cliques(H.links, H.k, 4, [], [], (1 << H.n) - 1, [], meter)
+        steps = meter.steps
         assert steps > max(size, H.n)
         monkeypatch.setattr(core, "DEFAULT_MAX_FAMILY", steps)
         assert len(m_clique_family(H, 4)) == size
@@ -148,6 +150,16 @@ class TestCountMCliques:
         message = f"the 4-clique search's step count exceeds the cap of {steps - 1}$"
         with pytest.raises(SizeRefusalError, match=message):
             m_clique_family(H, 4)
+
+    def test_search_through_an_edge_is_capped_too(self, monkeypatch):
+        # The 4-cliques of K_8 through the edge 01: 5 of the vertices 2..7
+        # are tried after it, and 5 + 4 + 3 + 2 + 1 = 15 cliques listed.
+        links = complete_graph(8).links
+        monkeypatch.setattr(core, "DEFAULT_MAX_FAMILY", 20)
+        assert core.count_cliques_through(links, 2, 4, 0b11) == 15
+        monkeypatch.setattr(core, "DEFAULT_MAX_FAMILY", 19)
+        with pytest.raises(SizeRefusalError, match="step count exceeds the cap of 19$"):
+            core.count_cliques_through(links, 2, 4, 0b11)
 
 
     def test_nesting_gate_refuses_before_the_search_would_overflow(self):

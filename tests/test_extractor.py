@@ -245,22 +245,26 @@ class TestExtractHypergraph:
 
     def test_score_table_past_the_cap_is_refused(self, monkeypatch):
         # The star on 11 vertices has 10 edges, and N_{0} holds all the
-        # leaves, so each of its C(10, 2) = 45 missing edges scores 1.
+        # leaves, so each of its C(10, 2) = 45 missing edges scores 1.  The
+        # walk takes 11 + 45 = 56 column ANDs: one per vertex of the
+        # support, and one per missing completion of each vertex, none at
+        # the centre and 10 - i at leaf i.
         H = graph(11, [(0, i) for i in range(1, 11)])
-        monkeypatch.setattr(extractor_module, "DEFAULT_MAX_FAMILY", 45)
+        monkeypatch.setattr(core, "DEFAULT_MAX_FAMILY", 56)
         assert len(extract_hypergraph(H, 2).trace.round_scores[0]) == 45
-        monkeypatch.setattr(extractor_module, "DEFAULT_MAX_FAMILY", 44)
-        with pytest.raises(SizeRefusalError, match="the tau score table .* cap of 44$"):
+        monkeypatch.setattr(core, "DEFAULT_MAX_FAMILY", 55)
+        with pytest.raises(SizeRefusalError, match="the tau score step count .* cap of 55$"):
             extract_hypergraph(H, 2)
 
     def test_score_tables_share_one_cap(self, monkeypatch):
-        # The two rounds of the nine-vertex example at m = 3 score 3 and 2
-        # taus: each table fits under a cap of 4, but not both together.
+        # The two rounds of the nine-vertex example at m = 3 walk 47 and 22
+        # column ANDs (scoring 3 and 2 taus): each walk fits under a cap of
+        # 68, but not both together.
         H = nine_vertex_example()
-        monkeypatch.setattr(extractor_module, "DEFAULT_MAX_FAMILY", 5)
+        monkeypatch.setattr(core, "DEFAULT_MAX_FAMILY", 69)
         assert [len(t) for t in extract_hypergraph(H, 3).trace.round_scores] == [3, 2]
-        monkeypatch.setattr(extractor_module, "DEFAULT_MAX_FAMILY", 4)
-        with pytest.raises(SizeRefusalError, match="the tau score table .* cap of 4$"):
+        monkeypatch.setattr(core, "DEFAULT_MAX_FAMILY", 68)
+        with pytest.raises(SizeRefusalError, match="the tau score step count .* cap of 68$"):
             extract_hypergraph(H, 3)
 
     def test_fallback_on_stalled_instance(self):

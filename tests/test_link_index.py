@@ -31,7 +31,7 @@ from cliquecert import (
     shrink_step,
 )
 from cliquecert.cli import _graph_outcome_dict, _hypergraph_outcome_dict
-from cliquecert.core import clique_through_exceeds, mask_vertices
+from cliquecert.core import WorkMeter, clique_through_exceeds, mask_vertices
 from helpers import (
     all_graphs,
     brute_force_max_clique,
@@ -282,9 +282,9 @@ class TestCliqueKernels:
                 want = shrink_step(H, fam)
             except extractor.NoProgressError:
                 with pytest.raises(extractor.NoProgressError):
-                    extractor._shrink(H, sigmas, col, (), 0)
+                    extractor._shrink(H, sigmas, col, (), WorkMeter("score"))
                 continue
-            assert extractor._shrink(H, sigmas, col, (), 0) == want, (sorted(H.edges), m)
+            assert extractor._shrink(H, sigmas, col, (), WorkMeter("score")) == want, (sorted(H.edges), m)
 
     def test_first_round_from_links(self, monkeypatch):
         # Round 1 at m = k reads the link index, not F_k: the same round,
@@ -308,9 +308,9 @@ class TestCliqueKernels:
                 want = shrink_step(H, fam)
             except extractor.NoProgressError:
                 with pytest.raises(extractor.NoProgressError):
-                    extractor._shrink(H, sigmas, col, (), 0)
+                    extractor._shrink(H, sigmas, col, (), WorkMeter("score"))
                 continue
-            assert extractor._shrink(H, sigmas, col, (), 0) == want, (sorted(H.edges), H.k)
+            assert extractor._shrink(H, sigmas, col, (), WorkMeter("score")) == want, (sorted(H.edges), H.k)
 
     def test_one_pass_over_the_family(self):
         # A shrink round reads its family once, so a one-shot iterator
