@@ -3,9 +3,11 @@
 A complete m-tuple is a family of m pairwise-disjoint missing edges such
 that every transversal (one vertex picked from each) forms a clique.  For
 k = 2 this is the same thing as an induced K_2(m), the complete
-multipartite graph on m parts of size two; ``has_induced_biclique`` is an
+multipartite graph on m parts of size two, and an m-clique of the
+compatibility graph of the missing pairs, which is where
+``find_complete_tuple`` searches at k = 2.  ``has_induced_biclique`` is an
 independent implementation of that specialization and doubles as a test
-oracle for the general search.
+oracle for both searches.
 """
 
 from __future__ import annotations
@@ -20,14 +22,19 @@ from .core import (
     InputFormatError,
     InternalConsistencyError,
     KUniformHypergraph,
+    WorkMeter,
+    first_clique,
+    mask_vertices,
+    masked_rows,
     popcount_sum,
     refuse_over_cap,
 )
 
 DEFAULT_BUDGET = 10_000_000
 # A TupleIndex over M k-sets keeps M masks of M bits in ``apart`` and
-# about half that in ``later``: 0.75 GiB at 2^16 k-sets.  Both tuple
-# searches refuse more k-sets than this before listing them.
+# about half that in ``later``: 0.75 GiB at 2^16 k-sets.  The searches
+# that build one, ``find_complete_tuple`` at k >= 3 and the hill climb at
+# every k, refuse more k-sets than this before listing them.
 MAX_TUPLE_SLOTS = 1 << 16
 
 
@@ -438,6 +445,85 @@ class TupleIndex:
         return (chosen if hit else None), nodes
 
 
+def _compatibility_core(H: KUniformHypergraph, m: int) -> tuple[list[Edge], list[int]]:
+    """The (m-1)-core of the compatibility graph C of a graph (k = 2): its
+    vertices, in lexicographic order, and their adjacency rows over their
+    positions in that order.
+
+    C's vertices are the missing pairs, numbered in lexicographic order:
+    (a, b) is ``offset[a]`` plus the rank of b among ``above[a]``, the
+    non-neighbours above a.  Two missing pairs are adjacent when all four
+    cross pairs are edges, so the C-neighbours of (a, b) are the missing
+    pairs inside its common neighbourhood, found with one AND per common
+    vertex c: ``common & above[c]``.  The other m - 1 pairs of a complete
+    m-tuple through (a, b) are disjoint pairs inside that neighbourhood,
+    so a pair whose common neighbourhood has fewer than 2(m - 1) vertices
+    lies in no m-clique of C and is not walked, and one with fewer than
+    m - 1 C-neighbours is not kept.  The pairs kept hold sparse neighbour
+    lists, and the peel (Matula & Beck 1983; Batagelj & Zaversnik 2003)
+    drops, one at a time, those with fewer than m - 1 neighbours left;
+    every m-clique of C lies in what remains.  One ``WorkMeter`` refuses
+    the build past its cap: each row of non-neighbours is charged its
+    missing pairs, and each common neighbourhood walked its vertices and
+    the C-neighbours it holds, before they are listed.
+    """
+    n, links = H.n, H.links
+    meter = WorkMeter(f"the compatibility-graph build of a {m}-tuple search")
+    adj = [links.get(1 << v, 0) for v in range(n)]
+    full = (1 << n) - 1
+    above, offset, count = [], [], 0
+    for v in range(n):
+        row = full >> (v + 1) << (v + 1) & ~adj[v]
+        meter.charge(row.bit_count())
+        above.append(row)
+        offset.append(count)
+        count += row.bit_count()
+    # walked[i]: missing pair i and its C-neighbours, for the pairs walked
+    # that have m - 1 of them or more.
+    walked: dict[int, tuple[Edge, list[int]]] = {}
+    need = 2 * (m - 1)
+    i = -1
+    for a in range(n):
+        rest = above[a]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i += 1
+            b = low.bit_length() - 1
+            common = adj[a] & adj[b]
+            if common.bit_count() < need:
+                continue
+            degree = popcount_sum(common, above, common)
+            meter.charge(common.bit_count() + degree)
+            if degree < m - 1:
+                continue
+            nbrs = []
+            for c, mask in zip(mask_vertices(common), masked_rows(common, above, common)):
+                row, base = above[c], offset[c]
+                while mask:
+                    x = mask & -mask
+                    mask ^= x
+                    nbrs.append(base + (row & (x - 1)).bit_count())
+            walked[i] = ((a, b), nbrs)
+    # The peel: a pair leaves `left` once it has fewer than m - 1
+    # neighbours left, and each neighbour still there loses it.
+    left = {i: sum(map(walked.__contains__, nbrs)) for i, (_, nbrs) in walked.items()}
+    doomed = [i for i, d in left.items() if d < m - 1]
+    for i in doomed:
+        del left[i]
+    while doomed:
+        for j in walked[doomed.pop()][1]:
+            if j in left:
+                left[j] -= 1
+                if left[j] < m - 1:
+                    del left[j]
+                    doomed.append(j)
+    core = sorted(left)
+    position = {i: p for p, i in enumerate(core)}
+    later = [{position[j] for j in walked[i][1] if j > i and j in position} for i in core]
+    return [walked[i][0] for i in core], later
+
+
 def find_complete_tuple(
     H: KUniformHypergraph, m: int, budget: int = DEFAULT_BUDGET
 ) -> TupleSearchResult:
@@ -445,9 +531,16 @@ def find_complete_tuple(
 
     Missing edges are indexed in lexicographic order and tried in that
     order, extended one at a time; the first certificate in this order is
-    the canonical one.  ``TupleIndex.search`` describes the candidate
-    masks and the node count.  ``budget`` must be non-negative; an
-    exhausted search reports ``budget + 1`` nodes.  Refuses more than
+    the canonical one.  ``budget`` must be non-negative; an exhausted
+    search reports ``budget + 1`` nodes.
+
+    At k = 2 a complete m-tuple is an m-clique of the compatibility graph
+    of the missing pairs, which is searched on its (m-1)-core
+    (``_compatibility_core``) by ``core.first_clique``: ``nodes`` counts
+    the core vertices tried, so an instance with an empty core is ABSENT
+    with 0 nodes.  The build refuses past the cap of its ``WorkMeter``.
+    At k >= 3 ``TupleIndex.search`` describes the candidate masks and the
+    node count, every candidate passed over; it refuses more than
     ``MAX_TUPLE_SLOTS`` missing edges, counted as C(n, k) - |E| before
     they are listed.
     """
@@ -456,13 +549,18 @@ def find_complete_tuple(
         raise ValueError(f"m must be >= k = {k}, got {m}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    what = f"the missing-edge count C({H.n},{k}) - {len(H.edges)} of a tuple search"
-    refuse_over_cap(what, MAX_TUPLE_SLOTS, H.n, k, len(H.edges))
-    index = TupleIndex(H.n, k, H.missing, H.links)
-    chosen, nodes = index.search(m, budget, index.full)
+    if k == 2:
+        ksets, later = _compatibility_core(H, m)
+        chosen, nodes = first_clique(later, m, budget)
+    else:
+        what = f"the missing-edge count C({H.n},{k}) - {len(H.edges)} of a tuple search"
+        refuse_over_cap(what, MAX_TUPLE_SLOTS, H.n, k, len(H.edges))
+        index = TupleIndex(H.n, k, H.missing, H.links)
+        ksets = index.ksets
+        chosen, nodes = index.search(m, budget, index.full)
     if chosen is not None:
         # A hit is verified by enumeration before it is reported FOUND.
-        cert = CompleteTupleCertificate(tuple(index.ksets[i] for i in chosen))
+        cert = CompleteTupleCertificate(tuple(ksets[i] for i in chosen))
         return TupleSearchResult(Verdict.FOUND, certify(cert, verify_complete_tuple(H, cert)), nodes)
     if nodes > budget:
         return TupleSearchResult(Verdict.EXHAUSTED, None, budget + 1)

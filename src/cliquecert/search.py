@@ -215,8 +215,11 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
     is built only for each restart's best instance, and a certificate the
     search hits is verified by enumeration against the edge bitmask.
     ``tuple_budget`` bounds each seeded search and the final
-    re-verification.  Its ``TupleIndex`` holds every k-subset, so it
-    refuses more than ``forbidden.MAX_TUPLE_SLOTS`` of them.
+    re-verification.  A seeded search is charged every candidate it passes
+    over, at every k; the re-verification is ``find_complete_tuple``,
+    which at k = 2 is charged the compatibility-core vertices it tries.
+    The climb's ``TupleIndex`` holds every k-subset, so it refuses more
+    than ``forbidden.MAX_TUPLE_SLOTS`` of them.
     """
     n, k, m = config.n, config.k, config.m
     if config.restarts < 1:

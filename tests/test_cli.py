@@ -112,6 +112,10 @@ WIDE_SEARCH = ["search", "--n", "200000", "--k", "100000", "--m", "100000", "--o
                      id="extract-graph-n3000"),
         pytest.param(["extract", "--input", "@edgeless6000", "--algorithm", "graph"],
                      id="extract-graph-n6000"),
+        # The k = 2 tuple search charges its build meter each missing pair
+        # as it lists the rows of non-neighbours.
+        pytest.param(["forbidden", "--input", "@edgeless3000", "--m", "2"],
+                     id="forbidden-edgeless-n3000"),
         # An m-clique of 100,000 vertices, deeper than the recursion limit.
         pytest.param(["extract", "--input", "@wide"], id="extract-wide"),
         # These nerves have 160,516 (d=2 n=100) and 91,389 (d=3 n=40)
@@ -210,6 +214,28 @@ def test_extract_edgeless_wide_k(tmp_path, capsys, name):
     assert outcome["kind"] == "clique" and outcome["fallback"] is True
     assert outcome["vertices"] == list(range(doc["k"] - 1))
     assert outcome["trace"]["family_sizes"] == [0]
+
+
+def test_forbidden_on_a_wide_compatibility_core(tmp_path):
+    # The rook's graph K_24 x K_24: each of its 152,352 missing pairs has
+    # two non-adjacent common neighbours, so the compatibility core has
+    # 152,352 vertices of one neighbour each.  Bit rows over the whole
+    # core would take about 1.4 GB; kept sparse, the search finds the
+    # first induced K_{2,2} under 1 GiB.
+    q = 24
+    edges = [
+        [u, v] for u, v in combinations(range(q * q), 2) if u // q == v // q or u % q == v % q
+    ]
+    path = write_json(tmp_path / "rook24.json", {"n": q * q, "k": 2, "edges": edges})
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_UNDER_1GIB, "forbidden", "--input", path, "--m", "2"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    outcome = last_json(proc.stdout)["outcome"]
+    assert outcome["verdict"] == "found"
+    assert outcome["certificate"]["tuples"] == [[0, 25], [1, 24]]
 
 
 @pytest.mark.parametrize("name", ["edgeless-n40-k10", "edgeless-n2000-k1000"])
@@ -338,10 +364,19 @@ class TestForbidden:
         assert outcome["nodes"] >= 2
 
     def test_exhausted_exit_code(self, capsys, tmp_path):
-        path = write_json(tmp_path / "empty8.json", {"n": 8, "k": 2, "edges": []})
-        code, out, _ = run(capsys, "forbidden", "--input", path, "--m", "4", "--budget", "2")
+        # K_8 minus six pairs, whose compatibility graph has a 4-cycle in
+        # its 2-core: the absence proof at m = 3 tries 8 core vertices.
+        removed = {(0, 1), (2, 3), (4, 5), (6, 7), (0, 4), (2, 6)}
+        edges = [list(e) for e in combinations(range(8), 2) if e not in removed]
+        path = write_json(tmp_path / "square8.json", {"n": 8, "k": 2, "edges": edges})
+        code, out, _ = run(capsys, "forbidden", "--input", path, "--m", "3", "--budget", "2")
         assert code == 4
-        assert last_json(out)["outcome"]["verdict"] == "exhausted"
+        assert last_json(out)["outcome"] == {
+            "certificate": None, "nodes": 3, "verdict": "exhausted",
+        }
+        code, out, _ = run(capsys, "forbidden", "--input", path, "--m", "3")
+        assert code == 0
+        assert last_json(out)["outcome"] == {"certificate": None, "nodes": 8, "verdict": "absent"}
 
 
     def test_zero_budget_is_legal(self, capsys, c4_file):
@@ -543,7 +578,10 @@ class TestNerveAndHelly:
         assert code == 0
         want = find_complete_tuple(build_nerve(fam), d + 1, budget)
         assert want.verdict is Verdict.ABSENT
-        assert last_json(out)["outcome"]["colorful_nodes"] == want.nodes > 0
+        assert last_json(out)["outcome"]["colorful_nodes"] == want.nodes
+        # At d = 1 a node is a compatibility-core vertex tried, and an
+        # interval graph may have none.
+        assert want.nodes > 0 or d == 1
 
     def test_helly_exhausted_colorful_check(self, capsys, tmp_path):
         code, out, err = run(capsys, "helly", "--input", squares_file(tmp_path), "--budget", "0")
@@ -616,12 +654,14 @@ class TestSearch:
         # Inconclusive, not an invalid input: the final re-verification of
         # the best instance runs out of budget, or a candidate the exhaustive
         # search had to skip could have beaten the best record.  With no
-        # iterations the record is the edgeless start, whose 10 missing
-        # edges exhaust 10 nodes whatever the seeded searches cost.
+        # iterations the record is the edgeless start.  At k = 2 its absence
+        # proof takes no node (its compatibility graph has no edge); at
+        # k = 3 the search passes over more than 10 of its 20 missing
+        # triples.
         cases = [
             (
                 [
-                    "search", "--n", "5", "--k", "2", "--m", "2", "--omega-cap", "3",
+                    "search", "--n", "6", "--k", "3", "--m", "3", "--omega-cap", "3",
                     "--seed", "1", "--budget", "10", "--iters", "0",
                 ],
                 "inconclusive: the tuple search verifying the record exhausted its budget "

@@ -228,6 +228,41 @@ class TestMaxClique:
         assert witness.vertices == tuple(range(250))
 
 
+class TestFirstClique:
+    """``core.first_clique`` against the first m-subset in lexicographic
+    order that is a clique, and its budget against its own node count."""
+
+    def test_against_lexicographic_enumeration(self):
+        rng = random.Random(17)
+        for _ in range(400):
+            size, p = rng.randint(0, 11), rng.random()
+            later = [set() for _ in range(size)]
+            for a, b in combinations(range(size), 2):
+                if rng.random() < p:
+                    later[a].add(b)
+            m = rng.randint(1, 5)
+            want = next(
+                (list(c) for c in combinations(range(size), m)
+                 if all(b in later[a] for a, b in combinations(c, 2))),
+                None,
+            )
+            got, nodes = core.first_clique(later, m, 10**9)
+            assert got == want, (later, m)
+            assert nodes >= (m if want else 0)
+            for budget in range(nodes):
+                assert core.first_clique(later, m, budget) == (None, budget + 1)
+
+    def test_depth_not_bounded_by_recursion_limit(self):
+        later = [set(range(i + 1, 300)) for i in range(300)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            got = core.first_clique(later, 250, 10**9)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == (list(range(250)), 250)
+
+
 class TestMissingEdges:
     def test_complete_graph_has_none(self):
         assert complete_graph(5).missing == ()

@@ -38,6 +38,15 @@ def k6_minus_perfect_matching():
     return graph(6, [e for e in combinations(range(6), 2) if e not in removed])
 
 
+def square_of_pairs():
+    """K_8 minus the pairs (0, 1), (2, 3), (4, 5), (6, 7), (0, 4), (2, 6).
+    Among its missing pairs, (0, 1) ~ (2, 3) ~ (4, 5) ~ (6, 7) ~ (0, 1) is
+    a 4-cycle of compatible pairs, so the compatibility graph's 2-core is
+    not empty, yet it holds no complete 3-tuple."""
+    removed = {(0, 1), (2, 3), (4, 5), (6, 7), (0, 4), (2, 6)}
+    return graph(8, [e for e in combinations(range(8), 2) if e not in removed])
+
+
 class TestVerify:
     def test_cycle4_certificate(self):
         ok, reason = verify_complete_tuple(
@@ -108,15 +117,22 @@ class TestFind:
         assert res.certificate.tuples == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
 
     def test_budget_exhaustion_is_distinct(self):
-        H = edgeless(8, 2)
-        res = find_complete_tuple(H, 4, budget=3)
-        assert res.verdict is Verdict.EXHAUSTED
-        assert res.certificate is None
-        assert res.nodes > 3
+        # Absent, but only after 8 core vertices are tried (k = 2), or
+        # after more than 3 candidates are passed over (k = 3).
+        for H, m in ((square_of_pairs(), 3), (edgeless(8, 3), 3)):
+            assert find_complete_tuple(H, m).verdict is Verdict.ABSENT
+            res = find_complete_tuple(H, m, budget=3)
+            assert res.verdict is Verdict.EXHAUSTED
+            assert res.certificate is None
+            assert res.nodes == 4
 
     def test_node_count_reported(self):
-        res = find_complete_tuple(cycle_graph(5), 2)
-        assert res.nodes > 0
+        # At k = 2 a node is a vertex of the compatibility graph's
+        # (m-1)-core tried.  Every missing pair of C_5 has one common
+        # neighbour, so the core is empty.
+        assert outcome(find_complete_tuple(cycle_graph(5), 2)) == (Verdict.ABSENT, None, 0)
+        assert outcome(find_complete_tuple(square_of_pairs(), 3)) == (Verdict.ABSENT, None, 8)
+        assert find_complete_tuple(edgeless(8, 3), 3).nodes > 0
 
     def test_rejects_m_below_k(self):
         with pytest.raises(ValueError):
@@ -186,18 +202,42 @@ def outcome(res):
     return res.verdict, res.certificate, res.nodes
 
 
+def assert_matches_reference(H, m, budget):
+    """``find_complete_tuple`` against the one-candidate-at-a-time
+    backtracking it replaced.  At k >= 3: the same verdict, certificate
+    and node count at ``budget``.  At k = 2, where a node is a core vertex
+    tried: the reference's verdict and certificate unbudgeted, and at any
+    budget the unbudgeted result, or EXHAUSTED with budget + 1 nodes
+    exactly when its node count passes the budget; checked at ``budget``
+    and on either side of the node count."""
+    context = (H.n, H.k, sorted(H.edges), m, budget)
+    if H.k > 2:
+        assert outcome(find_complete_tuple(H, m, budget)) == outcome(
+            reference_find_complete_tuple(H, m, budget)
+        ), context
+        return
+    full = find_complete_tuple(H, m)
+    want = reference_find_complete_tuple(H, m)
+    assert (full.verdict, full.certificate) == (want.verdict, want.certificate), context
+    for b in {budget, full.nodes, max(full.nodes - 1, 0)}:
+        got = find_complete_tuple(H, m, b)
+        if full.nodes > b:
+            assert outcome(got) == (Verdict.EXHAUSTED, None, b + 1), (context, b)
+        else:
+            assert outcome(got) == outcome(full), (context, b)
+
+
 class TestReferenceOracle:
     """The bitset search against the one-candidate-at-a-time backtracking
-    it replaced: same verdict, certificate and node count at every budget."""
+    it replaced, by ``assert_matches_reference``: node for node at
+    k >= 3, verdict and certificate at k = 2."""
 
     @pytest.mark.parametrize("budget", [10_000_000, 7])
     def test_all_graphs_up_to_six_vertices(self, budget):
         for n in range(2, 7):
             for H in all_graphs(n):
                 for m in (2, 3):
-                    assert outcome(find_complete_tuple(H, m, budget)) == outcome(
-                        reference_find_complete_tuple(H, m, budget)
-                    ), (sorted(H.edges), m)
+                    assert_matches_reference(H, m, budget)
 
     def test_random_hypergraphs_with_small_budgets(self):
         rng = random.Random(1903)
@@ -209,9 +249,7 @@ class TestReferenceOracle:
             else:
                 H = random_hypergraph(rng, rng.randint(k, 9), k, rng.random())
             for budget in (rng.randint(1, 200), 10_000_000):
-                assert outcome(find_complete_tuple(H, m, budget)) == outcome(
-                    reference_find_complete_tuple(H, m, budget)
-                ), (H.n, k, sorted(H.edges), m, budget)
+                assert_matches_reference(H, m, budget)
 
     def test_box_nerves(self, monkeypatch):
         # Deep absence proofs, the shape colorful_check runs on; the d=2
@@ -223,7 +261,8 @@ class TestReferenceOracle:
         charge = forbidden.popcount_sum
 
         def spy(cands, succ, dropped):
-            depths.append(sys._getframe(1).f_locals["depth"])
+            # The compatibility-graph build at k = 2 has no depth.
+            depths.append(sys._getframe(1).f_locals.get("depth"))
             return charge(cands, succ, dropped)
 
         monkeypatch.setattr(forbidden, "popcount_sum", spy)
@@ -238,9 +277,7 @@ class TestReferenceOracle:
             H = random_box_family(n, d, seed, spread=40, max_side=30).nerve_hypergraph
             for budget in budgets:
                 depths.clear()
-                assert outcome(find_complete_tuple(H, d + 1, budget)) == outcome(
-                    reference_find_complete_tuple(H, d + 1, budget)
-                ), (n, d, seed, budget)
+                assert_matches_reference(H, d + 1, budget)
                 ahead[n, d, budget] = depths.count(d - 2)
         # d=1 (k = 2) runs neither rule, and 12 vertices hold no three
         # disjoint 4-sets past depth 0, so d=3 n=12 is decided by the size
@@ -250,6 +287,15 @@ class TestReferenceOracle:
         for key in ((12, 2, 100_000), (12, 2, 10_000_000), (14, 2, 100_000),
                     (14, 2, 10_000_000), (14, 3, 100_000)):
             assert ahead[key] >= 10, (key, ahead[key])
+
+
+@pytest.mark.parametrize("n, d", [(200, 2), (200, 3), (400, 2), (400, 3)])
+def test_large_intersection_graphs_are_absent(n, d):
+    # Too many missing pairs for a TupleIndex (69,573 at d=2 n=400); the
+    # k = 2 search builds and searches the compatibility core instead.
+    G = random_box_family(n, d, 1).intersection_graph
+    res = find_complete_tuple(G, d + 1)
+    assert (res.verdict, res.certificate) == (Verdict.ABSENT, None)
 
 
 class TestLookAheadPremise:
@@ -469,6 +515,25 @@ class TestEquivalenceWithBicliqueSearch:
             res = find_complete_tuple(H, m)
             assert res.verdict is not Verdict.EXHAUSTED
             assert (res.verdict is Verdict.FOUND) == has_induced_biclique(H, m)
+
+    def test_planted_and_random_up_to_m_four(self):
+        # Planted K_2(m) on 2m to 9 vertices, on a background of any
+        # density, and random graphs on 8 or 9 vertices, up to m = 4.
+        rng = random.Random(97)
+        found = dict.fromkeys((2, 3, 4), 0)
+        for _ in range(300):
+            m = rng.choice([2, 3, 4])
+            if rng.random() < 0.5:
+                H = planted_complete_tuple(rng, rng.randint(2 * m, 9), 2, m, rng.random())
+            else:
+                H = random_hypergraph(rng, rng.choice([8, 9]), 2, rng.random() ** 0.5)
+            res = find_complete_tuple(H, m)
+            assert res.verdict is not Verdict.EXHAUSTED
+            assert (res.verdict is Verdict.FOUND) == has_induced_biclique(H, m), (
+                sorted(H.edges), m,
+            )
+            found[m] += res.verdict is Verdict.FOUND
+        assert min(found.values()) >= 20, found
 
 
 class TestCertificateSerialization:
