@@ -35,6 +35,10 @@ DEFAULT_MAX_FAMILY = 2_000_000
 # default, so no report prints a number that long.
 MAX_PRINTED_DIGITS = 4300
 
+# The cap on the total width of the link index, its keys times n bits: a
+# path on 2^16 vertices, just at the cap, runs `analyze` within 1 GiB.
+MAX_LINK_BITS = 1 << 32
+
 
 class InputFormatError(ValueError):
     """An instance document violates the on-disk format."""
@@ -105,10 +109,18 @@ class KUniformHypergraph:
         Both sides are vertex bitmasks (bit v stands for vertex v).  Only
         (k-1)-sets with a nonempty link are keys; look up with
         ``links.get(s, 0)``.  For k = 2 the key 1 << v maps to the
-        neighbourhood of v, built as one adjacency row per vertex.
+        neighbourhood of v, built as one adjacency row per vertex.  The
+        keys, at most k|E| and C(n, k-1), times n bits each are held to
+        ``MAX_LINK_BITS`` before any mask is built.
         """
-        if self.k == 2:
-            adj = [0] * self.n
+        n, k = self.n, self.k
+        keys = k * len(self.edges)
+        if not comb_exceeds(n, k - 1, keys):
+            keys = math.comb(n, k - 1)
+        what = f"the width of the link index, at most {keys} masks of {n} bits"
+        refuse_over_cap(what, MAX_LINK_BITS, keys * n)
+        if k == 2:
+            adj = [0] * n
             for u, v in self.edges:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u

@@ -5,7 +5,8 @@ that every transversal (one vertex picked from each) forms a clique.  For
 k = 2 this is the same thing as an induced K_2(m), the complete
 multipartite graph on m parts of size two, and an m-clique of the
 compatibility graph of the missing pairs, which is where
-``find_complete_tuple`` searches at k = 2.  ``has_induced_biclique`` is an
+``find_complete_tuple`` and the hill climb's ``tuple_through_pair``
+search at k = 2.  ``has_induced_biclique`` is an
 independent implementation of that specialization and doubles as a test
 oracle for both searches.
 """
@@ -23,6 +24,7 @@ from .core import (
     InternalConsistencyError,
     KUniformHypergraph,
     WorkMeter,
+    _walk_missing,
     first_clique,
     mask_vertices,
     masked_rows,
@@ -33,8 +35,9 @@ from .core import (
 DEFAULT_BUDGET = 10_000_000
 # A TupleIndex over M k-sets keeps M masks of M bits in ``apart`` and
 # about half that in ``later``: 0.75 GiB at 2^16 k-sets.  The searches
-# that build one, ``find_complete_tuple`` at k >= 3 and the hill climb at
-# every k, refuse more k-sets than this before listing them.
+# that build one, ``find_complete_tuple`` and the hill climb at k >= 3,
+# refuse more k-sets than this before listing them; the hill climb, which
+# lists every k-subset, refuses them at k = 2 too.
 MAX_TUPLE_SLOTS = 1 << 16
 
 
@@ -169,10 +172,12 @@ class TupleIndex:
     memos read ``links`` on first use.  The last two tuples of a complete
     tuple lie inside ``cores[p]`` for each pick p of the tuples before
     them, which lets ``search`` skip last depths that hold no hit.  The
-    global search indexes the missing edges of one instance.  The hill
-    climb indexes every k-subset, passes the missing ones as a mask, and
-    flips its edges with ``toggle``, which keeps ``links``, ``inside`` and
-    ``cores`` in step.
+    index is general in k, but the program builds one only at k >= 3,
+    where the global search indexes the missing edges of one instance, and
+    the hill climb every k-subset: it passes the missing ones as a mask
+    and flips its edges with ``toggle``, which keeps ``links``, ``inside``
+    and ``cores`` in step.  At k = 2 both searches run on the
+    compatibility core (``_compatibility_core``) instead.
     """
 
     __slots__ = ("k", "ksets", "full", "without", "apart", "later", "links", "inside", "cores")
@@ -445,45 +450,50 @@ class TupleIndex:
         return (chosen if hit else None), nodes
 
 
-def _compatibility_core(H: KUniformHypergraph, m: int) -> tuple[list[Edge], list[int]]:
-    """The (m-1)-core of the compatibility graph C of a graph (k = 2): its
-    vertices, in lexicographic order, and their adjacency rows over their
-    positions in that order.
+def _compatibility_core(
+    links: Mapping[int, int], within: int, m: int
+) -> tuple[list[Edge], list[set[int]]]:
+    """The (m-1)-core of the compatibility graph C of the graph induced on
+    the vertex mask ``within``: its vertices, in lexicographic order, and
+    the sets of their later neighbours over their positions in that order.
+    ``links`` holds the adjacency rows, as the k = 2 link masks
+    ``{1 << v: N(v)}`` of ``KUniformHypergraph.links``.
 
-    C's vertices are the missing pairs, numbered in lexicographic order:
-    (a, b) is ``offset[a]`` plus the rank of b among ``above[a]``, the
-    non-neighbours above a.  Two missing pairs are adjacent when all four
-    cross pairs are edges, so the C-neighbours of (a, b) are the missing
-    pairs inside its common neighbourhood, found with one AND per common
-    vertex c: ``common & above[c]``.  The other m - 1 pairs of a complete
-    m-tuple through (a, b) are disjoint pairs inside that neighbourhood,
-    so a pair whose common neighbourhood has fewer than 2(m - 1) vertices
-    lies in no m-clique of C and is not walked, and one with fewer than
-    m - 1 C-neighbours is not kept.  The pairs kept hold sparse neighbour
-    lists, and the peel (Matula & Beck 1983; Batagelj & Zaversnik 2003)
-    drops, one at a time, those with fewer than m - 1 neighbours left;
-    every m-clique of C lies in what remains.  One ``WorkMeter`` refuses
-    the build past its cap: each row of non-neighbours is charged its
-    missing pairs, and each common neighbourhood walked its vertices and
-    the C-neighbours it holds, before they are listed.
+    C's vertices are the missing pairs inside ``within``, numbered in
+    lexicographic order: (a, b) is ``offset[a]`` plus the rank of b among
+    ``above[a]``, the non-neighbours above a.  Two missing pairs are
+    adjacent when all four cross pairs are edges, so the C-neighbours of
+    (a, b) are the missing pairs inside its common neighbourhood, found
+    with one AND per common vertex c: ``common & above[c]``.  The other
+    m - 1 pairs of a complete m-tuple through (a, b) are disjoint pairs
+    inside that neighbourhood, so a pair whose common neighbourhood has
+    fewer than 2(m - 1) vertices lies in no m-clique of C and is not
+    walked, and one with fewer than m - 1 C-neighbours is not kept.  The
+    pairs kept hold sparse neighbour lists, and the peel (Matula & Beck
+    1983; Batagelj & Zaversnik 2003) drops, one at a time, those with
+    fewer than m - 1 neighbours left; every m-clique of C lies in what
+    remains.  One ``WorkMeter`` refuses the build past its cap: each row of
+    non-neighbours is charged its missing pairs, and each common
+    neighbourhood walked its vertices and the C-neighbours it holds,
+    before they are listed.
     """
-    n, links = H.n, H.links
     meter = WorkMeter(f"the compatibility-graph build of a {m}-tuple search")
-    adj = [links.get(1 << v, 0) for v in range(n)]
-    full = (1 << n) - 1
-    above, offset, count = [], [], 0
-    for v in range(n):
-        row = full >> (v + 1) << (v + 1) & ~adj[v]
+    vertices = mask_vertices(within)
+    n = within.bit_length()
+    adj, above, offset, count = [0] * n, [0] * n, [0] * n, 0
+    for v in vertices:
+        adj[v] = links.get(1 << v, 0) & within
+        row = within >> (v + 1) << (v + 1) & ~adj[v]
         meter.charge(row.bit_count())
-        above.append(row)
-        offset.append(count)
+        above[v] = row
+        offset[v] = count
         count += row.bit_count()
     # walked[i]: missing pair i and its C-neighbours, for the pairs walked
     # that have m - 1 of them or more.
     walked: dict[int, tuple[Edge, list[int]]] = {}
     need = 2 * (m - 1)
     i = -1
-    for a in range(n):
+    for a in vertices:
         rest = above[a]
         while rest:
             low = rest & -rest
@@ -524,6 +534,70 @@ def _compatibility_core(H: KUniformHypergraph, m: int) -> tuple[list[Edge], list
     return [walked[i][0] for i in core], later
 
 
+def _tuple_inside(
+    links: Mapping[int, int], within: int, j: int, budget: int
+) -> tuple[Optional[list[Edge]], int]:
+    """The first complete j-tuple of the graph induced on the vertex mask
+    ``within`` (k = 2, adjacency rows as in ``_compatibility_core``), or
+    None, and the node count: the compatibility-core vertices tried, none
+    for j <= 1.  j = 0 needs nothing, j = 1 is the first missing pair
+    (``core._walk_missing``), and from j = 2 on the (j-1)-core is searched
+    by ``core.first_clique``."""
+    if j == 0:
+        return [], 0
+    if j == 1:
+        for s, miss in _walk_missing(links, 0, within, 1):
+            return [mask_vertices(s | miss & -miss)], 0
+        return None, 0
+    pairs, later = _compatibility_core(links, within, j)
+    chosen, nodes = first_clique(later, j, budget)
+    return (None if chosen is None else [pairs[i] for i in chosen]), nodes
+
+
+def tuple_through_pair(
+    links: Mapping[int, int], m: int, e: Edge, adding: bool, budget: int
+) -> tuple[Optional[list[Edge]], int]:
+    """A complete m-tuple that uses the pair e = (a, b) of a graph given by
+    its adjacency rows (k = 2, the link masks ``{1 << v: N(v)}``), just
+    toggled: ``adding`` when e is now an edge, not a missing pair.  Returns
+    its tuples (None if there is none) and the node count, the
+    compatibility-core vertices that its searches of j >= 2 pairs try
+    (``_tuple_inside``); the check stops once that passes ``budget``.
+
+    A missing e is one of the tuples, and the other m - 1 make a complete
+    tuple inside N(a) & N(b).  An edge e is a cross pair, so a and b lie
+    in tuples (a, x) and (b, y) of their own: x in N(b) - N[a], y in
+    N(a) - N[b], x ~ y, and the other m - 2 tuples make a complete tuple
+    inside N(a) & N(b) & N(x) & N(y).  Those are the only complete tuples
+    a toggle of e can create, so on an instance that had none before the
+    toggle this decides whether the toggled one has one.
+    """
+    a, b = e
+    na, nb = links.get(1 << a, 0), links.get(1 << b, 0)
+    if not adding:
+        rest, nodes = _tuple_inside(links, na & nb, m - 1, budget)
+        return (None if rest is None else [e, *rest]), nodes
+    common, xs, ys = na & nb, nb & ~na & ~(1 << a), na & ~nb & ~(1 << b)
+    nodes = 0
+    while xs:
+        xb = xs & -xs
+        xs ^= xb
+        nx = links.get(xb, 0)
+        pairs = ys & nx
+        while pairs:
+            yb = pairs & -pairs
+            pairs ^= yb
+            within = common & nx & links.get(yb, 0)
+            rest, spent = _tuple_inside(links, within, m - 2, budget - nodes)
+            nodes += spent
+            if rest is not None:
+                x, y = xb.bit_length() - 1, yb.bit_length() - 1
+                return [(min(a, x), max(a, x)), (min(b, y), max(b, y)), *rest], nodes
+            if nodes > budget:
+                return None, nodes
+    return None, nodes
+
+
 def find_complete_tuple(
     H: KUniformHypergraph, m: int, budget: int = DEFAULT_BUDGET
 ) -> TupleSearchResult:
@@ -536,11 +610,13 @@ def find_complete_tuple(
 
     At k = 2 a complete m-tuple is an m-clique of the compatibility graph
     of the missing pairs, which is searched on its (m-1)-core
-    (``_compatibility_core``) by ``core.first_clique``: ``nodes`` counts
-    the core vertices tried, so an instance with an empty core is ABSENT
-    with 0 nodes.  The build refuses past the cap of its ``WorkMeter``.
-    At k >= 3 ``TupleIndex.search`` describes the candidate masks and the
-    node count, every candidate passed over; it refuses more than
+    (``_compatibility_core`` on every vertex) by ``core.first_clique``,
+    the engine that the hill climb's ``tuple_through_pair`` runs on
+    common neighbourhoods: ``nodes`` counts the core vertices tried, so
+    an instance with an empty core is ABSENT with 0 nodes.  The build
+    refuses past the cap of its ``WorkMeter``.  At k >= 3
+    ``TupleIndex.search`` describes the candidate masks and the node
+    count, every candidate passed over; it refuses more than
     ``MAX_TUPLE_SLOTS`` missing edges, counted as C(n, k) - |E| before
     they are listed.
     """
@@ -550,17 +626,16 @@ def find_complete_tuple(
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if k == 2:
-        ksets, later = _compatibility_core(H, m)
-        chosen, nodes = first_clique(later, m, budget)
+        tuples, nodes = _tuple_inside(H.links, (1 << H.n) - 1, m, budget)
     else:
         what = f"the missing-edge count C({H.n},{k}) - {len(H.edges)} of a tuple search"
         refuse_over_cap(what, MAX_TUPLE_SLOTS, H.n, k, len(H.edges))
         index = TupleIndex(H.n, k, H.missing, H.links)
-        ksets = index.ksets
         chosen, nodes = index.search(m, budget, index.full)
-    if chosen is not None:
+        tuples = None if chosen is None else [index.ksets[i] for i in chosen]
+    if tuples is not None:
         # A hit is verified by enumeration before it is reported FOUND.
-        cert = CompleteTupleCertificate(tuple(ksets[i] for i in chosen))
+        cert = CompleteTupleCertificate(tuple(tuples))
         return TupleSearchResult(Verdict.FOUND, certify(cert, verify_complete_tuple(H, cert)), nodes)
     if nodes > budget:
         return TupleSearchResult(Verdict.EXHAUSTED, None, budget + 1)

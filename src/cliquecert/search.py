@@ -18,12 +18,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .bounds import beta_recursion, theorem1_bound
 from .core import (
     BudgetExhaustedError,
     Density,
+    Edge,
     KUniformHypergraph,
     clique_through_exceeds,
     count_cliques_through,
@@ -42,6 +43,7 @@ from .forbidden import (
     certify,
     check_complete_tuple,
     find_complete_tuple,
+    tuple_through_pair,
 )
 
 MAX_ENUMERATION_BITS = 22
@@ -209,17 +211,22 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
     is checked only where it can change something, by the seeded kernels:
     the m-cliques through e give the change in c_m, a clique through e
     is the only way adding e can break the cap, and a complete tuple that
-    uses e the only one the toggle can create (``TupleIndex.search``
-    seeded with ``TupleIndex.through``).  The instance is kept as an edge
-    bitmask over the k-subsets with its link index; ``KUniformHypergraph``
-    is built only for each restart's best instance, and a certificate the
-    search hits is verified by enumeration against the edge bitmask.
-    ``tuple_budget`` bounds each seeded search and the final
-    re-verification.  A seeded search is charged every candidate it passes
-    over, at every k; the re-verification is ``find_complete_tuple``,
-    which at k = 2 is charged the compatibility-core vertices it tries.
-    The climb's ``TupleIndex`` holds every k-subset, so it refuses more
-    than ``forbidden.MAX_TUPLE_SLOTS`` of them.
+    uses e the only one the toggle can create.  The instance is kept as an
+    edge bitmask over the k-subsets with its link masks;
+    ``KUniformHypergraph`` is built only for each restart's best instance,
+    and a certificate the tuple check hits is verified by enumeration
+    against the edge bitmask.  At k = 2 the check is
+    ``forbidden.tuple_through_pair`` on the link masks, after the toggle,
+    and no ``TupleIndex`` is built.  It is charged the compatibility-core
+    vertices its searches of two pairs or more try; a check of at most one
+    pair costs no node.  At k >= 3 it is ``TupleIndex.search`` seeded with
+    ``TupleIndex.through``, charged every candidate it passes over.
+    ``tuple_budget`` bounds each check, and a proposal whose check runs
+    past it is discarded.  It bounds the final re-verification too,
+    ``find_complete_tuple``, which at k = 2 is charged the
+    compatibility-core vertices it tries; the build of each core refuses
+    past the cap of its ``WorkMeter``.  The climb lists every k-subset,
+    so it refuses more than ``forbidden.MAX_TUPLE_SLOTS`` of them.
     """
     n, k, m = config.n, config.k, config.m
     if config.restarts < 1:
@@ -231,15 +238,13 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
     positions = list(combinations(range(n), k))
     rank = {e: i for i, e in enumerate(positions)}
     vertex_masks = [sum(1 << v for v in e) for e in positions]
-    full = (1 << len(positions)) - 1
     budget = config.tuple_budget
     best = None
     for restart in range(config.restarts):
         rng = random.Random(_restart_seed(config.seed, restart))
-        # The instance: bit i of `edges` for positions[i], and index.links.
+        # The instance: bit i of `edges` for positions[i], and `links`.
         # The edgeless start has no m-clique, since m >= k.
-        index = TupleIndex(n, k, positions, {})
-        links = index.links
+        links, toggle, tuple_through = _edgeless_climb(n, k, m, positions, budget)
         edges = restart_best = 0
         cur_cm = restart_best_cm = 0
         for _ in range(config.iterations):
@@ -254,22 +259,21 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
             # Removing an edge cannot raise omega.
             if adding and clique_through_exceeds(links, k, em, config.omega_cap):
                 continue
-            index.toggle(em)
+            toggle(em)
             trial = edges ^ 1 << i
-            pools = index.through(positions[i], None if adding else i)
-            chosen, nodes = index.search(m, budget, full ^ trial, pools)
-            if chosen is None and nodes <= budget:
+            tuples, nodes = tuple_through(i, adding, trial)
+            if tuples is None and nodes <= budget:
                 edges, cur_cm = trial, cm2
                 if cur_cm > restart_best_cm:
                     restart_best, restart_best_cm = edges, cur_cm
                 continue
-            if chosen is not None:
+            if tuples is not None:
                 # Raises unless the certificate checks out on the trial,
                 # read bit by bit from its mask rather than from the links
                 # the search used.
-                cert = CompleteTupleCertificate(tuple(positions[j] for j in chosen))
+                cert = CompleteTupleCertificate(tuple(tuples))
                 certify(cert, check_complete_tuple(n, k, lambda t: trial >> rank[t] & 1, cert))
-            index.toggle(em)
+            toggle(em)
         H = KUniformHypergraph(
             n=n, k=k, edges=frozenset(positions[j] for j in mask_vertices(restart_best))
         )
@@ -278,6 +282,40 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
         if best is None or record.alpha > best.alpha:
             best = record
     return best
+
+
+def _edgeless_climb(
+    n: int, k: int, m: int, positions: list[Edge], budget: int
+) -> tuple[dict[int, int], Callable, Callable]:
+    """The link masks of an edgeless instance, the toggle that flips the
+    k-set with a given vertex mask in them, and the climb's tuple check:
+    ``(i, adding, trial)`` gives the tuples of a complete m-tuple through
+    ``positions[i]``, just toggled, on the instance with edge bitmask
+    ``trial`` (None if there is none), and the node count.  At k = 2 the
+    check is ``tuple_through_pair`` on the links; at k >= 3 it is
+    ``TupleIndex.search`` over every k-subset, seeded by ``through``."""
+    if k == 2:
+        links: dict[int, int] = {}
+
+        def toggle(em: int) -> None:
+            low = em & -em
+            high = em ^ low
+            links[low] = links.get(low, 0) ^ high
+            links[high] = links.get(high, 0) ^ low
+
+        def tuple_through(i: int, adding: bool, trial: int):
+            return tuple_through_pair(links, m, positions[i], adding, budget)
+
+        return links, toggle, tuple_through
+    index = TupleIndex(n, k, positions, {})
+    full = (1 << len(positions)) - 1
+
+    def tuple_through(i: int, adding: bool, trial: int):
+        pools = index.through(positions[i], None if adding else i)
+        chosen, nodes = index.search(m, budget, full ^ trial, pools)
+        return (None if chosen is None else [positions[j] for j in chosen]), nodes
+
+    return index.links, index.toggle, tuple_through
 
 
 @dataclass(frozen=True)

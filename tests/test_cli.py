@@ -88,6 +88,7 @@ REFUSAL_DOCS = {
     "edgeless-n20000-k10000": lambda: {"n": 20000, "k": 10000, "edges": []},
     "star10001": lambda: {"n": 10001, "k": 2, "edges": [[0, i] for i in range(1, 10001)]},
     "k300-minus-edge": lambda: {"n": 300, "k": 2, "missing": [[0, 1]]},
+    "path150000": lambda: {"n": 150000, "k": 2, "edges": [[i, i + 1] for i in range(149999)]},
     "disjoint-k4-3": lambda: disjoint_cliques(2500, 4, 3, random.Random(1)),
     "disjoint-triangles": lambda: disjoint_cliques(5000, 3, 2),
     # The Turan graph T(200, 10): ten parts of 20 vertices, no 11-clique.
@@ -168,6 +169,10 @@ WIDE_SEARCH = ["search", "--n", "200000", "--k", "100000", "--m", "100000", "--o
         pytest.param(["extract", "--input", "@edgeless-n40-k10", "--m", "12"],
                      id="extract-n40-k10"),
         pytest.param(["extract", "--input", "@turan200", "--m", "11"], id="extract-turan200-m11"),
+        # The path's link index would hold 150,000 masks of up to 150,000
+        # bits, about 1.4 GB; the width is refused before any mask is built.
+        pytest.param(["analyze", "--input", "@path150000"], id="analyze-path150000"),
+        pytest.param(["extract", "--input", "@path150000"], id="extract-path150000"),
         # 10,000 edges that share N_{0}: each of the C(10000, 2) missing
         # edges between leaves costs a score-walk step and a table entry.
         pytest.param(["extract", "--input", "@star10001"], id="extract-star10001"),

@@ -16,6 +16,7 @@ from cliquecert import (
     verify_complete_tuple,
 )
 from cliquecert import forbidden
+from cliquecert.core import first_clique
 from cliquecert.forbidden import TupleIndex
 from helpers import (
     all_graphs,
@@ -505,6 +506,26 @@ class TestEquivalenceWithBicliqueSearch:
                     res = find_complete_tuple(H, m)
                     assert res.verdict is not Verdict.EXHAUSTED
                     assert (res.verdict is Verdict.FOUND) == has_induced_biclique(H, m)
+
+    def test_compatibility_core_on_a_vertex_mask(self):
+        # The core of the subgraph induced on a mask W, searched by
+        # first_clique, decides an induced K_2(m) there; a hit lies in W
+        # and is a complete tuple of the whole graph.
+        rng = random.Random(23)
+        for H in all_graphs(6):
+            within = rng.randrange(1 << 6)
+            inside = [v for v in range(6) if within >> v & 1]
+            sub = graph(len(inside), [
+                (inside.index(u), inside.index(v)) for u, v in H.edges if within >> u & within >> v & 1
+            ])
+            for m in (2, 3):
+                pairs, later = forbidden._compatibility_core(H.links, within, m)
+                chosen, _ = first_clique(later, m, 10**7)
+                assert (chosen is not None) == has_induced_biclique(sub, m), (sorted(H.edges), within)
+                if chosen is not None:
+                    cert = CompleteTupleCertificate(tuple(pairs[i] for i in chosen))
+                    assert set(inside) >= {v for t in cert.tuples for v in t}
+                    assert verify_complete_tuple(H, cert) == (True, None)
 
     def test_sampled_larger_graphs(self):
         rng = random.Random(99)

@@ -20,6 +20,7 @@ from cliquecert import (
     max_clique,
     report_beta_upper,
 )
+from cliquecert import search
 from cliquecert.core import (
     InternalConsistencyError,
     KUniformHypergraph,
@@ -30,6 +31,7 @@ from cliquecert.forbidden import (
     CompleteTupleCertificate,
     TupleIndex,
     check_complete_tuple,
+    tuple_through_pair,
     verify_complete_tuple,
 )
 from helpers import cycle_graph, nine_vertex_example, random_hypergraph
@@ -275,49 +277,150 @@ class TestSeededKernels:
         assert digest == "2be137f3bf66318f"
 
 
+class TestPairCheck:
+    """The climb's k = 2 tuple check on adjacency rows, on random feasible
+    walks: its verdict on every proposed toggle of a pair e is that of
+    ``find_complete_tuple`` on the toggled instance, and a hit is a valid
+    certificate that uses e."""
+
+    @staticmethod
+    def walk(m, n, cap, steps, seed, dense):
+        # A share ``dense`` of the proposals toggles a missing pair, which
+        # keeps the walk dense enough to meet K_2(4).
+        rng = random.Random(seed)
+        positions = list(combinations(range(n), 2))
+        links, edges = {}, frozenset()
+        directions, hits = set(), set()
+        for _ in range(steps):
+            pool = [p for p in positions if p not in edges] if rng.random() < dense else positions
+            e = rng.choice(pool or positions)
+            adding = e not in edges
+            trial = KUniformHypergraph(n=n, k=2, edges=edges ^ {e})
+            if adding and len(max_clique(trial).vertices) > cap:
+                continue
+            a, b = e
+            for u, v in (e, (b, a)):
+                links[1 << u] = links.get(1 << u, 0) ^ 1 << v
+            assert {s: row for s, row in links.items() if row} == trial.links
+            tuples, nodes = tuple_through_pair(links, m, e, adding, 10**7)
+            found = find_complete_tuple(trial, m).verdict is Verdict.FOUND
+            assert (tuples is not None) == found and nodes <= 10**7
+            # A smaller budget stops the same check once its nodes pass it.
+            for budget in (0, 2):
+                got = tuple_through_pair(links, m, e, adding, budget)
+                if nodes <= budget:
+                    assert got == (tuples, nodes)
+                else:
+                    assert got[0] is None and got[1] > budget
+            if found:
+                cert = CompleteTupleCertificate(tuple(tuples))
+                assert verify_complete_tuple(trial, cert) == (True, None)
+                # A removed e is one of the tuples; for an added e, a and b
+                # lie in different tuples.
+                if adding:
+                    assert [t for t in cert.tuples if a in t] != [t for t in cert.tuples if b in t]
+                else:
+                    assert e in cert.tuples
+                hits.add(adding)
+                for u, v in (e, (b, a)):
+                    links[1 << u] ^= 1 << v
+            else:
+                edges = trial.edges
+                directions.add(adding)
+        return directions, hits
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_walks_agree_with_find_complete_tuple(self, m):
+        hits = set()
+        walks = [(9, 2, 0), (9, m + 1, 0), (9, 8, 0), (10, 9, 0.5), (10, 9, 0.8)]
+        for seed, (n, cap, dense) in enumerate(walks):
+            # Both toggle directions are accepted on every walk.
+            directions, seen = self.walk(m, n, cap, 300, 100 * m + seed, dense)
+            assert directions == {True, False}
+            hits |= seen
+        # Both directions meet a hit, which the check must find.
+        assert hits == {True, False}
+
+    @pytest.mark.parametrize("k, m", [(2, 2), (2, 3), (2, 4), (3, 3)])
+    def test_only_k3_climbs_build_a_tuple_index(self, monkeypatch, k, m):
+        built = []
+        init = TupleIndex.__init__
+
+        def spy(self, *args):
+            built.append(args[:2])
+            init(self, *args)
+
+        monkeypatch.setattr(TupleIndex, "__init__", spy)
+        hill_climb(HillClimbConfig(n=9, k=k, m=m, omega_cap=m + 1, iterations=300, restarts=2, seed=1))
+        # At k = 3 the climb and the record's re-verification build one
+        # per restart each.
+        assert built == ([] if k == 2 else [(9, 3)] * 4)
+
+
+def bad_tuples(kind, n, k, m, edges):
+    """m k-sets that fail the certificate check on the instance with edge
+    set ``edges`` in the way ``kind`` names: the first m k-subsets
+    overlap; otherwise the first edge (for "edge") and then the
+    lexicographically first missing k-sets disjoint from those before."""
+    if kind == "overlap":
+        return list(combinations(range(n), k))[:m]
+    tuples = [min(edges)] if kind == "edge" else []
+    for t in combinations(range(n), k):
+        if len(tuples) < m and t not in edges and not any(set(t) & set(u) for u in tuples):
+            tuples.append(t)
+    return tuples
+
+
+BAD_HITS = [("overlap", "are not disjoint"), ("edge", "is not a missing edge"), ("cross", "is not a clique")]
+
+
 class TestSeededCertificateCheck:
     """The climb verifies a seeded hit against its edge bitmask, without
-    building an instance: a bad hit raises with its certificate, and the
-    bitmask check agrees with ``verify_complete_tuple``."""
+    building an instance: a bad hit raises with its certificate, from the
+    k = 2 pair check and from a k >= 3 ``TupleIndex.search`` alike, and
+    the bitmask check agrees with ``verify_complete_tuple``."""
 
-    @pytest.mark.parametrize(
-        "kind, reason",
-        [
-            ("overlap", "are not disjoint"),
-            ("edge", "is not a missing edge"),
-            ("cross", "is not a clique"),
-        ],
-    )
-    def test_bad_hit_raises_with_its_certificate(self, monkeypatch, kind, reason):
+    @staticmethod
+    def assert_raises_for(config, kind, reason, seen):
         # The first proposal from the edgeless start adds an edge and
-        # reaches the tuple search; the patched search answers it with a
-        # hit that fails in the given way.
-        seen = []
-
-        def low(mask):
-            return (mask & -mask).bit_length() - 1
-
-        def search(index, m, budget, missing, pools=()):
-            if kind == "overlap":
-                chosen = [0, 1]
-            else:
-                first = low(index.full & ~missing if kind == "edge" else missing)
-                chosen = [first, low(index.apart[first] & missing)]
-            seen.append(missing)
-            return chosen, 1
-
-        monkeypatch.setattr(TupleIndex, "search", search)
+        # reaches the tuple check, which the caller has patched to record
+        # the trial's edge set in `seen` and answer with a hit that fails
+        # in the given way.
         with pytest.raises(InternalConsistencyError) as info:
-            hill_climb(HillClimbConfig(n=5, k=2, m=2, omega_cap=3, iterations=10, seed=1))
-        positions = list(combinations(range(5), 2))
-        trial = KUniformHypergraph(
-            n=5, k=2, edges=frozenset(p for i, p in enumerate(positions) if not seen[0] >> i & 1)
-        )
+            hill_climb(config)
+        assert len(seen) == 1
+        trial = KUniformHypergraph(n=config.n, k=config.k, edges=frozenset(seen[0]))
         cert = info.value.certificate
+        assert cert.tuples == tuple(bad_tuples(kind, config.n, config.k, config.m, seen[0]))
         ok, expected = verify_complete_tuple(trial, cert)
         assert not ok and reason in expected
         assert str(info.value) == f"search produced an invalid certificate: {expected}"
-        assert len(seen) == 1
+
+    @pytest.mark.parametrize("kind, reason", BAD_HITS)
+    def test_bad_hit_raises_with_its_certificate(self, monkeypatch, kind, reason):
+        seen = []
+
+        def check(links, m, e, adding, budget):
+            edges = {(u, v) for u, v in combinations(range(5), 2) if links.get(1 << u, 0) >> v & 1}
+            seen.append(edges)
+            return bad_tuples(kind, 5, 2, m, edges), 1
+
+        monkeypatch.setattr(search, "tuple_through_pair", check)
+        config = HillClimbConfig(n=5, k=2, m=2, omega_cap=3, iterations=10, seed=1)
+        self.assert_raises_for(config, kind, reason, seen)
+
+    @pytest.mark.parametrize("kind, reason", BAD_HITS)
+    def test_bad_hit_of_a_tuple_index_raises_with_its_certificate(self, monkeypatch, kind, reason):
+        seen = []
+
+        def fake_search(index, m, budget, missing, pools=()):
+            edges = {t for i, t in enumerate(index.ksets) if not missing >> i & 1}
+            seen.append(edges)
+            return [index.ksets.index(t) for t in bad_tuples(kind, 9, 3, m, edges)], 1
+
+        monkeypatch.setattr(TupleIndex, "search", fake_search)
+        config = HillClimbConfig(n=9, k=3, m=3, omega_cap=3, iterations=10, seed=1)
+        self.assert_raises_for(config, kind, reason, seen)
 
     def test_bitmask_check_agrees_with_verify(self):
         rng = random.Random(1911)
