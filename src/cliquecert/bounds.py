@@ -9,8 +9,8 @@ happens in rational arithmetic (see ``meets_theorem1_bound`` and friends).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import MAX_PRINTED_DIGITS, Density
 
@@ -81,8 +81,7 @@ def kalai_bound(alpha: float, d: int) -> float:
     return 1.0 - (1.0 - alpha) ** (1.0 / (d + 1))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All bound evaluators at one (alpha, k, m, d) point."""
 
     alpha: Density

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, combinations, compress
@@ -64,34 +63,68 @@ class InternalConsistencyError(RuntimeError):
         self.certificate = certificate
 
 
-@dataclass(frozen=True)
-class KUniformHypergraph:
+class _Frozen:
+    """Frozen value semantics for a class that names its fields in
+    ``_fields`` and sets them in ``__init__``, in its ``__dict__`` or
+    slots: ``==`` and a matching hash over the field values, between
+    instances of the same class only; a ``Name(field=value, ...)`` repr;
+    and no assignment or deletion of attributes afterwards.  Writes that
+    bypass ``__setattr__`` (``cached_property``, ``__dict__.update``) still
+    work."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        pairs = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({pairs})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class KUniformHypergraph(_Frozen):
     """A k-uniform hypergraph on vertices 0..n-1.
 
-    Invariants enforced at construction: every edge is a strictly
+    Invariants checked by the constructor: every edge is a strictly
     increasing k-tuple of vertices in [0, n); no duplicates (frozenset).
     The missing-edge set is definitionally the complement inside the set
     of all k-subsets of the vertex set.
     """
 
+    _fields = ("n", "k", "edges")
     n: int
     k: int
     edges: frozenset[Edge]
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise InputFormatError(f"edge arity k must be >= 2, got {self.k}")
-        if self.n < 0:
-            raise InputFormatError(f"vertex count must be >= 0, got {self.n}")
-        if _edges_valid(self.edges, self.n, self.k):
-            return
-        for e in self.edges:
-            if len(e) != self.k:
-                raise InputFormatError(f"edge {e} has {len(e)} vertices, expected {self.k}")
-            if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
-                raise InputFormatError(f"edge {e} is not strictly increasing")
-            if e[0] < 0 or e[-1] >= self.n:
-                raise InputFormatError(f"edge {e} has a vertex outside [0, {self.n})")
+    def __init__(self, n: int, k: int, edges: frozenset[Edge]):
+        if k < 2:
+            raise InputFormatError(f"edge arity k must be >= 2, got {k}")
+        if n < 0:
+            raise InputFormatError(f"vertex count must be >= 0, got {n}")
+        if not _edges_valid(edges, n, k):
+            for e in edges:
+                if len(e) != k:
+                    raise InputFormatError(f"edge {e} has {len(e)} vertices, expected {k}")
+                if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
+                    raise InputFormatError(f"edge {e} is not strictly increasing")
+                if e[0] < 0 or e[-1] >= n:
+                    raise InputFormatError(f"edge {e} has a vertex outside [0, {n})")
+        self.__dict__.update(n=n, k=k, edges=edges)
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
@@ -153,11 +186,14 @@ class KUniformHypergraph:
         return Fraction(len(self.edges), total)
 
 
-@dataclass(frozen=True)
-class CliqueWitness:
+class CliqueWitness(_Frozen):
     """A vertex set claimed to be a clique; checkable by enumeration."""
 
+    __slots__ = _fields = ("vertices",)
     vertices: tuple[int, ...]
+
+    def __init__(self, vertices: tuple[int, ...]):
+        object.__setattr__(self, "vertices", vertices)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -684,14 +720,18 @@ def _edges_valid(edges, n: int, k: int) -> bool:
     )
 
 
-def _parse_edge_list(obj, key: str, n: int, k: int) -> list[Edge]:
+def _parse_edge_list(obj, key: str, n: int, k: int) -> tuple[list[Edge], frozenset[Edge]]:
+    # The edges in document order, and as the frozenset that both finds
+    # duplicates and becomes the instance's edge set, so each is hashed once.
     raw = obj[key]
     if not isinstance(raw, list):
         raise InputFormatError(f'"{key}" must be a list of edges')
     if set(map(type, raw)) <= {list}:
         edges = list(map(tuple, raw))
-        if _edges_valid(edges, n, k) and len(set(edges)) == len(edges):
-            return edges
+        if _edges_valid(edges, n, k):
+            edge_set = frozenset(edges)
+            if len(edge_set) == len(edges):
+                return edges, edge_set
     # The first malformed entry in document order words the error; an entry
     # the bulk check is stricter about (a list or int subclass) passes here.
     edges = []
@@ -713,15 +753,18 @@ def _parse_edge_list(obj, key: str, n: int, k: int) -> list[Edge]:
             raise InputFormatError(f"{key}[{pos}] duplicates {key}[{seen[e]}]")
         seen[e] = pos
         edges.append(e)
-    return edges
+    return edges, frozenset(edges)
 
 
-def _checked_hypergraph(n: int, k: int, edges: list[Edge]) -> KUniformHypergraph:
-    # The loader has checked every edge once: __post_init__ would again.
-    # An edge list already in strictly ascending order (one C-level pass
-    # decides it) is kept as ``sorted_edges``, which then needs no sort.
+def _checked_hypergraph(
+    n: int, k: int, edges: list[Edge], edge_set: frozenset[Edge]
+) -> KUniformHypergraph:
+    # The loader has checked every edge of ``edges`` once, and ``edge_set``
+    # holds them: the constructor would check them again.  An edge list
+    # already in strictly ascending order (one C-level pass decides it) is
+    # kept as ``sorted_edges``, which then needs no sort.
     H = object.__new__(KUniformHypergraph)
-    H.__dict__.update(n=n, k=k, edges=frozenset(edges))
+    H.__dict__.update(n=n, k=k, edges=edge_set)
     if all(map(lt, edges, edges[1:])):
         H.__dict__["sorted_edges"] = tuple(edges)
     return H
@@ -750,12 +793,12 @@ def hypergraph_from_dict(obj: Mapping) -> KUniformHypergraph:
         raise InputFormatError('exactly one of "edges" or "missing" must be present')
     refuse_over_cap('the vertex count "n"', DEFAULT_MAX_FAMILY, n)
     if has_edges:
-        return _checked_hypergraph(n, k, _parse_edge_list(obj, "edges", n, k))
-    missing = set(_parse_edge_list(obj, "missing", n, k))
+        return _checked_hypergraph(n, k, *_parse_edge_list(obj, "edges", n, k))
+    missing = _parse_edge_list(obj, "missing", n, k)[1]
     what = f'the complement C({n},{k}) - {len(missing)} of "missing"'
     refuse_over_cap(what, DEFAULT_MAX_FAMILY, n, k, len(missing))
     edges = [e for e in combinations(range(n), k) if e not in missing]
-    return _checked_hypergraph(n, k, edges)
+    return _checked_hypergraph(n, k, edges, frozenset(edges))
 
 
 def hypergraph_to_dict(H: KUniformHypergraph) -> dict:

@@ -36,9 +36,8 @@ sigma's (k-1)-subsets.  Rows N_sigma become the columns in bulk transposes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Optional, Union
+from typing import Iterable, Literal, NamedTuple, Optional, Union
 
 from . import core
 from .bounds import beta_recursion, meets_beta_bound, meets_theorem1_bound, theorem1_bound
@@ -75,8 +74,7 @@ class NoProgressError(Exception):
     """A shrink step found no missing edge inside any tuple neighborhood."""
 
 
-@dataclass(frozen=True)
-class GraphTrace:
+class GraphTrace(NamedTuple):
     """Counting state of a graph extraction.
 
     mu_by_vertex[v] is the greedy matching size inside N_v and
@@ -97,8 +95,7 @@ class GraphTrace:
     bound_met: bool
 
 
-@dataclass(frozen=True)
-class HypergraphTrace:
+class HypergraphTrace(NamedTuple):
     """Counting state of the iterated extraction.
 
     family_sizes lists |F_m|, |F_{m-1}|, ..., down to the last family
@@ -121,8 +118,7 @@ class HypergraphTrace:
     fallback: bool
 
 
-@dataclass(frozen=True)
-class ExtractionOutcome:
+class ExtractionOutcome(NamedTuple):
     """A verified clique or certificate and the trace that produced it: a
     GraphTrace from ``extract_graph``, a HypergraphTrace from
     ``extract_hypergraph``."""
@@ -133,8 +129,7 @@ class ExtractionOutcome:
     trace: Union[GraphTrace, HypergraphTrace]
 
 
-@dataclass(frozen=True)
-class ShrinkResult:
+class ShrinkResult(NamedTuple):
     tau: Edge
     family: tuple[Edge, ...]
     scores: dict[Edge, int]

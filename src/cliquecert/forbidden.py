@@ -14,9 +14,8 @@ oracle for both searches.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Callable, Mapping, Optional, Sequence
+from itertools import chain, combinations, product, starmap
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     Edge,
@@ -47,8 +46,7 @@ class Verdict(enum.Enum):
     EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class CompleteTupleCertificate:
+class CompleteTupleCertificate(NamedTuple):
     """m pairwise-disjoint missing edges whose transversals are all cliques."""
 
     tuples: tuple[Edge, ...]
@@ -81,8 +79,7 @@ class CompleteTupleCertificate:
         return cls(tuples=tuples)
 
 
-@dataclass(frozen=True)
-class TupleSearchResult:
+class TupleSearchResult(NamedTuple):
     """Outcome of the tuple search.
 
     ABSENT is a proof: the search space was exhausted without a hit.
@@ -99,10 +96,11 @@ def verify_complete_tuple(
 ) -> tuple[bool, Optional[str]]:
     """Check a certificate exhaustively; returns (ok, first violated condition).
 
-    Conditions are checked in order: pairwise disjointness, each tuple lying
-    in [0, n) and being a genuine missing edge, then every transversal being
-    a clique (all product(tuples) choices, each clique-checked by
-    enumeration).  Arity mismatches are argument errors, not False verdicts.
+    The first violated condition is the first in this order: pairwise
+    disjointness, each tuple lying in [0, n) and being a genuine missing
+    edge, then every transversal being a clique (all product(tuples)
+    choices, each clique-checked by enumeration).  Arity mismatches are
+    argument errors, not False verdicts.
     """
     return check_complete_tuple(H.n, H.k, H.edges.__contains__, cert)
 
@@ -112,26 +110,50 @@ def check_complete_tuple(
 ) -> tuple[bool, Optional[str]]:
     """``verify_complete_tuple`` on the k-uniform instance on [0, n) whose
     edges are the sorted k-tuples t with a truthy ``is_edge(t)``.
-    ``is_edge`` is asked only about k-subsets of [0, n)."""
-    m = cert.m
+    ``is_edge`` is asked only about k-subsets of [0, n).
+
+    Every condition is first checked in bulk by C-level passes: arity and
+    disjointness by the size of the union, the vertex range by its ``min``
+    and ``max``, then through ``map`` the tuples and the k-subsets of the
+    transversals, each k vertices from k distinct tuples, asked once.
+    Only when one fails are they walked in order to word the first."""
+    tuples = cert.tuples
+    m = len(tuples)
     if m < k:
         raise ValueError(f"certificate has m = {m} < k = {k}")
-    for t in cert.tuples:
+    vertices = set().union(*tuples)
+    if (
+        len(vertices) == m * k
+        and set(map(len, tuples)) == {k}
+        and min(vertices) >= 0
+        and max(vertices) < n
+        and not any(map(is_edge, map(tuple, map(sorted, tuples))))
+        and all(map(is_edge, map(tuple, map(sorted, chain.from_iterable(
+            starmap(product, combinations(tuples, k))
+        )))))
+    ):
+        return True, None
+    for t in tuples:
         if len(t) != k or len(set(t)) != k:
             raise ValueError(f"tuple {t} is not a {k}-subset")
-    for i, j in combinations(range(m), 2):
-        if set(cert.tuples[i]) & set(cert.tuples[j]):
-            return False, f"tuples {cert.tuples[i]} and {cert.tuples[j]} are not disjoint"
-    for t in cert.tuples:
+    return False, _first_violation(n, k, is_edge, tuples)
+
+
+def _first_violation(n: int, k: int, is_edge: Callable[[Edge], object], tuples) -> str:
+    # The first violated condition of a certificate of k-sets that failed
+    # check_complete_tuple's bulk passes, in the documented order.
+    for a, b in combinations(tuples, 2):
+        if set(a) & set(b):
+            return f"tuples {a} and {b} are not disjoint"
+    for t in tuples:
         if min(t) < 0 or max(t) >= n:
-            return False, f"{t} has a vertex outside [0, {n})"
+            return f"{t} has a vertex outside [0, {n})"
         if is_edge(tuple(sorted(t))):
-            return False, f"{t} is not a missing edge"
-    for transversal in product(*cert.tuples):
+            return f"{t} is not a missing edge"
+    for transversal in product(*tuples):
         vs = sorted(transversal)
         if not all(is_edge(s) for s in combinations(vs, k)):
-            return False, f"transversal {tuple(vs)} is not a clique"
-    return True, None
+            return f"transversal {tuple(vs)} is not a clique"
 
 
 def certify(

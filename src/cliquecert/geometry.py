@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import core
 from .bounds import kalai_bound
@@ -34,8 +33,7 @@ from .forbidden import DEFAULT_BUDGET, TupleSearchResult, Verdict, find_complete
 Point = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(core._Frozen):
     """An axis-aligned box [lo[0], hi[0]] x ... with integer corners.
 
     Degenerate boxes (lo == hi in some coordinate) are allowed; they
@@ -43,15 +41,18 @@ class Box:
     decides exactly.
     """
 
+    __slots__ = _fields = ("lo", "hi")
     lo: tuple[int, ...]
     hi: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi):
-            raise ValueError(f"lo has {len(self.lo)} coordinates, hi has {len(self.hi)}")
-        for j, (a, b) in enumerate(zip(self.lo, self.hi)):
+    def __init__(self, lo: tuple[int, ...], hi: tuple[int, ...]):
+        if len(lo) != len(hi):
+            raise ValueError(f"lo has {len(lo)} coordinates, hi has {len(hi)}")
+        for j, (a, b) in enumerate(zip(lo, hi)):
             if a > b:
                 raise ValueError(f"coordinate {j}: lo = {a} > hi = {b}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def d(self) -> int:
@@ -61,17 +62,18 @@ class Box:
         return all(a <= p <= b for a, p, b in zip(self.lo, point, self.hi))
 
 
-@dataclass(frozen=True)
-class BoxFamily:
+class BoxFamily(core._Frozen):
+    _fields = ("d", "boxes")
     d: int
     boxes: tuple[Box, ...]
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        for i, box in enumerate(self.boxes):
-            if box.d != self.d:
-                raise ValueError(f"boxes[{i}] has dimension {box.d}, family has {self.d}")
+    def __init__(self, d: int, boxes: tuple[Box, ...]):
+        if d < 1:
+            raise ValueError(f"dimension must be >= 1, got {d}")
+        for i, box in enumerate(boxes):
+            if box.d != d:
+                raise ValueError(f"boxes[{i}] has dimension {box.d}, family has {d}")
+        self.__dict__.update(d=d, boxes=boxes)
 
     @cached_property
     def intersection_graph(self) -> KUniformHypergraph:
@@ -182,8 +184,7 @@ def colorful_check(family: BoxFamily, budget: int = DEFAULT_BUDGET) -> TupleSear
     return result
 
 
-@dataclass(frozen=True)
-class HellyOutcome:
+class HellyOutcome(NamedTuple):
     """Result of the fractional-Helly pipeline.
 
     ``indices`` is the intersecting subfamily, ``point`` a common point of

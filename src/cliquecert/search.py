@@ -15,10 +15,9 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .bounds import beta_recursion, theorem1_bound
 from .core import (
@@ -49,8 +48,7 @@ from .forbidden import (
 MAX_ENUMERATION_BITS = 22
 
 
-@dataclass(frozen=True)
-class FrontierRecord:
+class FrontierRecord(NamedTuple):
     """A verified extremal instance.
 
     alpha and omega_ratio are recomputed from the instance at construction
@@ -171,8 +169,7 @@ def exhaustive_frontier(
     return FrontierRecord.from_instance(best, m, budget)
 
 
-@dataclass(frozen=True)
-class HillClimbConfig:
+class HillClimbConfig(NamedTuple):
     n: int
     k: int
     m: int
@@ -318,8 +315,7 @@ def _edgeless_climb(
     return index.links, index.toggle, tuple_through
 
 
-@dataclass(frozen=True)
-class BetaUpperRow:
+class BetaUpperRow(NamedTuple):
     """One line of the empirical upper-bound table: at density alpha the
     smallest observed omega/n, next to the proved lower bounds."""
 

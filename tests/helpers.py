@@ -20,7 +20,9 @@ the lo-corner grid sweep that ``max_clique`` on the pairwise-intersection
 graph replaced, and the per-edge link index build that the k = 2 index
 from adjacency rows replaced, kept unchanged for the same purpose.  ``reference_check_edges`` and ``reference_load_edges`` are the per-edge
 loops that the constructor and the loader ran before their bulk edge
-check, kept unchanged to compare edge sets and error messages.  The instance
+check, kept unchanged to compare edge sets and error messages;
+``reference_check_complete_tuple`` is the in-order walk that the bulk
+certificate check replaced, kept for the same purpose.  The instance
 builders ``from_edges`` and ``all_graphs``, the Lemma 3.1 floor and the
 exact chordal and Kalai checks serve only the tests, so they live here.
 """
@@ -31,7 +33,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from cliquecert import (
     BoxFamily,
@@ -496,6 +498,32 @@ def reference_extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOut
     if cert is None:
         return ExtractionOutcome("clique", CliqueWitness(clique), None, trace)
     return ExtractionOutcome("certificate", None, cert, trace)
+
+
+def reference_check_complete_tuple(
+    n: int, k: int, is_edge, cert: CompleteTupleCertificate
+) -> tuple[bool, Optional[str]]:
+    """``check_complete_tuple`` as one walk over the conditions in their
+    documented order, every transversal enumerated in full."""
+    m = cert.m
+    if m < k:
+        raise ValueError(f"certificate has m = {m} < k = {k}")
+    for t in cert.tuples:
+        if len(t) != k or len(set(t)) != k:
+            raise ValueError(f"tuple {t} is not a {k}-subset")
+    for i, j in combinations(range(m), 2):
+        if set(cert.tuples[i]) & set(cert.tuples[j]):
+            return False, f"tuples {cert.tuples[i]} and {cert.tuples[j]} are not disjoint"
+    for t in cert.tuples:
+        if min(t) < 0 or max(t) >= n:
+            return False, f"{t} has a vertex outside [0, {n})"
+        if is_edge(tuple(sorted(t))):
+            return False, f"{t} is not a missing edge"
+    for transversal in product(*cert.tuples):
+        vs = sorted(transversal)
+        if not all(is_edge(s) for s in combinations(vs, k)):
+            return False, f"transversal {tuple(vs)} is not a clique"
+    return True, None
 
 
 def reference_check_edges(n: int, k: int, edges: frozenset) -> None:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -422,7 +421,7 @@ def test_edge_corpus(name, m):
     else:
         assert out.clique is None and out.certificate.tuples == payload
     expected = [pytest.approx(f, rel=1e-12, abs=0) if isinstance(f, float) else f for f in fields]
-    assert list(dataclasses.astuple(out.trace)) == expected
+    assert list(out.trace) == expected
 
 
 @pytest.mark.parametrize(

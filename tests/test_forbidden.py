@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 import sys
 from itertools import combinations, product
 
@@ -28,6 +29,7 @@ from helpers import (
     graph,
     nine_vertex_example,
     random_hypergraph,
+    reference_check_complete_tuple,
     reference_find_complete_tuple,
     reference_link_core,
     relabel,
@@ -95,6 +97,48 @@ class TestVerify:
             ok, reason = verify_complete_tuple(cycle_graph(4), CompleteTupleCertificate(tuples))
             assert not ok
             assert "outside" in reason
+
+    def test_bulk_check_words_the_in_order_walk(self):
+        # The bulk passes and the walk that words their failures give the
+        # in-order check's verdict, reason and error on any certificate;
+        # ``is_edge`` sees only sorted k-subsets of [0, n).
+        rng = random.Random(2024)
+        instances = [cycle_graph(4), nine_vertex_example()]
+        for _ in range(50):
+            k = rng.choice([2, 3])
+            instances.append(random_hypergraph(rng, rng.randint(k, 8), k, rng.random()))
+        kinds = ("disjoint", "outside", "missing", "clique")
+        seen = set()
+        for H in instances:
+            n, k = H.n, H.k
+            ksets = set(combinations(range(n), k))
+
+            def is_edge(t):
+                assert t in ksets, t
+                return t in H.edges
+
+            for m in (k - 1, k, k + 1):
+                certs = [c for _, c in zip(range(60), combinations(H.missing, m))]
+                for _ in range(30):
+                    sizes = [k] * m
+                    if rng.random() < 0.1:
+                        sizes[rng.randrange(m)] += rng.choice([-1, 1])
+                    certs.append(tuple(
+                        tuple(rng.choice(range(-1, n + 1)) for _ in range(s)) for s in sizes
+                    ))
+                for tuples in certs:
+                    cert = CompleteTupleCertificate(tuple(tuples))
+                    try:
+                        want = reference_check_complete_tuple(n, k, is_edge, cert)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError, match=re.escape(str(exc))):
+                            verify_complete_tuple(H, cert)
+                        seen.add("error")
+                        continue
+                    assert forbidden.check_complete_tuple(n, k, is_edge, cert) == want, tuples
+                    assert verify_complete_tuple(H, cert) == want
+                    seen.add(want[0] or next(w for w in kinds if w in want[1]))
+        assert seen == {True, "error", *kinds}
 
 
 class TestFind:

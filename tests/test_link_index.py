@@ -53,9 +53,12 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def same_extraction(H, m) -> bool:
-    # The outcome dataclasses hold everything the report dictionary is
-    # made of, so equal outcomes print equal reports.
-    return extract_hypergraph(H, m) == reference_extract_hypergraph(H, m)
+    # The outcome and trace records hold everything the report dictionary
+    # is made of, so equal outcomes print equal reports.  Records are
+    # tuples, which compare equal across classes, so the classes are
+    # compared too.
+    got, want = extract_hypergraph(H, m), reference_extract_hypergraph(H, m)
+    return type(got) is type(want) and type(got.trace) is type(want.trace) and got == want
 
 
 def same_rounds(H, fam, rounds: int) -> bool:
