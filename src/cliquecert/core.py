@@ -415,7 +415,8 @@ def max_clique(H: KUniformHypergraph) -> CliqueWitness:
     current clique C only if every k-subset of C + {v} containing v is an
     edge.  Since any set of fewer than k-1 vertices is a clique vacuously,
     the floor is min(n, k-1) even for an edgeless instance.  Two prunes cut
-    the walk (see ``_larger_clique``): the shadow prune keeps a clique of
+    the walk (see ``_larger_clique``): the shadow prune, by per-vertex
+    masks of the vertices sharing an edge, keeps each pair of a clique of
     fewer than k-1 vertices inside some edge, so an edgeless instance ends
     at once, and at k = 2 a greedy colouring bounds each node.  Each cuts
     only nodes that hold no clique larger than the best so far, so the
@@ -442,16 +443,17 @@ def _colour_tops(links: dict[int, int], cands: int) -> int:
     return tops
 
 
-def _keys_by_vertex(links: dict[int, int]) -> dict[int, list[int]]:
-    """The keys of ``links`` that hold each vertex bit, by vertex bit."""
-    by_vertex: dict[int, list[int]] = {}
+def _shadows(links: dict[int, int]) -> dict[int, int]:
+    """The shadow of each vertex bit v: the OR of the keys of ``links``
+    that hold v, so every vertex sharing an edge with v."""
+    shadow: dict[int, int] = {}
     for s in links:
         rest = s
         while rest:
             low = rest & -rest
             rest ^= low
-            by_vertex.setdefault(low, []).append(s)
-    return by_vertex
+            shadow[low] = shadow.get(low, 0) | s
+    return shadow
 
 
 def _larger_clique(
@@ -463,18 +465,19 @@ def _larger_clique(
 
     Candidates are a vertex bitmask narrowed by link ANDs, one mask per
     added vertex on an explicit stack, so the depth is not bounded by the
-    interpreter's recursion limit.  A node is cut once depth plus a bound
-    on its untried candidates cannot beat ``size``, by two prunes:
+    interpreter's recursion limit.  A node is cut once its clique size
+    plus a bound on its untried candidates cannot beat ``size``, by two
+    prunes:
 
     - Shadow (all k, on a walk from the empty clique with ``size`` at
       least min(n, k-1), as ``max_clique`` runs it).  Every clique of k
-      vertices or more has all its subsets of k-1 vertices in edges, so
-      while the clique C has fewer than k-1 vertices only the vertices w
-      with C + w inside an edge stay candidates: those of the link keys
-      that hold C.
-      At the root these are the vertices of some edge; below it the keys
-      holding C are the keys of C's first vertex (``_keys_by_vertex``,
-      built when the walk first gets there), filtered as C grows.
+      vertices or more has each pair of its vertices in an edge, so while
+      the clique C has fewer than k-1 vertices only the vertices that
+      share an edge with each vertex of C stay candidates.  At the root
+      these are the vertices of some edge; below it each added vertex v
+      narrows the candidates by its shadow (``_shadows``, built when the
+      walk first gets there).  At one vertex this is the set of w with
+      C + w inside an edge; deeper it keeps a superset of that set.
     - Colour bound (k = 2).  Each node is coloured once, highest vertex
       first (``_colour_tops``); as the ascending walk uses up the
       candidates, the tops of the untried ones still bound the node, with
@@ -492,12 +495,9 @@ def _larger_clique(
     bits = list(bits)
     best = bits[:] if base > size else None
     size = max(size, base)
-    # Depths below `shallow` read the shadow.  keys[j - 1]: the link keys
-    # holding the clique's first j vertices, kept for 0 < j < shallow - 1,
-    # where a child filters them.
+    # Cliques of fewer than `shallow` vertices read the shadow.
     shallow = 0 if bits else k - 1
-    keys: list[list[int]] = []
-    by_vertex = None
+    shadow = None
     if shallow:
         cands &= reduce(or_, links, 0)
     colour = k == 2
@@ -506,16 +506,12 @@ def _larger_clique(
     stack = [cands]
     colourable = colour and base + cands.bit_count() > size + 1
     tops = [_colour_tops(links, cands) if colourable else -1]
-    depth = base
     while stack:
         cands = stack[-1]
-        if depth + (cands & tops[-1]).bit_count() <= size:
+        if len(bits) + (cands & tops[-1]).bit_count() <= size:
             stack.pop()
             tops.pop()
-            if 0 < depth < shallow - 1:
-                keys.pop()
-            if depth > base:
-                depth -= 1
+            if stack:
                 bits.pop()
             continue
         low = cands & -cands
@@ -525,22 +521,15 @@ def _larger_clique(
         # k-subsets pairing a later u with the new vertex need checking.
         cands = _narrow(links, bits, low, cands, k)
         bits.append(low)
-        depth += 1
-        if depth < shallow:
-            if depth == 1:
-                if by_vertex is None:
-                    by_vertex = _keys_by_vertex(links)
-                held = by_vertex[low]
-            else:
-                held = list(filter(low.__and__, keys[-1]))
-            if depth < shallow - 1:
-                keys.append(held)
-            cands &= reduce(or_, held, 0)
-        if depth > size:
+        if len(bits) < shallow:
+            if shadow is None:
+                shadow = _shadows(links)
+            cands &= shadow[low]
+        if len(bits) > size:
             best = bits[:]
-            size = depth
+            size = len(bits)
         stack.append(cands)
-        colourable = colour and depth + cands.bit_count() > size + 1
+        colourable = colour and len(bits) + cands.bit_count() > size + 1
         tops.append(_colour_tops(links, cands) if colourable else -1)
     return best
 
@@ -556,9 +545,11 @@ def first_clique(
     candidates than positions still to choose is dropped.  A node is a
     position tried, the last one of a hit included, and the search stops
     once the count passes ``budget``.  The root tries the positions one
-    at a time.  Below root position i the candidates are its later
-    neighbours, which get bit rows over their ranks for
-    ``_first_clique_in_rows``, so no row is wider than one neighbourhood.
+    at a time, each charged before its later neighbours are counted.
+    Below root position i the candidates are its later neighbours, as
+    bits of their ranks with one bit row each, so no row is wider than
+    one neighbourhood; each depth holds its untried candidates on an
+    explicit stack, so the depth is not bounded by the recursion limit.
     """
     nodes = 0
     for i in range(len(later) - m + 1):
@@ -573,42 +564,26 @@ def first_clique(
         order = sorted(ups)
         rank = {u: r for r, u in enumerate(order)}
         rows = [sum(1 << rank[w] for w in later[u] & ups) for u in order]
-        hit, below = _first_clique_in_rows(rows, m - 1, budget - nodes)
-        nodes += below
-        if hit is not None:
-            return [i, *(order[r] for r in hit)], nodes
-        if nodes > budget:
-            return None, nodes
-    return None, nodes
-
-
-def _first_clique_in_rows(
-    rows: Sequence[int], m: int, budget: int
-) -> tuple[Optional[list[int]], int]:
-    # first_clique on bit rows (neighbours of position i, above it, as the
-    # bits of rows[i]), on an explicit stack, so the depth is not bounded
-    # by the recursion limit.  Each depth holds its untried candidates.
-    chosen: list[int] = []
-    stack = [(1 << len(rows)) - 1]
-    nodes = 0
-    while stack:
-        cands = stack[-1]
-        if cands.bit_count() < m - len(chosen):
-            stack.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        low = cands & -cands
-        cands ^= low
-        stack[-1] = cands
-        nodes += 1
-        if nodes > budget:
-            return None, nodes
-        i = low.bit_length() - 1
-        chosen.append(i)
-        if len(chosen) == m:
-            return chosen, nodes
-        stack.append(cands & rows[i])
+        chosen = [i]
+        stack = [(1 << len(rows)) - 1]
+        while stack:
+            cands = stack[-1]
+            if cands.bit_count() < m - len(chosen):
+                stack.pop()
+                if stack:
+                    chosen.pop()
+                continue
+            low = cands & -cands
+            cands ^= low
+            stack[-1] = cands
+            nodes += 1
+            if nodes > budget:
+                return None, nodes
+            r = low.bit_length() - 1
+            chosen.append(order[r])
+            if len(chosen) == m:
+                return chosen, nodes
+            stack.append(cands & rows[r])
     return None, nodes
 
 

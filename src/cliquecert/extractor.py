@@ -424,10 +424,12 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
     collecting one missing edge per round, and inspects the surviving
     vertex set F_1: a missing edge inside it completes a certificate,
     otherwise F_1 is a clique and is greedily extended.  A stalled round
-    (no scoring missing edge, or an empty family) returns the best greedy
-    clique seen so far with the fallback flag set; small instances stall
-    legitimately since the shrink guarantee is asymptotic.  A complete
-    instance is its own clique, with no family listed.
+    (no scoring missing edge, or an empty family) sets the fallback flag
+    and returns the first largest greedy extension of the empty clique and
+    of the first member of each family reached; only then are they built.
+    Small instances stall legitimately since the shrink guarantee is
+    asymptotic.  A complete instance is its own clique, with no family
+    listed.
 
     F_m is never listed.  At m = k round 1 reads the link index: F_k is
     the edge set and N_sigma the link of the (k-1)-set sigma.  At m > k
@@ -459,12 +461,10 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
         sigmas, col, size, first = _first_round(H, m)
         sizes = [size]
         alpha = Fraction(size, math.comb(n, m)) if size else Fraction(0)
-        clique = greedy_extend_clique(H, ())
+        # The fallback's seeds: the empty clique and the first member of
+        # each family reached, extended only if a round stalls.
+        seeds = [()] if first is None else [(), first]
         for _ in range(m - 1):
-            if first is not None:
-                cand = greedy_extend_clique(H, first)
-                if len(cand) > len(clique):
-                    clique = cand
             try:
                 if fam is None:  # round 1
                     step = _shrink(H, sigmas, col, taus, meter)
@@ -472,10 +472,11 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
                     step = shrink_step(H, fam, taus, meter)
             except NoProgressError:
                 fallback = True
+                clique = max((greedy_extend_clique(H, s) for s in seeds), key=len)
                 break
             taus.append(step.tau)
             fam = step.family
-            first = fam[0]
+            seeds.append(fam[0])
             sizes.append(len(fam))
             tables.append(_ordered_scores(step.scores))
         else:  # no round stalled: inspect the surviving vertex set F_1

@@ -228,9 +228,33 @@ class TestMaxClique:
         assert witness.vertices == tuple(range(250))
 
 
+def first_clique_nodes(later, m: int) -> int:
+    """The node count of ``core.first_clique`` with no budget, by plain
+    recursion: each root is charged before its later-neighbour check, and
+    below a root each candidate tried, after the size prune."""
+    nodes = 0
+
+    def grow(size: int, cands: list) -> bool:
+        nonlocal nodes
+        for idx, v in enumerate(cands):
+            if len(cands) - idx < m - size:
+                return False
+            nodes += 1
+            if size + 1 == m or grow(size + 1, [u for u in cands[idx + 1:] if u in later[v]]):
+                return True
+        return False
+
+    for i in range(len(later) - m + 1):
+        nodes += 1
+        if m == 1 or len(later[i]) >= m - 1 and grow(1, sorted(later[i])):
+            break
+    return nodes
+
+
 class TestFirstClique:
     """``core.first_clique`` against the first m-subset in lexicographic
-    order that is a clique, and its budget against its own node count."""
+    order that is a clique, its node count against a recursive count, and
+    its budget against its own node count."""
 
     def test_against_lexicographic_enumeration(self):
         rng = random.Random(17)
@@ -249,6 +273,7 @@ class TestFirstClique:
             got, nodes = core.first_clique(later, m, 10**9)
             assert got == want, (later, m)
             assert nodes >= (m if want else 0)
+            assert nodes == first_clique_nodes(later, m), (later, m)
             for budget in range(nodes):
                 assert core.first_clique(later, m, budget) == (None, budget + 1)
 

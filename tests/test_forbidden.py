@@ -338,9 +338,11 @@ class TestReferenceOracle:
 def test_large_intersection_graphs_are_absent(n, d):
     # Too many missing pairs for a TupleIndex (69,573 at d=2 n=400); the
     # k = 2 search builds and searches the compatibility core instead.
+    # The node counts pin core.first_clique's work on these cores.
+    nodes = {(200, 2): 8_309, (200, 3): 15, (400, 2): 145_059, (400, 3): 6_752}[n, d]
     G = random_box_family(n, d, 1).intersection_graph
     res = find_complete_tuple(G, d + 1)
-    assert (res.verdict, res.certificate) == (Verdict.ABSENT, None)
+    assert (res.verdict, res.certificate, res.nodes) == (Verdict.ABSENT, None, nodes)
 
 
 class TestLookAheadPremise:

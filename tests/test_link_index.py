@@ -182,6 +182,17 @@ class TestCliqueKernels:
                 G = random_hypergraph(random.Random(seed), n, 2, 0.8)
                 assert max_clique(G) == reference_max_clique(G), (n, seed)
 
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_max_clique_witness_at_k_4_to_6(self, k):
+        # Instances with edges, where the walk gets two or more vertices
+        # below the root while its clique is still under k - 1 vertices,
+        # so each added vertex narrows the candidates by its shadow.
+        for seed in range(8):
+            rng = random.Random(1000 * k + seed)
+            n, p = rng.randint(12, 20), rng.uniform(0.08, 0.5)
+            H = random_hypergraph(rng, n, k, p)
+            assert max_clique(H) == reference_max_clique(H), (k, seed)
+
     def test_max_clique_witness_on_edgeless_instances(self):
         # Every set of k-1 vertices is a clique vacuously, and the shadow
         # prune ends the walk at the root: there is no edge to extend one.
