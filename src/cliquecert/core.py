@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, combinations, compress
 from operator import itemgetter, lt, or_
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 Edge = tuple[int, ...]
 
@@ -292,17 +292,12 @@ def mask_vertices(mask: int) -> tuple[int, ...]:
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def masked_rows(cands: int, rows: Sequence[int], among: int) -> Iterator[int]:
-    """cands & rows[i] for the bits i of ``among``, lowest first, in one
+def popcount_sum(cands: int, rows: Sequence[int], among: int) -> int:
+    """The sum of |cands & rows[i]| over the bits i of ``among``, in one
     C-level pass: ``rows`` compressed by the bits of ``among`` as bytes 0
     and 1."""
     picked = compress(rows, bin(among)[:1:-1].encode().translate(_BITS))
-    return map(cands.__and__, picked)
-
-
-def popcount_sum(cands: int, rows: Sequence[int], among: int) -> int:
-    """The sum of |cands & rows[i]| over the bits i of ``among``."""
-    return sum(map(int.bit_count, masked_rows(cands, rows, among)))
+    return sum(map(int.bit_count, map(cands.__and__, picked)))
 
 
 def _narrow(links: dict[int, int], bits: list[int], low: int, cands: int, k: int) -> int:
@@ -532,59 +527,6 @@ def _larger_clique(
         colourable = colour and len(bits) + cands.bit_count() > size + 1
         tops.append(_colour_tops(links, cands) if colourable else -1)
     return best
-
-
-def first_clique(
-    later: Sequence[AbstractSet[int]], m: int, budget: int
-) -> tuple[Optional[list[int]], int]:
-    """The first m-clique, in ascending order, of the graph on positions
-    0..len(later)-1 in which ``later[i]`` holds the neighbours of i above
-    it; returns its positions (None if there is none) and the node count.
-
-    An ascending backtracking with a size prune: a depth with fewer
-    candidates than positions still to choose is dropped.  A node is a
-    position tried, the last one of a hit included, and the search stops
-    once the count passes ``budget``.  The root tries the positions one
-    at a time, each charged before its later neighbours are counted.
-    Below root position i the candidates are its later neighbours, as
-    bits of their ranks with one bit row each, so no row is wider than
-    one neighbourhood; each depth holds its untried candidates on an
-    explicit stack, so the depth is not bounded by the recursion limit.
-    """
-    nodes = 0
-    for i in range(len(later) - m + 1):
-        nodes += 1
-        if nodes > budget:
-            return None, nodes
-        if m == 1:
-            return [i], nodes
-        ups = later[i]
-        if len(ups) < m - 1:
-            continue
-        order = sorted(ups)
-        rank = {u: r for r, u in enumerate(order)}
-        rows = [sum(1 << rank[w] for w in later[u] & ups) for u in order]
-        chosen = [i]
-        stack = [(1 << len(rows)) - 1]
-        while stack:
-            cands = stack[-1]
-            if cands.bit_count() < m - len(chosen):
-                stack.pop()
-                if stack:
-                    chosen.pop()
-                continue
-            low = cands & -cands
-            cands ^= low
-            stack[-1] = cands
-            nodes += 1
-            if nodes > budget:
-                return None, nodes
-            r = low.bit_length() - 1
-            chosen.append(order[r])
-            if len(chosen) == m:
-                return chosen, nodes
-            stack.append(cands & rows[r])
-    return None, nodes
 
 
 def clique_through_exceeds(links: dict[int, int], k: int, em: int, size: int) -> bool:

@@ -3,12 +3,12 @@
 A complete m-tuple is a family of m pairwise-disjoint missing edges such
 that every transversal (one vertex picked from each) forms a clique.  For
 k = 2 this is the same thing as an induced K_2(m), the complete
-multipartite graph on m parts of size two, and an m-clique of the
-compatibility graph of the missing pairs, which is where
-``find_complete_tuple`` and the hill climb's ``tuple_through_pair``
-search at k = 2.  ``has_induced_biclique`` is an
-independent implementation of that specialization and doubles as a test
-oracle for both searches.
+multipartite graph on m parts of size two: m disjoint missing pairs whose
+cross pairs are all edges.  At k = 2 ``find_complete_tuple`` and the
+hill climb's ``tuple_through_pair`` both search for one with
+``_tuple_inside``, a backtracking over vertex masks.
+``has_induced_biclique`` is an independent implementation of that
+specialization and doubles as a test oracle for both searches.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from .core import (
     KUniformHypergraph,
     WorkMeter,
     _walk_missing,
-    first_clique,
     mask_vertices,
-    masked_rows,
     popcount_sum,
     refuse_over_cap,
 )
@@ -198,8 +196,8 @@ class TupleIndex:
     where the global search indexes the missing edges of one instance, and
     the hill climb every k-subset: it passes the missing ones as a mask
     and flips its edges with ``toggle``, which keeps ``links``, ``inside``
-    and ``cores`` in step.  At k = 2 both searches run on the
-    compatibility core (``_compatibility_core``) instead.
+    and ``cores`` in step.  At k = 2 both searches walk vertex masks
+    (``_tuple_inside``) instead.
     """
 
     __slots__ = ("k", "ksets", "full", "without", "apart", "later", "links", "inside", "cores")
@@ -472,108 +470,75 @@ class TupleIndex:
         return (chosen if hit else None), nodes
 
 
-def _compatibility_core(
-    links: Mapping[int, int], within: int, m: int
-) -> tuple[list[Edge], list[set[int]]]:
-    """The (m-1)-core of the compatibility graph C of the graph induced on
-    the vertex mask ``within``: its vertices, in lexicographic order, and
-    the sets of their later neighbours over their positions in that order.
-    ``links`` holds the adjacency rows, as the k = 2 link masks
-    ``{1 << v: N(v)}`` of ``KUniformHypergraph.links``.
-
-    C's vertices are the missing pairs inside ``within``, numbered in
-    lexicographic order: (a, b) is ``offset[a]`` plus the rank of b among
-    ``above[a]``, the non-neighbours above a.  Two missing pairs are
-    adjacent when all four cross pairs are edges, so the C-neighbours of
-    (a, b) are the missing pairs inside its common neighbourhood, found
-    with one AND per common vertex c: ``common & above[c]``.  The other
-    m - 1 pairs of a complete m-tuple through (a, b) are disjoint pairs
-    inside that neighbourhood, so a pair whose common neighbourhood has
-    fewer than 2(m - 1) vertices lies in no m-clique of C and is not
-    walked, and one with fewer than m - 1 C-neighbours is not kept.  The
-    pairs kept hold sparse neighbour lists, and the peel (Matula & Beck
-    1983; Batagelj & Zaversnik 2003) drops, one at a time, those with
-    fewer than m - 1 neighbours left; every m-clique of C lies in what
-    remains.  One ``WorkMeter`` refuses the build past its cap: each row of
-    non-neighbours is charged its missing pairs, and each common
-    neighbourhood walked its vertices and the C-neighbours it holds,
-    before they are listed.
-    """
-    meter = WorkMeter(f"the compatibility-graph build of a {m}-tuple search")
-    vertices = mask_vertices(within)
-    n = within.bit_length()
-    adj, above, offset, count = [0] * n, [0] * n, [0] * n, 0
-    for v in vertices:
-        adj[v] = links.get(1 << v, 0) & within
-        row = within >> (v + 1) << (v + 1) & ~adj[v]
-        meter.charge(row.bit_count())
-        above[v] = row
-        offset[v] = count
-        count += row.bit_count()
-    # walked[i]: missing pair i and its C-neighbours, for the pairs walked
-    # that have m - 1 of them or more.
-    walked: dict[int, tuple[Edge, list[int]]] = {}
-    need = 2 * (m - 1)
-    i = -1
-    for a in vertices:
-        rest = above[a]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            i += 1
-            b = low.bit_length() - 1
-            common = adj[a] & adj[b]
-            if common.bit_count() < need:
-                continue
-            degree = popcount_sum(common, above, common)
-            meter.charge(common.bit_count() + degree)
-            if degree < m - 1:
-                continue
-            nbrs = []
-            for c, mask in zip(mask_vertices(common), masked_rows(common, above, common)):
-                row, base = above[c], offset[c]
-                while mask:
-                    x = mask & -mask
-                    mask ^= x
-                    nbrs.append(base + (row & (x - 1)).bit_count())
-            walked[i] = ((a, b), nbrs)
-    # The peel: a pair leaves `left` once it has fewer than m - 1
-    # neighbours left, and each neighbour still there loses it.
-    left = {i: sum(map(walked.__contains__, nbrs)) for i, (_, nbrs) in walked.items()}
-    doomed = [i for i, d in left.items() if d < m - 1]
-    for i in doomed:
-        del left[i]
-    while doomed:
-        for j in walked[doomed.pop()][1]:
-            if j in left:
-                left[j] -= 1
-                if left[j] < m - 1:
-                    del left[j]
-                    doomed.append(j)
-    core = sorted(left)
-    position = {i: p for p, i in enumerate(core)}
-    later = [{position[j] for j in walked[i][1] if j > i and j in position} for i in core]
-    return [walked[i][0] for i in core], later
-
-
 def _tuple_inside(
     links: Mapping[int, int], within: int, j: int, budget: int
 ) -> tuple[Optional[list[Edge]], int]:
-    """The first complete j-tuple of the graph induced on the vertex mask
-    ``within`` (k = 2, adjacency rows as in ``_compatibility_core``), or
-    None, and the node count: the compatibility-core vertices tried, none
-    for j <= 1.  j = 0 needs nothing, j = 1 is the first missing pair
-    (``core._walk_missing``), and from j = 2 on the (j-1)-core is searched
-    by ``core.first_clique``."""
+    """The first complete j-tuple, in lexicographic order, of the graph
+    induced on the vertex mask ``within`` (k = 2, adjacency rows as the
+    link masks ``{1 << v: N(v)}``), or None, and the node count.
+
+    j = 0 needs nothing, and j = 1 is the first missing pair
+    (``core._walk_missing``); neither costs a node.  From j = 2 on it is
+    an ascending backtracking over vertex masks.  A frame holds the mask W
+    of the vertices still usable, and tries the missing pairs (c, x)
+    inside W in lexicographic order.  The pairs after (c, x) are disjoint
+    from it, have all four cross pairs as edges and start above c, so the
+    next frame holds W & N(c) & N(x) above c.  A node is a missing pair
+    tried, the last one of a hit included, and the walk stops once the
+    count passes ``budget``.  With r pairs still to place, a frame is
+    dropped once fewer than 2r of its vertices are left from c on, a c
+    with fewer than 2(r - 1) neighbours in W above it is passed over
+    without a node, and a child with fewer than 2(r - 1) vertices is not
+    pushed.  The frames sit on an explicit stack, so the depth is not
+    bounded by the recursion limit.  A frame steps over each of its
+    vertices at most once, so one ``WorkMeter`` charges each child its
+    vertices as it is pushed, and refuses the walk past its cap.
+    """
     if j == 0:
         return [], 0
     if j == 1:
         for s, miss in _walk_missing(links, 0, within, 1):
             return [mask_vertices(s | miss & -miss)], 0
         return None, 0
-    pairs, later = _compatibility_core(links, within, j)
-    chosen, nodes = first_clique(later, j, budget)
-    return (None if chosen is None else [pairs[i] for i in chosen]), nodes
+    meter = WorkMeter(f"the vertex-mask walk of a {j}-tuple search")
+    nodes = 0
+    chosen: list[Edge] = []
+    # A frame: the vertices of W above its c, c, W & N(c) above c, and the
+    # partners of c not yet tried; a new frame has no c yet.
+    stack = [(within, -1, 0, 0)]
+    while stack:
+        rest, c, near, xs = stack[-1]
+        # The vertices that the pairs after this frame's need.
+        need = 2 * (j - len(stack))
+        while not xs and rest.bit_count() >= need + 2:
+            low = rest & -rest
+            rest ^= low
+            row = links.get(low, 0)
+            near = rest & row
+            if near.bit_count() >= need:
+                c, xs = low.bit_length() - 1, rest & ~row
+        if not xs:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        x = xs & -xs
+        xs ^= x
+        nodes += 1
+        if nodes > budget:
+            return None, nodes
+        pair = (c, x.bit_length() - 1)
+        if not need:
+            chosen.append(pair)
+            return chosen, nodes
+        stack[-1] = rest, c, near, xs
+        child = near & links.get(x, 0)
+        size = child.bit_count()
+        if size >= need:
+            meter.charge(size)
+            chosen.append(pair)
+            stack.append((child, -1, 0, 0))
+    return None, nodes
 
 
 def tuple_through_pair(
@@ -582,9 +547,9 @@ def tuple_through_pair(
     """A complete m-tuple that uses the pair e = (a, b) of a graph given by
     its adjacency rows (k = 2, the link masks ``{1 << v: N(v)}``), just
     toggled: ``adding`` when e is now an edge, not a missing pair.  Returns
-    its tuples (None if there is none) and the node count, the
-    compatibility-core vertices that its searches of j >= 2 pairs try
-    (``_tuple_inside``); the check stops once that passes ``budget``.
+    its tuples (None if there is none) and the node count, the missing
+    pairs that its walks for j >= 2 pairs try (``_tuple_inside``); the
+    check stops once that passes ``budget``.
 
     A missing e is one of the tuples, and the other m - 1 make a complete
     tuple inside N(a) & N(b).  An edge e is a cross pair, so a and b lie
@@ -630,13 +595,12 @@ def find_complete_tuple(
     the canonical one.  ``budget`` must be non-negative; an exhausted
     search reports ``budget + 1`` nodes.
 
-    At k = 2 a complete m-tuple is an m-clique of the compatibility graph
-    of the missing pairs, which is searched on its (m-1)-core
-    (``_compatibility_core`` on every vertex) by ``core.first_clique``,
-    the engine that the hill climb's ``tuple_through_pair`` runs on
-    common neighbourhoods: ``nodes`` counts the core vertices tried, so
-    an instance with an empty core is ABSENT with 0 nodes.  The build
-    refuses past the cap of its ``WorkMeter``.  At k >= 3
+    At k = 2 the search is ``_tuple_inside`` on every vertex, the
+    vertex-mask walk that the hill climb's ``tuple_through_pair`` runs on
+    common neighbourhoods: ``nodes`` counts the missing pairs tried, so
+    an instance in which no vertex has 2(m - 1) neighbours above it is
+    ABSENT with 0 nodes.  The walk refuses past the cap of its
+    ``WorkMeter``.  At k >= 3
     ``TupleIndex.search`` describes the candidate masks and the node
     count, every candidate passed over; it refuses more than
     ``MAX_TUPLE_SLOTS`` missing edges, counted as C(n, k) - |E| before

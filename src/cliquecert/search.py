@@ -214,15 +214,14 @@ def hill_climb(config: HillClimbConfig) -> FrontierRecord:
     and a certificate the tuple check hits is verified by enumeration
     against the edge bitmask.  At k = 2 the check is
     ``forbidden.tuple_through_pair`` on the link masks, after the toggle,
-    and no ``TupleIndex`` is built.  It is charged the compatibility-core
-    vertices its searches of two pairs or more try; a check of at most one
-    pair costs no node.  At k >= 3 it is ``TupleIndex.search`` seeded with
+    and no ``TupleIndex`` is built.  It is charged the missing pairs its
+    walks for two pairs or more try; a check of at most one pair costs no
+    node.  At k >= 3 it is ``TupleIndex.search`` seeded with
     ``TupleIndex.through``, charged every candidate it passes over.
     ``tuple_budget`` bounds each check, and a proposal whose check runs
     past it is discarded.  It bounds the final re-verification too,
-    ``find_complete_tuple``, which at k = 2 is charged the
-    compatibility-core vertices it tries; the build of each core refuses
-    past the cap of its ``WorkMeter``.  The climb lists every k-subset,
+    ``find_complete_tuple``, which at k = 2 is charged the missing pairs
+    it tries; each k = 2 walk refuses past the cap of its ``WorkMeter``.  The climb lists every k-subset,
     so it refuses more than ``forbidden.MAX_TUPLE_SLOTS`` of them.
     """
     n, k, m = config.n, config.k, config.m

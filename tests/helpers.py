@@ -7,7 +7,8 @@ values frozen in the test modules were computed with these.
 ``reference_find_complete_tuple`` is the one-candidate-at-a-time
 backtracking that the bitset ``find_complete_tuple`` replaced, kept
 unchanged so that verdicts and certificates can be compared, and node
-counts at k >= 3 (at k = 2 the search counts compatibility-core nodes);
+counts at k >= 3 (at k = 2 the search counts the missing pairs its
+vertex-mask walk tries);
 ``reference_link_core`` peels one vertex at a time from every vertex,
 against the search's memoised cores.
 The other ``reference_*`` functions are the subset-scanning kernels that

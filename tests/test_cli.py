@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquecert import (
+    CompleteTupleCertificate,
     Verdict,
     box_family_to_dict,
     build_nerve,
@@ -20,6 +21,7 @@ from cliquecert import (
     hypergraph_from_dict,
     hypergraph_to_dict,
     random_box_family,
+    verify_complete_tuple,
 )
 from cliquecert.cli import main
 from cliquecert.forbidden import DEFAULT_BUDGET
@@ -67,10 +69,20 @@ def disjoint_cliques(count, size, k, rng=None):
     return {"n": len(labels), "k": k, "edges": sorted(edges)}
 
 
+def random_graph(n, p, rng):
+    """G(n, p), each pair drawn from ``rng`` in lexicographic order."""
+    return {"n": n, "k": 2, "edges": [list(e) for e in combinations(range(n), 2) if rng.random() < p]}
+
+
 # The documents the size-refusal table reads, built on demand.
 REFUSAL_DOCS = {
     "edgeless3000": lambda: {"n": 3000, "k": 2, "edges": []},
     "edgeless6000": lambda: {"n": 6000, "k": 2, "edges": []},
+    # 800 pairwise non-adjacent vertices joined to a K_1200.
+    "clique-join": lambda: {
+        "n": 2000, "k": 2, "missing": [list(e) for e in combinations(range(800), 2)],
+    },
+    "gnp200": lambda: random_graph(200, 0.5, random.Random(1)),
     "wide": lambda: {"n": 200000, "k": 100000, "edges": []},
     "wide-missing": lambda: {"n": 200000, "k": 100000, "missing": []},
     "dense-missing": lambda: {"n": 3000, "k": 3, "missing": []},
@@ -113,10 +125,12 @@ WIDE_SEARCH = ["search", "--n", "200000", "--k", "100000", "--m", "100000", "--o
                      id="extract-graph-n3000"),
         pytest.param(["extract", "--input", "@edgeless6000", "--algorithm", "graph"],
                      id="extract-graph-n6000"),
-        # The k = 2 tuple search charges its build meter each missing pair
-        # as it lists the rows of non-neighbours.
-        pytest.param(["forbidden", "--input", "@edgeless3000", "--m", "2"],
-                     id="forbidden-edgeless-n3000"),
+        # Every missing pair has the K_1200 as its common neighbourhood,
+        # and the k = 2 walk's meter charges each of those masks its 1,200
+        # vertices as it is pushed; unmetered, the walk scans 319,600 of
+        # them for a second pair.
+        pytest.param(["forbidden", "--input", "@clique-join", "--m", "2"],
+                     id="forbidden-clique-join-m2"),
         # An m-clique of 100,000 vertices, deeper than the recursion limit.
         pytest.param(["extract", "--input", "@wide"], id="extract-wide"),
         # These nerves have 160,516 (d=2 n=100) and 91,389 (d=3 n=40)
@@ -223,10 +237,10 @@ def test_extract_edgeless_wide_k(tmp_path, capsys, name):
 
 def test_forbidden_on_a_wide_compatibility_core(tmp_path):
     # The rook's graph K_24 x K_24: each of its 152,352 missing pairs has
-    # two non-adjacent common neighbours, so the compatibility core has
-    # 152,352 vertices of one neighbour each.  Bit rows over the whole
-    # core would take about 1.4 GB; kept sparse, the search finds the
-    # first induced K_{2,2} under 1 GiB.
+    # two non-adjacent common neighbours, so its compatibility graph has
+    # 152,352 vertices of one neighbour each.  The k = 2 walk builds none
+    # of it: the first missing pair (0, 25) and (1, 24), the one pair in
+    # its common neighbourhood, are the first induced K_{2,2}.
     q = 24
     edges = [
         [u, v] for u, v in combinations(range(q * q), 2) if u // q == v // q or u % q == v % q
@@ -241,6 +255,31 @@ def test_forbidden_on_a_wide_compatibility_core(tmp_path):
     outcome = last_json(proc.stdout)["outcome"]
     assert outcome["verdict"] == "found"
     assert outcome["certificate"]["tuples"] == [[0, 25], [1, 24]]
+
+
+@pytest.mark.parametrize(
+    "name, m, verdict, nodes",
+    [
+        # No vertex has a neighbour, so the k = 2 walk tries no pair.
+        pytest.param("edgeless3000", 2, "absent", 0, id="forbidden-edgeless-n3000"),
+        # The first three pairs the walk tries make a complete 3-tuple.
+        pytest.param("gnp200", 3, "found", 3, id="forbidden-gnp200-m3"),
+    ],
+)
+def test_forbidden_decided_under_1gib(tmp_path, name, m, verdict, nodes):
+    doc = REFUSAL_DOCS[name]()
+    path = write_json(tmp_path / f"{name}.json", doc)
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_UNDER_1GIB, "forbidden", "--input", path, "--m", str(m)],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    outcome = last_json(proc.stdout)["outcome"]
+    assert (outcome["verdict"], outcome["nodes"]) == (verdict, nodes)
+    if verdict == "found":
+        cert = CompleteTupleCertificate.from_dict(outcome["certificate"])
+        assert verify_complete_tuple(hypergraph_from_dict(doc), cert) == (True, None)
 
 
 @pytest.mark.parametrize("name", ["edgeless-n40-k10", "edgeless-n2000-k1000"])
@@ -369,8 +408,8 @@ class TestForbidden:
         assert outcome["nodes"] >= 2
 
     def test_exhausted_exit_code(self, capsys, tmp_path):
-        # K_8 minus six pairs, whose compatibility graph has a 4-cycle in
-        # its 2-core: the absence proof at m = 3 tries 8 core vertices.
+        # K_8 minus six pairs, four of them a 4-cycle of compatible pairs:
+        # the absence proof at m = 3 tries 4 missing pairs.
         removed = {(0, 1), (2, 3), (4, 5), (6, 7), (0, 4), (2, 6)}
         edges = [list(e) for e in combinations(range(8), 2) if e not in removed]
         path = write_json(tmp_path / "square8.json", {"n": 8, "k": 2, "edges": edges})
@@ -381,7 +420,7 @@ class TestForbidden:
         }
         code, out, _ = run(capsys, "forbidden", "--input", path, "--m", "3")
         assert code == 0
-        assert last_json(out)["outcome"] == {"certificate": None, "nodes": 8, "verdict": "absent"}
+        assert last_json(out)["outcome"] == {"certificate": None, "nodes": 4, "verdict": "absent"}
 
 
     def test_zero_budget_is_legal(self, capsys, c4_file):
@@ -584,9 +623,8 @@ class TestNerveAndHelly:
         want = find_complete_tuple(build_nerve(fam), d + 1, budget)
         assert want.verdict is Verdict.ABSENT
         assert last_json(out)["outcome"]["colorful_nodes"] == want.nodes
-        # At d = 1 a node is a compatibility-core vertex tried, and an
-        # interval graph may have none.
-        assert want.nodes > 0 or d == 1
+        # At d = 1 a node is a missing pair of the interval graph tried.
+        assert want.nodes == 181 if d == 1 else want.nodes > 0
 
     def test_helly_exhausted_colorful_check(self, capsys, tmp_path):
         code, out, err = run(capsys, "helly", "--input", squares_file(tmp_path), "--budget", "0")
@@ -660,7 +698,7 @@ class TestSearch:
         # the best instance runs out of budget, or a candidate the exhaustive
         # search had to skip could have beaten the best record.  With no
         # iterations the record is the edgeless start.  At k = 2 its absence
-        # proof takes no node (its compatibility graph has no edge); at
+        # proof takes no node (no vertex has a neighbour); at
         # k = 3 the search passes over more than 10 of its 20 missing
         # triples.
         cases = [

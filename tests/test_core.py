@@ -228,66 +228,6 @@ class TestMaxClique:
         assert witness.vertices == tuple(range(250))
 
 
-def first_clique_nodes(later, m: int) -> int:
-    """The node count of ``core.first_clique`` with no budget, by plain
-    recursion: each root is charged before its later-neighbour check, and
-    below a root each candidate tried, after the size prune."""
-    nodes = 0
-
-    def grow(size: int, cands: list) -> bool:
-        nonlocal nodes
-        for idx, v in enumerate(cands):
-            if len(cands) - idx < m - size:
-                return False
-            nodes += 1
-            if size + 1 == m or grow(size + 1, [u for u in cands[idx + 1:] if u in later[v]]):
-                return True
-        return False
-
-    for i in range(len(later) - m + 1):
-        nodes += 1
-        if m == 1 or len(later[i]) >= m - 1 and grow(1, sorted(later[i])):
-            break
-    return nodes
-
-
-class TestFirstClique:
-    """``core.first_clique`` against the first m-subset in lexicographic
-    order that is a clique, its node count against a recursive count, and
-    its budget against its own node count."""
-
-    def test_against_lexicographic_enumeration(self):
-        rng = random.Random(17)
-        for _ in range(400):
-            size, p = rng.randint(0, 11), rng.random()
-            later = [set() for _ in range(size)]
-            for a, b in combinations(range(size), 2):
-                if rng.random() < p:
-                    later[a].add(b)
-            m = rng.randint(1, 5)
-            want = next(
-                (list(c) for c in combinations(range(size), m)
-                 if all(b in later[a] for a, b in combinations(c, 2))),
-                None,
-            )
-            got, nodes = core.first_clique(later, m, 10**9)
-            assert got == want, (later, m)
-            assert nodes >= (m if want else 0)
-            assert nodes == first_clique_nodes(later, m), (later, m)
-            for budget in range(nodes):
-                assert core.first_clique(later, m, budget) == (None, budget + 1)
-
-    def test_depth_not_bounded_by_recursion_limit(self):
-        later = [set(range(i + 1, 300)) for i in range(300)]
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(200)
-        try:
-            got = core.first_clique(later, 250, 10**9)
-        finally:
-            sys.setrecursionlimit(limit)
-        assert got == (list(range(250)), 250)
-
-
 class TestMissingEdges:
     def test_complete_graph_has_none(self):
         assert complete_graph(5).missing == ()

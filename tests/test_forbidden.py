@@ -2,6 +2,7 @@ import functools
 import random
 import re
 import sys
+import time
 from itertools import combinations, product
 
 import pytest
@@ -17,7 +18,6 @@ from cliquecert import (
     verify_complete_tuple,
 )
 from cliquecert import forbidden
-from cliquecert.core import first_clique
 from cliquecert.forbidden import TupleIndex
 from helpers import (
     all_graphs,
@@ -44,8 +44,7 @@ def k6_minus_perfect_matching():
 def square_of_pairs():
     """K_8 minus the pairs (0, 1), (2, 3), (4, 5), (6, 7), (0, 4), (2, 6).
     Among its missing pairs, (0, 1) ~ (2, 3) ~ (4, 5) ~ (6, 7) ~ (0, 1) is
-    a 4-cycle of compatible pairs, so the compatibility graph's 2-core is
-    not empty, yet it holds no complete 3-tuple."""
+    a 4-cycle of compatible pairs, yet it holds no complete 3-tuple."""
     removed = {(0, 1), (2, 3), (4, 5), (6, 7), (0, 4), (2, 6)}
     return graph(8, [e for e in combinations(range(8), 2) if e not in removed])
 
@@ -162,7 +161,7 @@ class TestFind:
         assert res.certificate.tuples == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
 
     def test_budget_exhaustion_is_distinct(self):
-        # Absent, but only after 8 core vertices are tried (k = 2), or
+        # Absent, but only after 4 missing pairs are tried (k = 2), or
         # after more than 3 candidates are passed over (k = 3).
         for H, m in ((square_of_pairs(), 3), (edgeless(8, 3), 3)):
             assert find_complete_tuple(H, m).verdict is Verdict.ABSENT
@@ -172,12 +171,52 @@ class TestFind:
             assert res.nodes == 4
 
     def test_node_count_reported(self):
-        # At k = 2 a node is a vertex of the compatibility graph's
-        # (m-1)-core tried.  Every missing pair of C_5 has one common
-        # neighbour, so the core is empty.
-        assert outcome(find_complete_tuple(cycle_graph(5), 2)) == (Verdict.ABSENT, None, 0)
-        assert outcome(find_complete_tuple(square_of_pairs(), 3)) == (Verdict.ABSENT, None, 8)
+        # At k = 2 a node is a missing pair tried.  C_5 tries (0, 2) and
+        # (0, 3), whose common neighbourhoods above 0 hold one vertex each;
+        # then 1 has one neighbour above it, and three vertices are left.
+        assert_node_count(cycle_graph(5), 2, (Verdict.ABSENT, None, 2))
+        assert_node_count(square_of_pairs(), 3, (Verdict.ABSENT, None, 4))
         assert find_complete_tuple(edgeless(8, 3), 3).nodes > 0
+
+    def test_walk_meter_charges_each_child_pushed(self, monkeypatch):
+        # square_of_pairs at m = 3 enters the common neighbourhoods of
+        # (0, 1), (2, 3) and (0, 4) above 0 or 2; that of (2, 6), {5}, is
+        # too small for one more pair and is not entered.
+        charges = []
+
+        class Meter(forbidden.WorkMeter):
+            def charge(self, steps):
+                charges.append(steps)
+                super().charge(steps)
+
+        monkeypatch.setattr(forbidden, "WorkMeter", Meter)
+        find_complete_tuple(square_of_pairs(), 3)
+        assert charges == [5, 2, 4]
+
+    def test_depth_not_bounded_by_recursion_limit(self):
+        # K_2(300): the walk nests one frame per pair, 300 deep.
+        H = graph(600, [(u, v) for u, v in combinations(range(600), 2) if v != u + 1 or u % 2])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            res = find_complete_tuple(H, 300)
+        finally:
+            sys.setrecursionlimit(limit)
+        pairs = tuple((2 * i, 2 * i + 1) for i in range(300))
+        assert outcome(res) == (Verdict.FOUND, CompleteTupleCertificate(pairs), 300)
+
+    def test_rook_graph_found_at_the_first_pairs(self):
+        # K_24 x K_24: (0, 25) and (1, 24), the first missing pair and one
+        # inside its common neighbourhood, make an induced K_{2,2}.
+        q = 24
+        H = graph(q * q, [
+            (u, v) for u, v in combinations(range(q * q), 2) if u // q == v // q or u % q == v % q
+        ])
+        H.links
+        start = time.perf_counter()
+        res = find_complete_tuple(H, 2)
+        assert time.perf_counter() - start < 0.1
+        assert outcome(res) == (Verdict.FOUND, CompleteTupleCertificate(((0, 25), (1, 24))), 2)
 
     def test_rejects_m_below_k(self):
         with pytest.raises(ValueError):
@@ -247,10 +286,20 @@ def outcome(res):
     return res.verdict, res.certificate, res.nodes
 
 
+def assert_node_count(H, m, want):
+    """``find_complete_tuple`` gives the outcome ``want`` unbudgeted and at
+    a budget of its node count, and is EXHAUSTED one node short."""
+    nodes = want[2]
+    assert outcome(find_complete_tuple(H, m)) == want
+    assert outcome(find_complete_tuple(H, m, nodes)) == want
+    if nodes:
+        assert outcome(find_complete_tuple(H, m, nodes - 1)) == (Verdict.EXHAUSTED, None, nodes)
+
+
 def assert_matches_reference(H, m, budget):
     """``find_complete_tuple`` against the one-candidate-at-a-time
     backtracking it replaced.  At k >= 3: the same verdict, certificate
-    and node count at ``budget``.  At k = 2, where a node is a core vertex
+    and node count at ``budget``.  At k = 2, where a node is a missing pair
     tried: the reference's verdict and certificate unbudgeted, and at any
     budget the unbudgeted result, or EXHAUSTED with budget + 1 nodes
     exactly when its node count passes the budget; checked at ``budget``
@@ -306,8 +355,7 @@ class TestReferenceOracle:
         charge = forbidden.popcount_sum
 
         def spy(cands, succ, dropped):
-            # The compatibility-graph build at k = 2 has no depth.
-            depths.append(sys._getframe(1).f_locals.get("depth"))
+            depths.append(sys._getframe(1).f_locals["depth"])
             return charge(cands, succ, dropped)
 
         monkeypatch.setattr(forbidden, "popcount_sum", spy)
@@ -337,12 +385,11 @@ class TestReferenceOracle:
 @pytest.mark.parametrize("n, d", [(200, 2), (200, 3), (400, 2), (400, 3)])
 def test_large_intersection_graphs_are_absent(n, d):
     # Too many missing pairs for a TupleIndex (69,573 at d=2 n=400); the
-    # k = 2 search builds and searches the compatibility core instead.
-    # The node counts pin core.first_clique's work on these cores.
-    nodes = {(200, 2): 8_309, (200, 3): 15, (400, 2): 145_059, (400, 3): 6_752}[n, d]
+    # k = 2 search walks vertex masks instead.  The node counts pin the
+    # missing pairs that walk tries.
+    nodes = {(200, 2): 22_140, (200, 3): 7_942, (400, 2): 203_777, (400, 3): 56_691}[n, d]
     G = random_box_family(n, d, 1).intersection_graph
-    res = find_complete_tuple(G, d + 1)
-    assert (res.verdict, res.certificate, res.nodes) == (Verdict.ABSENT, None, nodes)
+    assert_node_count(G, d + 1, (Verdict.ABSENT, None, nodes))
 
 
 class TestLookAheadPremise:
@@ -553,10 +600,10 @@ class TestEquivalenceWithBicliqueSearch:
                     assert res.verdict is not Verdict.EXHAUSTED
                     assert (res.verdict is Verdict.FOUND) == has_induced_biclique(H, m)
 
-    def test_compatibility_core_on_a_vertex_mask(self):
-        # The core of the subgraph induced on a mask W, searched by
-        # first_clique, decides an induced K_2(m) there; a hit lies in W
-        # and is a complete tuple of the whole graph.
+    def test_tuple_inside_on_a_vertex_mask(self):
+        # The walk on a mask W decides an induced K_2(m) in the subgraph
+        # induced on W; a hit lies in W and is a complete tuple of the
+        # whole graph.
         rng = random.Random(23)
         for H in all_graphs(6):
             within = rng.randrange(1 << 6)
@@ -565,11 +612,10 @@ class TestEquivalenceWithBicliqueSearch:
                 (inside.index(u), inside.index(v)) for u, v in H.edges if within >> u & within >> v & 1
             ])
             for m in (2, 3):
-                pairs, later = forbidden._compatibility_core(H.links, within, m)
-                chosen, _ = first_clique(later, m, 10**7)
-                assert (chosen is not None) == has_induced_biclique(sub, m), (sorted(H.edges), within)
-                if chosen is not None:
-                    cert = CompleteTupleCertificate(tuple(pairs[i] for i in chosen))
+                tuples, _ = forbidden._tuple_inside(H.links, within, m, 10**7)
+                assert (tuples is not None) == has_induced_biclique(sub, m), (sorted(H.edges), within)
+                if tuples is not None:
+                    cert = CompleteTupleCertificate(tuple(tuples))
                     assert set(inside) >= {v for t in cert.tuples for v in t}
                     assert verify_complete_tuple(H, cert) == (True, None)
 
