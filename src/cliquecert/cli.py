@@ -91,7 +91,9 @@ def _load_json(path: str):
 
 def _load_instance(path: str) -> tuple[KUniformHypergraph, str]:
     H = hypergraph_from_dict(_load_json(path))
-    return H, _canonical_digest(hypergraph_to_dict(H))
+    # The digest of hypergraph_to_dict(H) without its copy of the edges:
+    # json writes the edge tuples as arrays.
+    return H, _canonical_digest({"n": H.n, "k": H.k, "edges": H.sorted_edges})
 
 
 def _load_boxes(path: str):

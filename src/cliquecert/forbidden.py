@@ -191,7 +191,7 @@ class TupleIndex:
     of p's link graph, in which t ~ u when p + t + u is an edge.  Both
     memos read ``links`` on first use.  The last two tuples of a complete
     tuple lie inside ``cores[p]`` for each pick p of the tuples before
-    them, which lets ``search`` skip last depths that hold no hit.  The
+    them, which lets ``search`` skip depths m - 2 that hold no hit.  The
     index is general in k, but the program builds one only at k >= 3,
     where the global search indexes the missing edges of one instance, and
     the hill climb every k-subset: it passes the missing ones as a mask
@@ -331,21 +331,23 @@ class TupleIndex:
         charged in bulk by popcount.  The search stops once the count
         passes ``budget``.
 
-        The last depth, m - 2, pairs each candidate with its successors
-        in one loop step.  One rule skips last depths that hold no hit.
-        Let p be a pick of the tuples before the last two.  Each vertex of
-        either last tuple has the k vertices of the other tuple as
-        neighbours in p's link graph, so both tuples lie inside
-        ``cores[p]``.  At k >= 3 a free depth m - 3 ANDs, for each
-        candidate, the cores of the picks of the child it would call: the
-        depth's own picks, and those through the candidate.  When fewer
-        than 2k vertices are left, the child can hold no hit, so it is not
-        called.  The parent charges what the child would have cost, its
-        candidates and the successors of its admissible ones, in one bulk
-        pass (``core.popcount_sum``), so verdicts, hits and node counts are
-        the same as without the rule.  At k = 2 the one pick is empty and its core,
-        the 2-core of the graph, keeps nearly every vertex, so the rule
-        does not run.
+        Every depth but the last runs one loop over its admissible
+        candidates.  The last depth, m - 1, is the base case: its first
+        admissible candidate completes the hit, so it charges the
+        candidates up to that one, or all of them when there is none.
+        One rule skips depths m - 2 that hold no hit.  Let p be a pick of
+        the tuples before the last two.  Each vertex of either last tuple
+        has the k vertices of the other tuple as neighbours in p's link
+        graph, so both tuples lie inside ``cores[p]``.  At k >= 3 a free
+        depth m - 3 ANDs, for each candidate, the cores of the picks of the
+        child it would call: the depth's own picks, and those through the
+        candidate.  When fewer than 2k vertices are left, the child can
+        hold no hit, so it is not called.  The parent charges what the
+        child would have cost, its candidates and the successors of its
+        admissible ones, in one bulk pass (``core.popcount_sum``), so
+        verdicts, hits and node counts are the same as without the rule.
+        At k = 2 the one pick is empty and its core, the 2-core of the
+        graph, keeps nearly every vertex, so the rule does not run.
         """
         ksets, inside, cores = self.ksets, self.inside, self.cores
         k, full = self.k, self.full
@@ -365,8 +367,7 @@ class TupleIndex:
 
         def extend(cands: int, allowed: int) -> bool:
             # Try each admissible candidate, in ascending order, for the
-            # tuple at this depth, which is at most m - 2; the last tuple is
-            # decided inline.  The next depth draws from the candidates
+            # tuple at this depth.  The next depth draws from the candidates
             # disjoint from the new tuple: those after it at a free depth,
             # all of them at a seeded one.  A search out of budget
             # (nodes > budget) returns False at once, all the way up.
@@ -381,40 +382,20 @@ class TupleIndex:
                 succ, need = self.apart, 1
             else:
                 succ, need = self.later, m - depth - 1
+            if depth == m - 1:
+                # The base case: the first admissible candidate completes
+                # the tuple.  Charged: the candidates up to it, or all of
+                # them when there is none (last = 0 masks by -1).
+                last = hits & -hits
+                nodes += (cands & (2 * last - 1)).bit_count()
+                if not last or nodes > budget:
+                    return False
+                chosen.append(last.bit_length() - 1)
+                return True
             pick_masks = self.picks(chosen)
             rows = rows_for(pick_masks)
-            if depth == m - 2:
-                # Charged here: every candidate passed over, plus every
-                # last-tuple candidate passed over after each admissible one.
-                # Node counts only grow, so checking the budget at a hit and
-                # at the end gives what a check per node gives: an overshoot
-                # is clamped either way.
-                if depth + 1 < len(pools):
-                    allowed &= pools[depth + 1]
-                after = 0
-                while hits:
-                    low = hits & -hits
-                    hits ^= low
-                    i = low.bit_length() - 1
-                    nxt = cands & succ[i]
-                    if not nxt:
-                        continue
-                    final = nxt & allowed
-                    for t in ksets[i]:
-                        final &= rows[t]
-                    if final:
-                        last = final & -final
-                        nodes += (cands & (2 * low - 1)).bit_count() + after
-                        nodes += (nxt & (2 * last - 1)).bit_count()
-                        if nodes > budget:
-                            return False
-                        chosen.extend((i, last.bit_length() - 1))
-                        return True
-                    after += nxt.bit_count()
-                nodes += cands.bit_count() + after
-                return False
-            # The look-ahead: the children of a free depth m - 3 are last
-            # depths, and the last two tuples of a hit in a child lie inside
+            # The look-ahead: the children of a free depth m - 3 place the
+            # last two tuples, and those tuples of a hit in a child lie inside
             # the core of each of its picks: `base`, the cores of this
             # depth's picks, and the cores of the picks through the child's
             # tuple, each a prefix of k - 3 vertices plus one of it.

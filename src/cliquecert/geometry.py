@@ -32,6 +32,13 @@ from .forbidden import DEFAULT_BUDGET, TupleSearchResult, Verdict, find_complete
 
 Point = tuple[int, ...]
 
+# The pair masks of n boxes are n masks of n bits, and building them keeps
+# as many again in prefix masks: under a 1 GiB address space they fit at
+# 2^15 boxes with room for the nerve and the pipeline after them, and not
+# at 60,000.  Parsed and drawn families refuse more boxes than this before
+# any box is built.
+MAX_BOXES = 1 << 15
+
 
 class Box(core._Frozen):
     """An axis-aligned box [lo[0], hi[0]] x ... with integer corners.
@@ -257,13 +264,15 @@ def random_box_family(
 ) -> BoxFamily:
     """Deterministic random family: lo uniform in [0, spread], side lengths
     uniform in [min_side, max_side] per coordinate.  The side/spread ratio
-    controls the expected pairwise-intersection density."""
+    controls the expected pairwise-intersection density.  More than
+    ``MAX_BOXES`` boxes are refused before any is drawn."""
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if spread < 0:
         raise ValueError(f"need spread >= 0, got spread={spread}")
     if not 0 <= min_side <= max_side:
         raise ValueError(f"need 0 <= min_side <= max_side, got {min_side}, {max_side}")
+    refuse_over_cap("the box count of a random box family", MAX_BOXES, n)
     rng = random.Random(seed)
     boxes = []
     for _ in range(n):
@@ -280,12 +289,15 @@ def random_box_family(
 
 
 def box_family_from_dict(obj: Mapping) -> BoxFamily:
+    """Parse a box family document; more than ``MAX_BOXES`` boxes are
+    refused before any is read."""
     if not isinstance(obj, Mapping):
         raise InputFormatError("box family document must be a JSON object")
     if "d" not in obj or not isinstance(obj["d"], int) or isinstance(obj["d"], bool):
         raise InputFormatError('missing or non-integer field "d"')
     if "boxes" not in obj or not isinstance(obj["boxes"], list):
         raise InputFormatError('"boxes" must be a list')
+    refuse_over_cap("the box count of a box family document", MAX_BOXES, len(obj["boxes"]))
     d = obj["d"]
     boxes = []
     for i, entry in enumerate(obj["boxes"]):

@@ -74,6 +74,17 @@ def random_graph(n, p, rng):
     return {"n": n, "k": 2, "edges": [list(e) for e in combinations(range(n), 2) if rng.random() < p]}
 
 
+def drawn_boxes(n, d, seed):
+    """What `gen-boxes --n n --d d --seed seed` prints as its outcome, drawn
+    as random_box_family draws it but at any n, past the box cap too."""
+    rng = random.Random(seed)
+    boxes = []
+    for _ in range(n):
+        lo = [rng.randint(0, 100) for _ in range(d)]
+        boxes.append({"lo": lo, "hi": [a + rng.randint(0, 40) for a in lo]})
+    return {"d": d, "boxes": boxes}
+
+
 # The documents the size-refusal table reads, built on demand.
 REFUSAL_DOCS = {
     "edgeless3000": lambda: {"n": 3000, "k": 2, "edges": []},
@@ -94,6 +105,8 @@ REFUSAL_DOCS = {
     "boxes600": lambda: box_family_to_dict(random_box_family(600, 3, 1, spread=40, max_side=30)),
     # What `gen-boxes --n 20000 --d 1 --seed 1` prints.
     "boxes20000": lambda: box_family_to_dict(random_box_family(20000, 1, 1)),
+    # What `gen-boxes --n 100000 --d 1 --seed 1` printed before the box cap.
+    "boxes100000": lambda: drawn_boxes(100000, 1, 1),
     "edgeless-n60-k30": lambda: {"n": 60, "k": 30, "edges": []},
     "edgeless-n40-k10": lambda: {"n": 40, "k": 10, "edges": []},
     "edgeless-n2000-k1000": lambda: {"n": 2000, "k": 1000, "edges": []},
@@ -166,6 +179,12 @@ WIDE_SEARCH = ["search", "--n", "200000", "--k", "100000", "--m", "100000", "--o
         # any is listed.
         pytest.param(["nerve", "--input", "@boxes20000"], id="nerve-d1-n20000"),
         pytest.param(["helly", "--input", "@boxes20000"], id="helly-d1-n20000"),
+        # 100,000 pair masks of 100,000 bits would not fit in 1 GiB: the
+        # box count is refused before any box is parsed or drawn.
+        pytest.param(["nerve", "--input", "@boxes100000"], id="nerve-d1-n100000"),
+        pytest.param(["helly", "--input", "@boxes100000"], id="helly-d1-n100000"),
+        pytest.param(["gen-boxes", "--n", "100000", "--d", "1", "--seed", "1"],
+                     id="gen-boxes-n100000"),
         # The nerve is the 4-clique family of the intersection graph, and
         # m_clique_family stops once its search passes
         # core.DEFAULT_MAX_FAMILY steps.
@@ -774,6 +793,21 @@ class TestRoundTrips:
         _, out1, _ = run(capsys, "analyze", "--input", c4_file)
         _, out2, _ = run(capsys, "analyze", "--input", missing_form)
         assert last_json(out1)["input_digest"] == last_json(out2)["input_digest"]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 6, "k": 3, "edges": [[3, 4, 5], [0, 1, 2], [1, 2, 4]]},
+            {"n": 6, "k": 3, "missing": [[2, 3, 5], [0, 1, 2]]},
+        ],
+        ids=["edges", "missing"],
+    )
+    def test_instance_digest_is_that_of_the_canonical_document(self, capsys, tmp_path, doc):
+        from cliquecert.cli import _canonical_digest
+
+        H = hypergraph_from_dict(doc)
+        _, out, _ = run(capsys, "analyze", "--input", write_json(tmp_path / "doc.json", doc))
+        assert last_json(out)["input_digest"] == _canonical_digest(hypergraph_to_dict(H))
 
     def test_certificate_payload_reloads(self, capsys, c4_file):
         from cliquecert import CompleteTupleCertificate

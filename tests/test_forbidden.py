@@ -298,19 +298,21 @@ def assert_node_count(H, m, want):
 
 def assert_matches_reference(H, m, budget):
     """``find_complete_tuple`` against the one-candidate-at-a-time
-    backtracking it replaced.  At k >= 3: the same verdict, certificate
-    and node count at ``budget``.  At k = 2, where a node is a missing pair
+    backtracking it replaced, at ``budget`` and on either side of the
+    unbudgeted node count.  At k >= 3: the same verdict, certificate and
+    node count at each budget.  At k = 2, where a node is a missing pair
     tried: the reference's verdict and certificate unbudgeted, and at any
     budget the unbudgeted result, or EXHAUSTED with budget + 1 nodes
-    exactly when its node count passes the budget; checked at ``budget``
-    and on either side of the node count."""
+    exactly when its node count passes the budget."""
     context = (H.n, H.k, sorted(H.edges), m, budget)
-    if H.k > 2:
-        assert outcome(find_complete_tuple(H, m, budget)) == outcome(
-            reference_find_complete_tuple(H, m, budget)
-        ), context
-        return
     full = find_complete_tuple(H, m)
+    if H.k > 2:
+        # A budget from the node count up runs the unbudgeted search.
+        for b in {min(budget, full.nodes), max(full.nodes - 1, 0)}:
+            assert outcome(find_complete_tuple(H, m, b)) == outcome(
+                reference_find_complete_tuple(H, m, b)
+            ), (context, b)
+        return
     want = reference_find_complete_tuple(H, m)
     assert (full.verdict, full.certificate) == (want.verdict, want.certificate), context
     for b in {budget, full.nodes, max(full.nodes - 1, 0)}:

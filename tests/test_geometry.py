@@ -23,7 +23,8 @@ from cliquecert import (
     random_box_family,
     verify_complete_tuple,
 )
-from cliquecert import InputFormatError
+from cliquecert import InputFormatError, SizeRefusalError
+from cliquecert.geometry import MAX_BOXES
 from helpers import (
     meets_chordal_bound,
     meets_kalai_bound_with_slack,
@@ -314,6 +315,11 @@ class TestRandomBoxFamily:
         with pytest.raises(ValueError, match="spread"):
             random_box_family(3, 1, 1, spread=-1)
 
+    def test_refuses_more_boxes_than_the_cap(self):
+        assert len(random_box_family(MAX_BOXES, 1, 1, spread=10**9, max_side=0).boxes) == MAX_BOXES
+        with pytest.raises(SizeRefusalError, match="box count"):
+            random_box_family(MAX_BOXES + 1, 1, 1)
+
 
 class TestBoundConnections:
     def test_kalai_direction_on_samples(self):
@@ -340,6 +346,13 @@ class TestBoxSerialization:
         doc = {"d": 1, "boxes": [{"lo": [0], "hi": [1]}, {"lo": [5], "hi": [2]}]}
         with pytest.raises(InputFormatError, match=r"boxes\[1\]"):
             box_family_from_dict(doc)
+
+    def test_refuses_more_boxes_than_the_cap_before_parsing_any(self):
+        # The entries are not boxes: the count is refused before any is read.
+        with pytest.raises(SizeRefusalError, match="box count"):
+            box_family_from_dict({"d": 1, "boxes": [None] * (MAX_BOXES + 1)})
+        with pytest.raises(InputFormatError, match=r"boxes\[0\]"):
+            box_family_from_dict({"d": 1, "boxes": [None] * MAX_BOXES})
 
     def test_rejects_wrong_dimension(self):
         doc = {"d": 2, "boxes": [{"lo": [0], "hi": [1]}]}
