@@ -261,9 +261,18 @@ class TupleIndex:
     def picks(self, chosen: Sequence[int], size: Optional[int] = None) -> list[int]:
         """Vertex masks of one vertex from each of ``size`` of the tuples
         ``chosen``, k - 2 unless given: with a vertex of each of two more
-        tuples, such a pick of k - 2 makes a transversal constraint."""
-        ksets, out = self.ksets, []
-        for idxs in combinations(chosen, self.k - 2 if size is None else size):
+        tuples, such a pick of k - 2 makes a transversal constraint.  They
+        come in ``combinations`` x ``product`` order.  The empty pick (the
+        look-ahead's prefixes at k = 3) and single-vertex picks (k = 3)
+        take one comprehension each; larger picks walk that product."""
+        ksets = self.ksets
+        size = self.k - 2 if size is None else size
+        if size == 0:
+            return [0]
+        if size == 1:
+            return [1 << v for i in chosen for v in ksets[i]]
+        out = []
+        for idxs in combinations(chosen, size):
             for pick in product(*(ksets[i] for i in idxs)):
                 mask = 0
                 for v in pick:
@@ -324,7 +333,10 @@ class TupleIndex:
         link of each (k-1)-set s drawn from k-1 earlier tuples.  The
         admissible candidates at a depth are therefore the AND, over those
         s, of ``inside[s]``; each placed tuple narrows it with k ANDs of
-        per-depth cached rows.
+        its frame's rows.  A frame keeps them in a plain dict, filled by
+        the candidate loop on first use: the row of a vertex t is the AND
+        of ``inside[p + t]`` over the frame's picks p (``picks``).  A frame
+        with no picks (depth < k - 2) narrows nothing and fills no row.
 
         Every candidate a depth passes over, admissible, in its pool or
         not, costs one node against ``budget``; the passed-over bits are
@@ -355,16 +367,6 @@ class TupleIndex:
         chosen: list[int] = []
         nodes = 0
 
-        def rows_for(pick_masks: list[int]) -> _Memo:
-            # rows[t]: AND of inside[p + t] over the picks p.
-            def row(t: int) -> int:
-                mask = full
-                for p in pick_masks:
-                    mask &= inside[p | 1 << t]
-                return mask
-
-            return _Memo(row)
-
         def extend(cands: int, allowed: int) -> bool:
             # Try each admissible candidate, in ascending order, for the
             # tuple at this depth.  The next depth draws from the candidates
@@ -393,7 +395,9 @@ class TupleIndex:
                 chosen.append(last.bit_length() - 1)
                 return True
             pick_masks = self.picks(chosen)
-            rows = rows_for(pick_masks)
+            # rows[t]: the AND of inside[p + t] over the picks p, filled on
+            # first use; with no picks every row would be full.
+            rows: dict[int, int] = {}
             # The look-ahead: the children of a free depth m - 3 place the
             # last two tuples, and those tuples of a hit in a child lie inside
             # the core of each of its picks: `base`, the cores of this
@@ -419,8 +423,15 @@ class TupleIndex:
                 if nxt.bit_count() < need:
                     continue
                 narrowed = allowed
-                for t in ksets[i]:
-                    narrowed &= rows[t]
+                if pick_masks:
+                    for t in ksets[i]:
+                        row = rows.get(t)
+                        if row is None:
+                            row = full
+                            for p in pick_masks:
+                                row &= inside[p | 1 << t]
+                            rows[t] = row
+                        narrowed &= row
                 if ahead:
                     bound = base
                     for t in ksets[i]:

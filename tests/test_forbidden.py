@@ -472,6 +472,38 @@ class TestCoresMemo:
         assert nonzero >= 1000, nonzero
 
 
+class TestPicks:
+    """``TupleIndex.picks`` against its definition: one vertex from each
+    of ``size`` of the chosen tuples, over every ``size``-combination."""
+
+    @staticmethod
+    def definition(ksets, chosen, size):
+        return sorted(
+            sum(1 << v for v in pick)
+            for idxs in combinations(chosen, size)
+            for pick in product(*(ksets[i] for i in idxs))
+        )
+
+    def test_every_size_matches_the_definition(self):
+        rng = random.Random(2029)
+        for k in (3, 4, 5):
+            n = 4 * k
+            positions = list(combinations(range(n), k))
+            index = TupleIndex(n, k, positions, {})
+            for _ in range(30):
+                # Disjoint tuples, as a search chooses them.
+                order = rng.sample(range(n), n)
+                count = rng.randint(0, n // k)
+                chosen = [
+                    positions.index(tuple(sorted(order[j * k:(j + 1) * k])))
+                    for j in range(count)
+                ]
+                for size in range(k - 1):
+                    expected = self.definition(positions, chosen, size)
+                    assert sorted(index.picks(chosen, size)) == expected, (k, chosen, size)
+                assert sorted(index.picks(chosen)) == self.definition(positions, chosen, k - 2)
+
+
 class TestNarrowedSeedPools:
     """The seeded search on the pools of ``TupleIndex.through`` against the
     brute force, or the old search where that is too slow, not against
