@@ -262,13 +262,11 @@ class TupleIndex:
         """Vertex masks of one vertex from each of ``size`` of the tuples
         ``chosen``, k - 2 unless given: with a vertex of each of two more
         tuples, such a pick of k - 2 makes a transversal constraint.  They
-        come in ``combinations`` x ``product`` order.  The empty pick (the
-        look-ahead's prefixes at k = 3) and single-vertex picks (k = 3)
-        take one comprehension each; larger picks walk that product."""
+        come in ``combinations`` x ``product`` order.  Single-vertex picks
+        (k = 3) take one comprehension; other sizes walk that product, which
+        gives the one empty pick at size 0."""
         ksets = self.ksets
         size = self.k - 2 if size is None else size
-        if size == 0:
-            return [0]
         if size == 1:
             return [1 << v for i in chosen for v in ksets[i]]
         out = []
