@@ -26,11 +26,10 @@ The score of tau is then popcount(AND of col[t] for t in tau), one big-int
 AND per candidate missing k-set, and the surviving sigma are the positions
 in that AND for the chosen tau.  Rounds 2 to m-1 fill the columns from the
 family the round before returned.  Round 1 never lists the m-clique family
-F_m.  At m = k it reads the link index: N_sigma is the link of the
-(k-1)-set sigma, so at k = 2 the columns are the adjacency rows, and at
-k >= 3 the links are rows to transpose.  At m > k its sigma are the
-(m-1)-cliques with a nonempty N_sigma, which is the AND of the links of
-sigma's (k-1)-subsets.  Rows N_sigma become the columns in bulk transposes.
+F_m: one loop reads its (sigma, N_sigma) pairs, the link index at m = k
+(N_sigma is the link of the (k-1)-set sigma) and the (m-1)-cliques at
+m > k (N_sigma is the AND of the links of sigma's (k-1)-subsets), and the
+rows N_sigma become the columns in bulk transposes.
 """
 
 from __future__ import annotations
@@ -244,11 +243,8 @@ def shrink_step(
     return _shrink(H, *_columns(H, family), forbidden_taus, meter or WorkMeter(SCORE_STEPS))
 
 
-Sigmas = Union[list[int], dict[int, int]]
-
-
 def _shrink(
-    H: KUniformHypergraph, sigmas: Sigmas, col: list[int], forbidden_taus: Iterable[Edge],
+    H: KUniformHypergraph, sigmas: list[int], col: list[int], forbidden_taus: Iterable[Edge],
     meter: WorkMeter,
 ) -> ShrinkResult:
     # shrink_step on a round's sigma (sigmas[j] is position j's, as a
@@ -272,63 +268,54 @@ def _shrink(
     return ShrinkResult(tau=tau, family=tuple(shrunk), scores=scores)
 
 
-def _first_round(
-    H: KUniformHypergraph, m: int
-) -> tuple[Sigmas, list[int], int, Optional[Edge]]:
+def _first_round(H: KUniformHypergraph, m: int) -> tuple[list[int], list[int], int, Optional[Edge]]:
     # Round 1's sigma (vertex masks) and columns, without listing F_m, and
     # |F_m| and F_m's lexicographically first member (None if F_m is
-    # empty).  The order of the sigma reaches no report: scores are
-    # popcounts and _shrink sorts the survivors.
+    # empty), from one loop over the (sigma, N_sigma) pairs.  At m = k F_k
+    # is the edge set and the pairs are the link index.  At m > k the sigma
+    # are the (m-1)-cliques (the edges when m - 1 = k) and N_sigma is the
+    # AND of the links of sigma's (k-1)-subsets.  Sigma with an empty
+    # N_sigma are skipped, |F_m| = sum |N_sigma| / m, and the rows N_sigma
+    # become the columns a chunk at a time.  The order of the sigma reaches
+    # no report: scores are popcounts and _shrink sorts the survivors.
     n, k, links = H.n, H.k, H.links
-    chunk = max(1, TRANSPOSE_CELLS // (n + 1))
     if m == k:
-        # F_k is the edge set and N_sigma the link of sigma.  At k = 2
-        # sigma j is vertex j, and the sigma whose N_sigma holds x are the
-        # neighbours of x, so the columns are the adjacency rows.  Only
-        # vertices with a neighbour are keyed, so no mask is built per
-        # isolated vertex.
-        edges = H.sorted_edges
-        first = edges[0] if edges else None
-        if k == 2:
-            sigmas, col = {}, [0] * n
-            for s, row in links.items():
-                j = s.bit_length() - 1
-                sigmas[j], col[j] = s, row
-        else:
-            sigmas, rows, col = list(links), list(links.values()), [0] * n
-            for i in range(0, len(rows), chunk):
-                _transpose(rows[i:i + chunk], col, i)
-        return sigmas, col, len(edges), first
-    # For m > k the sigma are the (m-1)-cliques with a nonempty N_sigma,
-    # the AND of the links of sigma's (k-1)-subsets, and |F_m| =
-    # sum |N_sigma| / m, refused as the sum grows.  F_m's first member is
-    # the first such sigma, as they come in lexicographic order, plus the
-    # lowest vertex of its N_sigma.  That vertex lies above max(sigma), or
-    # swapping the two would give an earlier sigma.
-    # F_m is held to core's cap, as the m-clique search it replaces is.
+        pairs = links.items()
+    else:
+        below = H.sorted_edges if m - 1 == k else m_clique_family(H, m - 1)
+        bits = ([1 << v for v in sigma] for sigma in below)
+        pairs = ((sum(b), clique_extensions(links, k, b)) for b in bits)
     what = f"the {m}-clique family"
+    chunk = max(1, TRANSPOSE_CELLS // (n + 1))
     sigmas: list[int] = []
     rows: list[int] = []
     col = [0] * n
     total = 0
     first = None
-    for sigma in H.sorted_edges if m - 1 == k else m_clique_family(H, m - 1):
-        bits = [1 << v for v in sigma]
-        row = clique_extensions(links, k, bits)
+    for sigma, row in pairs:
         if not row:
             continue
         if first is None:
-            first = (*sigma, (row & -row).bit_length() - 1)
-        sigmas.append(sum(bits))
+            first = sigma | row & -row
+        sigmas.append(sigma)
         rows.append(row)
         total += row.bit_count()
         if len(rows) == chunk:
-            # |F_m| > cap exactly when total > m * cap.
-            refuse_over_cap(what, core.DEFAULT_MAX_FAMILY, -(-total // m))
+            # F_m is held to core's cap at m > k, as the m-clique search it
+            # replaces is; |F_m| > cap exactly when total > m * cap.
+            if m > k:
+                refuse_over_cap(what, core.DEFAULT_MAX_FAMILY, -(-total // m))
             _transpose(rows, col, len(sigmas) - chunk)
             rows.clear()
-    refuse_over_cap(what, core.DEFAULT_MAX_FAMILY, total // m)
+    if m > k:
+        refuse_over_cap(what, core.DEFAULT_MAX_FAMILY, total // m)
     _transpose(rows, col, len(sigmas) - len(rows))
+    # The links come in no lexicographic order, so F_k's first member is
+    # the first sorted edge.  At m > k the sigma do, and F_m's is the first
+    # sigma plus the lowest vertex of its N_sigma, which lies above
+    # max(sigma), or swapping the two would give an earlier sigma.
+    if first is not None:
+        first = H.sorted_edges[0] if m == k else mask_vertices(first)
     return sigmas, col, total // m, first
 
 
@@ -431,11 +418,12 @@ def extract_hypergraph(H: KUniformHypergraph, m: int) -> ExtractionOutcome:
     asymptotic.  A complete instance is its own clique, with no family
     listed.
 
-    F_m is never listed.  At m = k round 1 reads the link index: F_k is
-    the edge set and N_sigma the link of the (k-1)-set sigma.  At m > k
-    round 1 reads its sigma off the (m-1)-cliques (the edges when
-    m - 1 = k), with N_sigma the AND of the links of sigma's (k-1)-subsets,
-    and |F_m| = sum |N_sigma| / m.  Rounds 2 to m-1 run ``shrink_step`` on
+    F_m is never listed.  Round 1 runs one loop over the pairs (sigma,
+    N_sigma) with a nonempty N_sigma, and |F_m| = sum |N_sigma| / m.  At
+    m = k the pairs are the link index: F_k is the edge set and N_sigma
+    the link of the (k-1)-set sigma.  At m > k the sigma are the
+    (m-1)-cliques (the edges when m - 1 = k), with N_sigma the AND of the
+    links of sigma's (k-1)-subsets.  Rounds 2 to m-1 run ``shrink_step`` on
     the family the round before returned.  ``m_clique_family`` refuses a
     search of more than ``core.DEFAULT_MAX_FAMILY`` steps, round 1 an F_m
     of more than that many members, and the score walks of all the rounds,

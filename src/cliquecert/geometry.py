@@ -12,7 +12,6 @@ what ``colorful_check`` probes, loudly, on every family it is given.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -32,11 +31,12 @@ from .forbidden import DEFAULT_BUDGET, TupleSearchResult, Verdict, find_complete
 
 Point = tuple[int, ...]
 
-# The pair masks of n boxes are n masks of n bits, and building them keeps
-# as many again in prefix masks: under a 1 GiB address space they fit at
-# 2^15 boxes with room for the nerve and the pipeline after them, and not
-# at 60,000.  Parsed and drawn families refuse more boxes than this before
-# any box is built.
+# The pair masks of n boxes are n masks of n bits, built with one running
+# mask besides them.  Under a 1 GiB address space, `nerve` and `helly` on
+# the d <= 3 families tried at 2^15 boxes peak at 168-185 MB where they
+# refuse on the edge count or the tuple-slot cap, and at 471-664 MB where
+# the graph is built near its edge cap.  Parsed and drawn families refuse
+# more boxes than this before any box is built.
 MAX_BOXES = 1 << 15
 
 
@@ -117,30 +117,31 @@ def _pairwise_intersections(boxes: Sequence[Box], d: int) -> list[int]:
     """Pairwise intersection masks: bit j of entry i is set when boxes i and
     j (i != j) share a point.
 
-    Per coordinate, i meets j when lo[j] <= hi[i] and hi[j] >= lo[i]; the
-    first is a prefix of the boxes sorted by lo, the second a suffix of the
-    boxes sorted by hi, each read off by bisection.
+    Per coordinate, i meets j when lo[j] <= hi[i] and hi[j] >= lo[i], and
+    each condition is one sweep with one running mask.  Taking the boxes
+    by ascending hi, the mask collects the boxes with lo <= hi[i] and is
+    ANDed into i's entry; taking them by ascending lo, it collects the
+    boxes with hi < lo[i], which are cleared from i's entry.
     """
     n = len(boxes)
     meets = [((1 << n) - 1) ^ 1 << i for i in range(n)]
     for axis in range(d):
-        by_lo = sorted(range(n), key=lambda i: boxes[i].lo[axis])
-        los = [boxes[i].lo[axis] for i in by_lo]
-        by_hi = sorted(range(n), key=lambda i: boxes[i].hi[axis])
-        his = [boxes[i].hi[axis] for i in by_hi]
-        # lo_prefix[t]: the t boxes of least lo; hi_suffix[t]: all boxes of
-        # by_hi from position t on.
-        lo_prefix = [0]
+        lo = [box.lo[axis] for box in boxes]
+        hi = [box.hi[axis] for box in boxes]
+        by_lo = sorted(range(n), key=lo.__getitem__)
+        by_hi = sorted(range(n), key=hi.__getitem__)
+        seen, t = 0, 0
+        for i in by_hi:
+            while t < n and lo[by_lo[t]] <= hi[i]:
+                seen |= 1 << by_lo[t]
+                t += 1
+            meets[i] &= seen
+        seen, t = 0, 0
         for i in by_lo:
-            lo_prefix.append(lo_prefix[-1] | 1 << i)
-        hi_suffix = [0]
-        for i in reversed(by_hi):
-            hi_suffix.append(hi_suffix[-1] | 1 << i)
-        hi_suffix.reverse()
-        for i, box in enumerate(boxes):
-            below = lo_prefix[bisect_right(los, box.hi[axis])]
-            above = hi_suffix[bisect_left(his, box.lo[axis])]
-            meets[i] &= below & above
+            while t < n and hi[by_hi[t]] < lo[i]:
+                seen |= 1 << by_hi[t]
+                t += 1
+            meets[i] &= ~seen
     return meets
 
 

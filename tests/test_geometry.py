@@ -116,6 +116,29 @@ class TestBuildNerve:
                     meets = boxes_intersect([fam.boxes[i] for i in idx]) is not None
                     assert present == meets
 
+    def test_pair_masks_match_definition(self):
+        # Corners in a span of at most 5, sides 0-3: most pairs touch at a
+        # boundary or share a corner value, and many boxes are degenerate.
+        import cliquecert.geometry as geo
+
+        rng = random.Random(29)
+        for d in (1, 2, 3):
+            for _ in range(60):
+                n, spread = rng.randint(1, 60), rng.randint(0, 5)
+                boxes = []
+                for _ in range(n):
+                    lo = tuple(rng.randint(0, spread) for _ in range(d))
+                    boxes.append(Box(lo=lo, hi=tuple(a + rng.randint(0, 3) for a in lo)))
+                want = [
+                    sum(
+                        1 << j for j, b in enumerate(boxes)
+                        if j != i and all(
+                            b.lo[x] <= a.hi[x] and b.hi[x] >= a.lo[x] for x in range(d)
+                        )
+                    )
+                    for i, a in enumerate(boxes)
+                ]
+                assert geo._pairwise_intersections(boxes, d) == want, (d, boxes)
 
     def test_nerve_built_once_per_family(self, monkeypatch):
         import cliquecert.geometry as geo

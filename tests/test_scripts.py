@@ -85,13 +85,18 @@ def test_helly_experiment_argument_errors_exit_two(args, error):
     assert proc.stderr.splitlines() == [error]
 
 
-def test_report_digest_is_stable():
+@pytest.mark.parametrize("workload", ["helly-proof", "nerve-extract", "hill-climb"])
+def test_report_digest_is_stable(workload, monkeypatch):
     # Two runs of the same cases print one digest; wall_time_s, the one
-    # field of a report that varies between runs, is zeroed.
-    args = ["--workload", "nerve-extract", "--seed", "1", "--cases", "2", "--toy"]
+    # field of a report that varies between runs, is zeroed.  Left out,
+    # --cases is the pool's whole case count.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import TOY_CASES
+
+    args = ["--workload", workload, "--seed", "1", "--toy"]
     digests = []
-    for _ in range(2):
-        proc = run_script("report_digest.py", *args)
+    for extra in (["--cases", str(TOY_CASES[workload])], []):
+        proc = run_script("report_digest.py", *args, *extra)
         assert proc.returncode == 0, proc.stderr
         digests += proc.stdout.split()
     assert len(digests) == 2 and len(digests[0]) == 64
