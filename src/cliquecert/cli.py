@@ -43,7 +43,6 @@ from .core import (
     SizeRefusalError,
     comb_exceeds,
     hypergraph_from_dict,
-    hypergraph_to_dict,
     max_clique,
 )
 from .extractor import ExtractionOutcome, extract_graph, extract_hypergraph
@@ -89,11 +88,15 @@ def _load_json(path: str):
         raise InputFormatError(f"{path} is not valid JSON: {exc}")
 
 
+def _hypergraph_doc(H: KUniformHypergraph) -> dict:
+    # hypergraph_to_dict(H) without its copy of the edges: json writes the
+    # edge tuples as arrays.
+    return {"n": H.n, "k": H.k, "edges": H.sorted_edges}
+
+
 def _load_instance(path: str) -> tuple[KUniformHypergraph, str]:
     H = hypergraph_from_dict(_load_json(path))
-    # The digest of hypergraph_to_dict(H) without its copy of the edges:
-    # json writes the edge tuples as arrays.
-    return H, _canonical_digest({"n": H.n, "k": H.k, "edges": H.sorted_edges})
+    return H, _canonical_digest(_hypergraph_doc(H))
 
 
 def _load_boxes(path: str):
@@ -241,7 +244,7 @@ def _cmd_nerve(args) -> tuple:
     nerve = build_nerve(fam)
     density = nerve.edge_density()
     outcome = {
-        "hypergraph": hypergraph_to_dict(nerve),
+        "hypergraph": _hypergraph_doc(nerve),
         "density": _frac(density),
         "density_float": float(density),
     }

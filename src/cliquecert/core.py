@@ -674,16 +674,19 @@ def _parse_edge_list(obj, key: str, n: int, k: int) -> tuple[list[Edge], frozens
 
 
 def _checked_hypergraph(
-    n: int, k: int, edges: list[Edge], edge_set: frozenset[Edge]
+    n: int, k: int, edge_set: frozenset[Edge], sorted_edges: Optional[Sequence[Edge]] = None
 ) -> KUniformHypergraph:
-    # The loader has checked every edge of ``edges`` once, and ``edge_set``
-    # holds them: the constructor would check them again.  An edge list
-    # already in strictly ascending order (one C-level pass decides it) is
-    # kept as ``sorted_edges``, which then needs no sort.
+    """The hypergraph on the edges of ``edge_set``, which its caller has
+    already checked, without the constructor's check of every edge.  The
+    loader checks the edges of a document as it parses them; the box layer
+    lists the edges of the intersection graph and the nerve itself, from
+    the pair masks and by ``m_clique_family``.  ``sorted_edges``, when
+    given, holds the same edges in lexicographic order and is kept as the
+    ``sorted_edges`` field, which then needs no sort."""
     H = object.__new__(KUniformHypergraph)
     H.__dict__.update(n=n, k=k, edges=edge_set)
-    if all(map(lt, edges, edges[1:])):
-        H.__dict__["sorted_edges"] = tuple(edges)
+    if sorted_edges is not None:
+        H.__dict__["sorted_edges"] = tuple(sorted_edges)
     return H
 
 
@@ -710,12 +713,16 @@ def hypergraph_from_dict(obj: Mapping) -> KUniformHypergraph:
         raise InputFormatError('exactly one of "edges" or "missing" must be present')
     refuse_over_cap('the vertex count "n"', DEFAULT_MAX_FAMILY, n)
     if has_edges:
-        return _checked_hypergraph(n, k, *_parse_edge_list(obj, "edges", n, k))
+        edges, edge_set = _parse_edge_list(obj, "edges", n, k)
+        # An edge list already in strictly ascending order (one C-level
+        # pass decides it) is kept as ``sorted_edges``.
+        ascending = all(map(lt, edges, edges[1:]))
+        return _checked_hypergraph(n, k, edge_set, edges if ascending else None)
     missing = _parse_edge_list(obj, "missing", n, k)[1]
     what = f'the complement C({n},{k}) - {len(missing)} of "missing"'
     refuse_over_cap(what, DEFAULT_MAX_FAMILY, n, k, len(missing))
     edges = [e for e in combinations(range(n), k) if e not in missing]
-    return _checked_hypergraph(n, k, edges, frozenset(edges))
+    return _checked_hypergraph(n, k, frozenset(edges), edges)
 
 
 def hypergraph_to_dict(H: KUniformHypergraph) -> dict:

@@ -12,7 +12,10 @@ what ``colorful_check`` probes, loudly, on every family it is given.
 from __future__ import annotations
 
 import random
+from collections import deque
 from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter, le
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import core
@@ -32,11 +35,18 @@ from .forbidden import DEFAULT_BUDGET, TupleSearchResult, Verdict, find_complete
 Point = tuple[int, ...]
 
 # The pair masks of n boxes are n masks of n bits, built with one running
-# mask besides them.  Under a 1 GiB address space, `nerve` and `helly` on
-# the d <= 3 families tried at 2^15 boxes peak at 168-185 MB where they
-# refuse on the edge count or the tuple-slot cap, and at 471-664 MB where
-# the graph is built near its edge cap.  Parsed and drawn families refuse
-# more boxes than this before any box is built.
+# mask besides them; they are also G's link index.  Under a 1 GiB address
+# space, `nerve` and `helly` on the d <= 3 families tried at 2^15 boxes
+# peak at 168-185 MB where they refuse on the edge count or the tuple-slot
+# cap, and at 486-679 MB where the graph is built near its edge cap.  On
+# `gen-boxes --n 32768 --d 1 --seed 1 --spread 100000 --max-side 350`
+# (1,877,392 edges; 2-core VM, Python 3.11.7) `nerve` exits 0 in 6-8 s
+# and `helly` exits 4 after 249 s, both at a 486 MB peak.  Under cProfile,
+# 231 of helly's 238 s go to the k = 2 tuple search and 154 s of those to
+# 11.3 million link lookups: a key 1 << v hashes to 2^(v mod 61), so the
+# 32,768 keys share 61 hash values and a lookup probes a few hundred of
+# them.  Parsed and drawn families refuse more boxes than this before any
+# box is built.
 MAX_BOXES = 1 << 15
 
 
@@ -94,23 +104,39 @@ class BoxFamily(core._Frozen):
         subfamily with a common point is ``max_clique(G)``.  More than
         ``core.DEFAULT_MAX_FAMILY`` edges, counted from the pair masks, is
         refused before any is listed.
+
+        The edges are listed from the pair masks in lexicographic order,
+        so they are not checked again and are kept as ``sorted_edges``.
+        The link index is the pair masks themselves, keyed ``1 << i``: what
+        ``KUniformHypergraph.links`` builds at k = 2 from the edges.  Its
+        width gate could not refuse it, as n <= ``MAX_BOXES`` keys of n bits
+        stay within ``core.MAX_LINK_BITS``.
         """
         n = len(self.boxes)
         pairs = _pairwise_intersections(self.boxes, self.d)
         what = f"the edge count of the intersection graph of {n} boxes"
-        refuse_over_cap(what, core.DEFAULT_MAX_FAMILY, sum(p.bit_count() for p in pairs) // 2)
-        edges = [(i, j) for i in range(n) for j in mask_vertices(pairs[i] >> (i + 1) << (i + 1))]
-        return KUniformHypergraph(n=n, k=2, edges=frozenset(edges))
+        refuse_over_cap(what, core.DEFAULT_MAX_FAMILY, sum(map(int.bit_count, pairs)) // 2)
+        # A tuple at once, so no list of the edges is alive beside the
+        # edge set and the links.
+        edges = tuple([
+            (i, j) for i in range(n) for j in mask_vertices(pairs[i] >> (i + 1) << (i + 1))
+        ])
+        G = core._checked_hypergraph(n, 2, frozenset(edges), edges)
+        G.__dict__["links"] = {1 << i: row for i, row in enumerate(pairs) if row}
+        return G
 
     @cached_property
     def nerve_hypergraph(self) -> KUniformHypergraph:
         """The (d+1)-uniform intersection hypergraph, built once per family
         from ``intersection_graph``.  ``build_nerve`` returns it.  At d = 1
-        it is G itself, since the 2-clique family of a graph is its edges."""
+        it is G itself, since the 2-clique family of a graph is its edges.
+        At d >= 2 it is G's (d+1)-clique family, listed in lexicographic
+        order, so its edges are not checked again and are kept as
+        ``sorted_edges``."""
         if self.d == 1:
             return self.intersection_graph
         cliques = m_clique_family(self.intersection_graph, self.d + 1)
-        return KUniformHypergraph(n=len(self.boxes), k=self.d + 1, edges=frozenset(cliques))
+        return core._checked_hypergraph(len(self.boxes), self.d + 1, frozenset(cliques), cliques)
 
 
 def _pairwise_intersections(boxes: Sequence[Box], d: int) -> list[int]:
@@ -266,7 +292,8 @@ def random_box_family(
     """Deterministic random family: lo uniform in [0, spread], side lengths
     uniform in [min_side, max_side] per coordinate.  The side/spread ratio
     controls the expected pairwise-intersection density.  More than
-    ``MAX_BOXES`` boxes are refused before any is drawn."""
+    ``MAX_BOXES`` boxes, or more than ``core.DEFAULT_MAX_FAMILY``
+    coordinates n * d, are refused before any is drawn."""
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if spread < 0:
@@ -274,6 +301,7 @@ def random_box_family(
     if not 0 <= min_side <= max_side:
         raise ValueError(f"need 0 <= min_side <= max_side, got {min_side}, {max_side}")
     refuse_over_cap("the box count of a random box family", MAX_BOXES, n)
+    refuse_over_cap("the coordinate count of a random box family", core.DEFAULT_MAX_FAMILY, n * d)
     rng = random.Random(seed)
     boxes = []
     for _ in range(n):
@@ -291,7 +319,12 @@ def random_box_family(
 
 def box_family_from_dict(obj: Mapping) -> BoxFamily:
     """Parse a box family document; more than ``MAX_BOXES`` boxes are
-    refused before any is read."""
+    refused before any is read.
+
+    A well-formed document is checked by ``_bulk_boxes``' C-level passes,
+    and its boxes and family are built without being checked again.
+    Otherwise the per-entry loop below parses it, and its first malformed
+    entry words the error."""
     if not isinstance(obj, Mapping):
         raise InputFormatError("box family document must be a JSON object")
     if "d" not in obj or not isinstance(obj["d"], int) or isinstance(obj["d"], bool):
@@ -300,6 +333,11 @@ def box_family_from_dict(obj: Mapping) -> BoxFamily:
         raise InputFormatError('"boxes" must be a list')
     refuse_over_cap("the box count of a box family document", MAX_BOXES, len(obj["boxes"]))
     d = obj["d"]
+    boxes = _bulk_boxes(obj["boxes"], d)
+    if boxes is not None:
+        family = object.__new__(BoxFamily)
+        family.__dict__.update(d=d, boxes=boxes)
+        return family
     boxes = []
     for i, entry in enumerate(obj["boxes"]):
         if not isinstance(entry, Mapping) or "lo" not in entry or "hi" not in entry:
@@ -316,6 +354,36 @@ def box_family_from_dict(obj: Mapping) -> BoxFamily:
         except ValueError as exc:
             raise InputFormatError(f"boxes[{i}]: {exc}") from exc
     return BoxFamily(d=d, boxes=tuple(boxes))
+
+
+def _bulk_boxes(entries: list, d: int) -> Optional[tuple[Box, ...]]:
+    """The boxes of the entries, when d >= 1 and every entry is a dict
+    whose "lo" and "hi" are lists of d values of type int (so no bool) with
+    lo <= hi in each coordinate, checked by C-level passes (``map``,
+    ``itemgetter``, ``set``, ``le``) instead of a Python loop per entry.
+    The boxes' slots are filled the same way, with no ``Box.__init__``
+    call.  None only sends the caller to its per-entry loop, which words
+    the error, or accepts what this check is stricter about (a Mapping
+    that is not a dict, a list or int subclass)."""
+    if d < 1 or not set(map(type, entries)) <= {dict}:
+        return None
+    try:
+        los = list(map(itemgetter("lo"), entries))
+        his = list(map(itemgetter("hi"), entries))
+    except KeyError:
+        return None
+    both = los + his
+    if not (
+        set(map(type, both)) <= {list}
+        and set(map(len, both)) <= {d}
+        and set(map(type, chain.from_iterable(both))) <= {int}
+        and all(map(le, chain.from_iterable(los), chain.from_iterable(his)))
+    ):
+        return None
+    boxes = tuple(map(object.__new__, repeat(Box, len(entries))))
+    deque(map(Box.lo.__set__, boxes, map(tuple, los)), 0)
+    deque(map(Box.hi.__set__, boxes, map(tuple, his)), 0)
+    return boxes
 
 
 def box_family_to_dict(family: BoxFamily) -> dict:

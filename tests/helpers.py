@@ -21,11 +21,15 @@ the lo-corner grid sweep that ``max_clique`` on the pairwise-intersection
 graph replaced, and the per-edge link index build that the k = 2 index
 from adjacency rows replaced, kept unchanged for the same purpose.  ``reference_check_edges`` and ``reference_load_edges`` are the per-edge
 loops that the constructor and the loader ran before their bulk edge
-check, kept unchanged to compare edge sets and error messages;
+check, kept unchanged to compare edge sets and error messages, and
+``reference_box_family`` is the per-entry box parser that ran before the
+bulk box check, kept for the same purpose;
 ``reference_check_complete_tuple`` is the in-order walk that the bulk
 certificate check replaced, kept for the same purpose.  The instance
-builders ``from_edges`` and ``all_graphs``, the Lemma 3.1 floor and the
-exact chordal and Kalai checks serve only the tests, so they live here.
+builders ``from_edges`` and ``all_graphs``, the Lemma 3.1 floor, the
+exact chordal and Kalai checks, and the ``IntSub``, ``ListSub`` and
+``outcome`` that the parser tests share serve only the tests, so they
+live here.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from cliquecert import (
+    Box,
     BoxFamily,
     CliqueWitness,
     CompleteTupleCertificate,
@@ -57,6 +62,22 @@ from cliquecert.bounds import beta_recursion, meets_beta_bound
 from cliquecert.core import Edge
 from cliquecert.extractor import ExtractionOutcome, GraphTrace, HypergraphTrace, _ordered_scores
 from cliquecert.forbidden import DEFAULT_BUDGET
+
+
+class IntSub(int):
+    pass
+
+
+class ListSub(list):
+    pass
+
+
+def outcome(f):
+    """What f() returns, or the type and message of what it raises."""
+    try:
+        return f()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
 
 
 def from_edges(n: int, k: int, edges: Iterable[Iterable[int]]) -> KUniformHypergraph:
@@ -566,6 +587,35 @@ def reference_load_edges(obj: dict) -> frozenset[Edge]:
         return frozenset(edges)
     missing = set(edges)
     return frozenset(e for e in combinations(range(n), k) if e not in missing)
+
+
+def reference_box_family(obj: Mapping) -> BoxFamily:
+    """A box family document read one entry at a time, every box through
+    ``Box(...)`` and the family through ``BoxFamily(...)``; the box cap is
+    left out."""
+    if not isinstance(obj, Mapping):
+        raise InputFormatError("box family document must be a JSON object")
+    if "d" not in obj or not isinstance(obj["d"], int) or isinstance(obj["d"], bool):
+        raise InputFormatError('missing or non-integer field "d"')
+    if "boxes" not in obj or not isinstance(obj["boxes"], list):
+        raise InputFormatError('"boxes" must be a list')
+    d = obj["d"]
+    boxes = []
+    for i, entry in enumerate(obj["boxes"]):
+        if not isinstance(entry, Mapping) or "lo" not in entry or "hi" not in entry:
+            raise InputFormatError(f'boxes[{i}] must be an object with "lo" and "hi"')
+        lo, hi = entry["lo"], entry["hi"]
+        for name, coords in (("lo", lo), ("hi", hi)):
+            if not isinstance(coords, list) or len(coords) != d:
+                raise InputFormatError(f"boxes[{i}].{name} must be a list of {d} integers")
+            for j, v in enumerate(coords):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise InputFormatError(f"boxes[{i}].{name}[{j}] is not an integer")
+        try:
+            boxes.append(Box(lo=tuple(lo), hi=tuple(hi)))
+        except ValueError as exc:
+            raise InputFormatError(f"boxes[{i}]: {exc}") from exc
+    return BoxFamily(d=d, boxes=tuple(boxes))
 
 
 def reference_nerve_edges(family: BoxFamily) -> frozenset[Edge]:

@@ -185,6 +185,10 @@ WIDE_SEARCH = ["search", "--n", "200000", "--k", "100000", "--m", "100000", "--o
         pytest.param(["helly", "--input", "@boxes100000"], id="helly-d1-n100000"),
         pytest.param(["gen-boxes", "--n", "100000", "--d", "1", "--seed", "1"],
                      id="gen-boxes-n100000"),
+        # One box of 40,000,000 coordinates, past core.DEFAULT_MAX_FAMILY:
+        # refused before any is drawn, where drawing them ran out of 1 GiB.
+        pytest.param(["gen-boxes", "--n", "1", "--d", "40000000", "--seed", "1"],
+                     id="gen-boxes-d40000000"),
         # The nerve is the 4-clique family of the intersection graph, and
         # m_clique_family stops once its search passes
         # core.DEFAULT_MAX_FAMILY steps.

@@ -23,6 +23,8 @@ from cliquecert.core import SizeRefusalError, comb_exceeds, mask_vertices
 from cliquecert.core import _edges_valid as edges_valid
 from cliquecert.extractor import _columns
 from helpers import (
+    IntSub,
+    ListSub,
     all_graphs,
     brute_force_max_clique,
     complete_graph,
@@ -32,6 +34,7 @@ from helpers import (
     ext_binom,
     from_edges,
     nine_vertex_example,
+    outcome,
     random_hypergraph,
     reference_check_edges,
     reference_load_edges,
@@ -431,14 +434,6 @@ class TestSerialization:
             from_edges(4, 2, [(0, 1), (1, 0)])
 
 
-class IntSub(int):
-    pass
-
-
-class ListSub(list):
-    pass
-
-
 class TupleSub(tuple):
     pass
 
@@ -459,14 +454,6 @@ CORRUPTIONS = {
     "int": lambda e, n: e[0],
     "list-subclass": lambda e, n: ListSub(e),
 }
-
-
-def outcome(f):
-    """What f() returns, or the type and message of what it raises."""
-    try:
-        return f()
-    except Exception as exc:  # noqa: BLE001 - compared, not handled
-        return type(exc), str(exc)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 
 import pytest
 
@@ -23,12 +24,16 @@ from cliquecert import (
     random_box_family,
     verify_complete_tuple,
 )
-from cliquecert import InputFormatError, SizeRefusalError
+from cliquecert import InputFormatError, SizeRefusalError, core
 from cliquecert.geometry import MAX_BOXES
 from helpers import (
+    IntSub,
+    ListSub,
     meets_chordal_bound,
     meets_kalai_bound_with_slack,
+    outcome,
     random_hypergraph,
+    reference_box_family,
     reference_max_intersecting_subfamily,
 )
 
@@ -343,6 +348,16 @@ class TestRandomBoxFamily:
         with pytest.raises(SizeRefusalError, match="box count"):
             random_box_family(MAX_BOXES + 1, 1, 1)
 
+    def test_refuses_more_coordinates_than_the_cap(self):
+        # One box of 40,000,000 coordinates drew for 55 s and then ran out
+        # of a 1 GiB address space; n * d is refused before any is drawn.
+        with pytest.raises(SizeRefusalError, match="coordinate count"):
+            random_box_family(1, 40_000_000, 1)
+        with pytest.raises(SizeRefusalError, match="coordinate count"):
+            random_box_family(2, core.DEFAULT_MAX_FAMILY // 2 + 1, 1)
+        with pytest.raises(SizeRefusalError, match="box count"):
+            random_box_family(MAX_BOXES + 1, 10**9, 1)
+
 
 class TestBoundConnections:
     def test_kalai_direction_on_samples(self):
@@ -381,3 +396,99 @@ class TestBoxSerialization:
         doc = {"d": 2, "boxes": [{"lo": [0], "hi": [1]}]}
         with pytest.raises(InputFormatError, match=r"boxes\[0\]"):
             box_family_from_dict(doc)
+
+
+def one_more_box(**entry) -> dict:
+    # A d = 1 document whose second entry is ``entry``.
+    return {"d": 1, "boxes": [{"lo": [0], "hi": [1]}, entry]}
+
+
+# Documents that box_family_from_dict and the per-entry reference parser
+# must read alike: malformed ones raise the same error, and the others
+# (subclasses, extra keys, a Mapping that is not a dict) parse alike.
+BOX_DOCUMENTS = {
+    "boxes-not-a-list": {"d": 1, "boxes": {"lo": [0], "hi": [1]}},
+    "entry-not-a-dict": {"d": 1, "boxes": [{"lo": [0], "hi": [1]}, [0, 1]]},
+    "entry-none": {"d": 1, "boxes": [None]},
+    "missing-lo": one_more_box(hi=[1]),
+    "missing-hi": one_more_box(lo=[0]),
+    "lo-a-tuple": one_more_box(lo=(0,), hi=[1]),
+    "lo-too-long": one_more_box(lo=[0, 1], hi=[1]),
+    "hi-too-short": one_more_box(lo=[0], hi=[]),
+    "float": one_more_box(lo=[0.5], hi=[1]),
+    "bool": one_more_box(lo=[False], hi=[1]),
+    "str": one_more_box(lo=[0], hi=["1"]),
+    "lo-above-hi": one_more_box(lo=[2], hi=[1]),
+    "lo-above-hi-d2": {
+        "d": 2, "boxes": [{"lo": [0, 0], "hi": [1, 1]}, {"lo": [0, 5], "hi": [1, 4]}],
+    },
+    "d-zero": {"d": 0, "boxes": [{"lo": [], "hi": []}]},
+    "d-zero-no-boxes": {"d": 0, "boxes": []},
+    "d-negative": {"d": -1, "boxes": [{"lo": [0], "hi": [1]}]},
+    "d-negative-no-boxes": {"d": -1, "boxes": []},
+    "no-boxes": {"d": 2, "boxes": []},
+    "int-subclass": one_more_box(lo=[IntSub(0)], hi=[IntSub(3)]),
+    "list-subclass": one_more_box(lo=ListSub([0]), hi=[3]),
+    "extra-keys": one_more_box(lo=[0], hi=[3], colour="red"),
+    "mapping": {"d": 1, "boxes": [MappingProxyType({"lo": [0], "hi": [3]})]},
+}
+
+
+def corner_types(family: BoxFamily) -> list:
+    return [(type(b.lo), type(b.hi), *map(type, b.lo + b.hi)) for b in family.boxes]
+
+
+class TestBulkBoxParser:
+    @pytest.mark.parametrize("name", sorted(BOX_DOCUMENTS))
+    def test_matches_the_per_entry_parser(self, name):
+        doc = BOX_DOCUMENTS[name]
+        got = outcome(lambda: box_family_from_dict(doc))
+        want = outcome(lambda: reference_box_family(doc))
+        assert got == want
+        if isinstance(want, BoxFamily):
+            assert corner_types(got) == corner_types(want)
+
+    def test_seeded_families_parse_to_the_boxes_they_were_built_from(self, monkeypatch):
+        # random_box_family builds each box through Box(...), which the
+        # bulk path never calls.
+        docs = []
+        for d in (1, 2, 3):
+            for seed in range(10):
+                fam = random_box_family(1 + 7 * seed, d, seed, spread=50, max_side=20)
+                docs.append((fam, box_family_to_dict(fam)))
+
+        def no_check(self, lo, hi):
+            raise AssertionError("Box.__init__ called")
+
+        monkeypatch.setattr(Box, "__init__", no_check)
+        for fam, doc in docs:
+            got = box_family_from_dict(doc)
+            assert type(got) is BoxFamily and got.d == fam.d
+            assert got == fam and hash(got) == hash(fam)
+            assert all(type(b) is Box for b in got.boxes)
+            assert corner_types(got) == corner_types(fam)
+
+
+class TestFieldsSetByHand:
+    def test_the_link_gate_could_not_refuse_a_box_graph(self):
+        # intersection_graph sets G's links by hand, so the width gate of
+        # KUniformHypergraph.links never runs on them.  It could not refuse
+        # them: G has at most MAX_BOXES keys of MAX_BOXES bits each.
+        assert MAX_BOXES ** 2 <= core.MAX_LINK_BITS
+
+    def test_links_and_sorted_edges_equal_the_rebuilt_ones(self):
+        isolated = {}
+        for d in (1, 2, 3):
+            for seed in range(8):
+                n = 18 + 6 * seed
+                fam = random_box_family(n, d, seed, spread=60, max_side=15)
+                G = fam.intersection_graph
+                assert "links" in G.__dict__ and "sorted_edges" in G.__dict__
+                isolated[d] = isolated.get(d, 0) + n - len(G.links)
+                for H in (G, fam.nerve_hypergraph):
+                    assert "sorted_edges" in H.__dict__
+                    rebuilt = KUniformHypergraph(n=H.n, k=H.k, edges=frozenset(H.edges))
+                    assert H == rebuilt
+                    assert H.sorted_edges == rebuilt.sorted_edges
+                    assert H.links == rebuilt.links
+        assert all(isolated[d] > 0 for d in (1, 2, 3)), isolated
